@@ -2,10 +2,14 @@
 learned sample representations, cluster-binned calibration metrics, and an
 experiment harness for calibration comparison, model selection and rejection."""
 
-from .data import Dataset, SplitIndices, SyntheticSpec, load_csv, split, gen_synthetic
+from .data import (
+    Dataset, SplitIndices, SyntheticSpec, load_csv, split, gen_synthetic, gen_synthetic_full,
+)
 from .scores import ScoreSet, load_external_scores
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict, leaf_indices
 from .treeshap import shap_values
+from .representation import EmbeddingMatrix, fit_kmeans
+from .ensemble import train_clustered
 from .calibrators import Calibrator, FitData, fit
 from .metrics import (
     ece, mce, ada_ece, cece, auc, scalar_metrics, reliability_data, rejection_curve,
@@ -13,9 +17,10 @@ from .metrics import (
 
 __all__ = [
     "Dataset", "SplitIndices", "SyntheticSpec", "load_csv", "split", "gen_synthetic",
+    "gen_synthetic_full",
     "ScoreSet", "load_external_scores",
     "GBTParams", "TreeEnsemble", "fit_gbt", "predict", "leaf_indices",
-    "shap_values",
+    "shap_values", "EmbeddingMatrix", "fit_kmeans", "train_clustered",
     "Calibrator", "FitData", "fit",
     "ece", "mce", "ada_ece", "cece", "auc", "scalar_metrics",
     "reliability_data", "rejection_curve",

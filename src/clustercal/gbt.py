@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .scores import ScoreSet, sigmoid, load_external_scores  # noqa: F401  (re-export)
+from .scores import ScoreSet, sigmoid
 
 __all__ = ["Tree", "TreeEnsemble", "GBTParams", "fit_gbt", "predict", "leaf_indices"]
 
 GAIN_EPS = 1e-12
+# Cap on the (features x rows) cells one split-scan block holds; a node with
+# more cells is scanned in several feature blocks.
+SCAN_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,37 +149,62 @@ class TreeEnsemble:
         return cls.from_dict(json.loads(s))
 
 
-def _best_split(X, idx, g, h, lam, min_child_weight):
-    """Exact greedy split over sorted unique values; midpoint thresholds.
+def _best_split(X, order, g, h, G, H, lam, min_child_weight):
+    """Exact greedy split of one node; midpoint thresholds.
 
-    Ties resolve to the lowest feature index, then the lowest threshold.
+    ``order`` is the node's (d, n) presorted block: row j lists the node's
+    rows sorted by feature j. Features are scanned in blocks of at most
+    about ``SCAN_BLOCK_CELLS`` (features x rows) cells. Ties resolve to the
+    lowest feature index, then the lowest threshold.
     Returns (gain, feature, threshold) or None.
     """
-    G, H = g[idx].sum(), h[idx].sum()
+    d, n = order.shape
     parent = G * G / (H + lam)
+    step = max(1, SCAN_BLOCK_CELLS // n)
     best = None
-    for j in range(X.shape[1]):
-        xs = X[idx, j]
-        order = np.argsort(xs, kind="stable")
-        xs_s = xs[order]
-        if xs_s[0] == xs_s[-1]:
-            continue
-        gc = np.cumsum(g[idx][order])[:-1]
-        hc = np.cumsum(h[idx][order])[:-1]
-        valid = xs_s[:-1] < xs_s[1:]
-        valid &= (hc >= min_child_weight) & (H - hc >= min_child_weight)
-        if not valid.any():
-            continue
-        gains = 0.5 * (gc**2 / (hc + lam) + (G - gc) ** 2 / (H - hc + lam) - parent)
-        gains[~valid] = -np.inf
-        pos = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[pos] > GAIN_EPS and (best is None or gains[pos] > best[0]):
-            best = (float(gains[pos]), j, float((xs_s[pos] + xs_s[pos + 1]) / 2))
+    for j0 in range(0, d, step):
+        rows = order[j0:j0 + step]
+        feats = np.arange(j0, j0 + len(rows))
+        xs = X[rows, feats[:, None]]
+        gc = np.cumsum(g[rows], axis=1)[:, :-1]
+        hc = np.cumsum(h[rows], axis=1)[:, :-1]
+        valid = xs[:, :-1] < xs[:, 1:]
+        valid &= hc >= min_child_weight
+        # in place, in the operation order of
+        # 0.5 * (gc**2 / (hc + lam) + (G - gc)**2 / (H - hc + lam) - parent)
+        # so every gain is bit-identical to that expression
+        right_h = np.subtract(H, hc)
+        valid &= right_h >= min_child_weight
+        right_h += lam
+        gains = np.square(gc)
+        hc += lam
+        gains /= hc
+        right_g = np.subtract(G, gc, out=gc)
+        np.square(right_g, out=right_g)
+        right_g /= right_h
+        gains += right_g
+        gains -= parent
+        gains *= 0.5
+        np.logical_not(valid, out=valid)
+        gains[valid] = -np.inf
+        pos = gains.argmax(axis=1)  # first max = lowest threshold
+        top = gains[np.arange(len(rows)), pos]
+        top[~(top > GAIN_EPS)] = -np.inf  # also drops NaN
+        k = int(top.argmax())  # first max = lowest feature
+        if top[k] > GAIN_EPS and (best is None or top[k] > best[0]):
+            best = (float(top[k]), int(feats[k]), float((xs[k, pos[k]] + xs[k, pos[k] + 1]) / 2))
     return best
 
 
-def _build_tree(X, g, h, params: GBTParams) -> Tree:
+def _partition(order, keep):
+    """Stable partition: each row of ``order`` restricted to the rows flagged in ``keep``."""
+    return np.compress(keep[order].ravel(), order).reshape(len(order), -1)
+
+
+def _build_tree(X, order, g, h, params: GBTParams) -> Tree:
+    """Grow one tree; ``order`` is the fit's (d, N) presorted row order."""
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
+    child = np.zeros(len(X), dtype=bool)  # per-row flag: goes to the child being built
 
     def new_node():
         feature.append(-1)
@@ -187,36 +215,41 @@ def _build_tree(X, g, h, params: GBTParams) -> Tree:
         cover.append(0.0)
         return len(feature) - 1
 
-    def build(idx, depth):
+    def build(idx, order, depth):
         j = new_node()
         cover[j] = float(len(idx))
+        G, H = g[idx].sum(), h[idx].sum()
         split = None
         if depth < params.max_depth and len(idx) >= 2:
-            split = _best_split(X, idx, g, h, params.lambda_l2, params.min_child_weight)
+            split = _best_split(X, order, g, h, G, H, params.lambda_l2,
+                                params.min_child_weight)
         if split is None:
-            G, H = g[idx].sum(), h[idx].sum()
             value[j] = float(-G / (H + params.lambda_l2) * params.learning_rate)
             return j
         _, f, t = split
         feature[j] = f
         threshold[j] = t
         mask = X[idx, f] <= t
-        left[j] = build(idx[mask], depth + 1)
-        right[j] = build(idx[~mask], depth + 1)
+        # only this node's entries of `child` are read; the left subtree
+        # overwrites them, so they are set again for the right child
+        child[idx] = mask
+        left[j] = build(idx[mask], _partition(order, child), depth + 1)
+        child[idx] = ~mask
+        right[j] = build(idx[~mask], _partition(order, child), depth + 1)
         return j
 
-    build(np.arange(len(X)), 0)
+    build(np.arange(len(X)), order, 0)
     return Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
                 np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
                 np.asarray(value), np.asarray(cover))
 
 
-def fit_gbt(train: Dataset, params: GBTParams | dict | None = None,
-            seed: int = 0) -> TreeEnsemble:
+def fit_gbt(train: Dataset, params: GBTParams | dict | None = None) -> TreeEnsemble:
     """Train a boosted-tree binary classifier on the training split.
 
-    Training is deterministic; ``seed`` is accepted for interface stability
-    (exact greedy boosting draws no random numbers).
+    Training is deterministic: exact greedy boosting draws no random numbers.
+    Each feature is sorted once per fit; every node scans the presorted
+    order of its rows, so no node sorts.
     """
     if params is None:
         params = GBTParams()
@@ -227,6 +260,7 @@ def fit_gbt(train: Dataset, params: GBTParams | dict | None = None,
         raise ValueError("training set has a single class")
     if X.shape[1] == 0:
         raise ValueError("no usable features")
+    order = np.argsort(X, axis=0, kind="stable").T.copy()
     rate = float(y.mean())
     base = math.log(rate / (1 - rate))
     margin = np.full(len(y), base)
@@ -236,7 +270,7 @@ def fit_gbt(train: Dataset, params: GBTParams | dict | None = None,
         p = sigmoid(margin)
         g = p - y
         h = p * (1 - p)
-        tree = _build_tree(X, g, h, params)
+        tree = _build_tree(X, order, g, h, params)
         trees.append(tree)
         margin += tree.value[tree.apply(X)]
         losses.append(_logloss(margin, y))

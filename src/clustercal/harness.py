@@ -174,7 +174,7 @@ def _fit_model(cfg: ExperimentConfig, ds: Dataset, tr_idx, synth_margins):
     if "gbt" in cfg.model:
         ens = fit_gbt(Dataset(ds.features[tr_idx], ds.labels[tr_idx],
                               ds.feature_names, tuple(ds.sample_ids[i] for i in tr_idx)),
-                      GBTParams(**cfg.model["gbt"]), cfg.seed)
+                      GBTParams(**cfg.model["gbt"]))
         return ens, predict(ens, ds.features)
     if "external_scores" in cfg.model:
         return None, load_external_scores(cfg.model["external_scores"],

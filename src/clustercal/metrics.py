@@ -64,6 +64,18 @@ def _check_lengths(p, y):
     y = np.asarray(y)
     if p.shape != y.shape:
         raise ValueError(f"length mismatch: {p.shape} vs {y.shape}")
+    if p.size == 0:
+        raise ValueError("empty input")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("labels must be 0 or 1")
+    return p, y
+
+
+def _check_probs(p, y):
+    """_check_lengths plus probabilities that are finite and lie in [0, 1]."""
+    p, y = _check_lengths(p, y)
+    if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
+        raise ValueError("probabilities must be finite and lie in [0, 1]")
     return p, y
 
 
@@ -91,7 +103,7 @@ def _stats_from_ids(p, y, ids, m, scheme) -> BinStats:
 
 
 def _binned(p, y, m, scheme):
-    p, y = _check_lengths(p, y)
+    p, y = _check_probs(p, y)
     if m < 1:
         raise ValueError("need at least one bin")
     return _stats_from_ids(p, y, _bin_ids(p, m, scheme), m, scheme)
@@ -127,7 +139,7 @@ def cece(p, y, cluster_labels, base: str = "ece"):
     Applies the arithmetic of the chosen base metric over bins defined by
     cluster membership, which is invariant to recalibration of ``p``.
     """
-    p, y = _check_lengths(p, y)
+    p, y = _check_probs(p, y)
     ids = np.asarray(cluster_labels, dtype=np.int64)
     if ids.shape != p.shape:
         raise ValueError("cluster labels length mismatch")
@@ -168,7 +180,7 @@ def auc(scores, y):
 
 def scalar_metrics(p, y, decision_threshold: float = 0.5):
     """Accuracy, cross-entropy, Brier score and its root."""
-    p, y = _check_lengths(p, y)
+    p, y = _check_probs(p, y)
     pc = np.clip(p, CE_EPS, 1 - CE_EPS)
     acc = float(np.mean((p >= decision_threshold).astype(np.int64) == y))
     cross = float(-np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc)))
@@ -192,7 +204,7 @@ def rejection_curve(p, y, thresholds=None, decision_threshold: float = 0.5) -> R
     Error is the misclassification rate at ``decision_threshold`` among
     accepted samples; an empty accepted set reports error 0 with count 0.
     """
-    p, y = _check_lengths(p, y)
+    p, y = _check_probs(p, y)
     if thresholds is None:
         thresholds = np.arange(0.0, 0.91, 0.1)
     t = np.asarray(thresholds, dtype=np.float64)

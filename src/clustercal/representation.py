@@ -283,6 +283,8 @@ def assign(cm: ClusterModel, E: EmbeddingMatrix | np.ndarray) -> np.ndarray:
     V = E.vectors if isinstance(E, EmbeddingMatrix) else np.asarray(E, dtype=np.float64)
     if V.shape[1] != cm.centroids.shape[1]:
         raise ValueError("embedding dimension does not match cluster model")
+    if not np.isfinite(V).all():
+        raise ValueError("embedding rows must be finite")
     labels, _ = _assign_nearest(V, cm.centroids)
     return labels
 

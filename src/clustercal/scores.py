@@ -36,7 +36,9 @@ class ScoreSet:
             object.__setattr__(self, "margins", np.asarray(self.margins, dtype=np.float64))
             if self.margins.shape != p.shape:
                 raise ValueError("margins/probabilities length mismatch")
-        if ((p <= 0) | (p >= 1)).any():
+            if not np.isfinite(self.margins).all():
+                raise ValueError("margins must be finite")
+        if not ((p > 0) & (p < 1)).all():  # also false for NaN
             raise ValueError("probabilities must lie strictly in (0, 1)")
 
     def __len__(self) -> int:

@@ -1,11 +1,16 @@
 """Boosted-tree training, splitting rules and serialization."""
 
+import math
+
 import numpy as np
 import pytest
 
 from clustercal.data import Dataset
-from clustercal.gbt import GBTParams, Tree, TreeEnsemble, fit_gbt, leaf_indices, predict
-from clustercal.scores import logit
+from clustercal.gbt import (
+    GAIN_EPS, SCAN_BLOCK_CELLS, GBTParams, Tree, TreeEnsemble, _logloss, fit_gbt,
+    leaf_indices, predict,
+)
+from clustercal.scores import logit, sigmoid
 
 
 def toy_dataset(n=200, d=3, seed=0):
@@ -144,3 +149,119 @@ class TestPredictAndSerialize:
         ens = fit_gbt(ds, GBTParams(n_trees=1, max_depth=1))
         with pytest.raises(ValueError, match="feature columns"):
             ens.margins(np.zeros((2, 5)))
+
+
+# Reference split search: every node argsorts every feature of its rows. It
+# is the straightforward form of the exact greedy search that fit_gbt runs on
+# presorted columns, and the oracle for it.
+
+def _ref_best_split(X, idx, g, h, lam, min_child_weight):
+    G, H = g[idx].sum(), h[idx].sum()
+    parent = G * G / (H + lam)
+    best = None
+    for j in range(X.shape[1]):
+        xs = X[idx, j]
+        order = np.argsort(xs, kind="stable")
+        xs_s = xs[order]
+        if xs_s[0] == xs_s[-1]:
+            continue
+        gc = np.cumsum(g[idx][order])[:-1]
+        hc = np.cumsum(h[idx][order])[:-1]
+        valid = xs_s[:-1] < xs_s[1:]
+        valid &= (hc >= min_child_weight) & (H - hc >= min_child_weight)
+        if not valid.any():
+            continue
+        gains = 0.5 * (gc**2 / (hc + lam) + (G - gc) ** 2 / (H - hc + lam) - parent)
+        gains[~valid] = -np.inf
+        pos = int(np.argmax(gains))
+        if gains[pos] > GAIN_EPS and (best is None or gains[pos] > best[0]):
+            best = (float(gains[pos]), j, float((xs_s[pos] + xs_s[pos + 1]) / 2))
+    return best
+
+
+def _ref_build_tree(X, g, h, params):
+    nodes = []
+
+    def build(idx, depth):
+        j = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, 0.0, float(len(idx))])
+        split = None
+        if depth < params.max_depth and len(idx) >= 2:
+            split = _ref_best_split(X, idx, g, h, params.lambda_l2, params.min_child_weight)
+        if split is None:
+            G, H = g[idx].sum(), h[idx].sum()
+            nodes[j][4] = float(-G / (H + params.lambda_l2) * params.learning_rate)
+            return j
+        _, f, t = split
+        nodes[j][0], nodes[j][1] = f, t
+        mask = X[idx, f] <= t
+        nodes[j][2] = build(idx[mask], depth + 1)
+        nodes[j][3] = build(idx[~mask], depth + 1)
+        return j
+
+    build(np.arange(len(X)), 0)
+    cols = list(zip(*nodes))
+    return Tree(np.asarray(cols[0], dtype=np.int64), np.asarray(cols[1]),
+                np.asarray(cols[2], dtype=np.int64), np.asarray(cols[3], dtype=np.int64),
+                np.asarray(cols[4]), np.asarray(cols[5]))
+
+
+def _ref_fit(ds, params):
+    X, y = ds.features, ds.labels.astype(np.float64)
+    rate = float(y.mean())
+    margin = np.full(len(y), math.log(rate / (1 - rate)))
+    trees, losses = [], [_logloss(margin, y)]
+    for _ in range(params.n_trees):
+        p = sigmoid(margin)
+        tree = _ref_build_tree(X, p - y, p * (1 - p), params)
+        trees.append(tree)
+        margin += tree.value[tree.apply(X)]
+        losses.append(_logloss(margin, y))
+    return trees, losses
+
+
+def tied_dataset(n, d, seed):
+    """Integer-valued (heavily tied) features, one real column, one constant column."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, 6, size=(n, d)).astype(np.float64)
+    X[:, 1] = rng.normal(size=n)
+    X[:, 2] = 3.0
+    y = (X[:, 0] + X[:, 1] + rng.normal(scale=1.5, size=n) > 2.5).astype(int)
+    y[:2] = (0, 1)
+    return Dataset(X, y, tuple(f"f{j}" for j in range(d)), tuple(str(i) for i in range(n)))
+
+
+class TestPresortedSplitSearch:
+    """fit_gbt builds bit-identical trees to the per-node argsort reference."""
+
+    def assert_same_fit(self, ds, params):
+        ens = fit_gbt(ds, params)
+        trees, losses = _ref_fit(ds, params)
+        assert len(ens.trees) == len(trees)
+        for got, want in zip(ens.trees, trees):
+            for name in ("feature", "threshold", "left", "right", "value", "cover"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert np.asarray(ens.train_loss).tobytes() == np.asarray(losses).tobytes()
+
+    @pytest.mark.parametrize("min_child_weight", [0.0, 1.0])
+    @pytest.mark.parametrize("lambda_l2", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_node_argsort(self, seed, min_child_weight, lambda_l2):
+        ds = tied_dataset(150 + 50 * seed, 5, seed)
+        params = GBTParams(n_trees=4, max_depth=2 + 2 * seed, learning_rate=0.5,
+                           min_child_weight=min_child_weight, lambda_l2=lambda_l2)
+        self.assert_same_fit(ds, params)
+
+    def test_matches_when_a_node_spans_several_feature_blocks(self):
+        n, d = 3000, 30
+        assert n * d > SCAN_BLOCK_CELLS  # the root is scanned in two feature blocks
+        ds = tied_dataset(n, d, 7)
+        # the last two columns copy the first two, so the root's tie between
+        # feature 0 (or 1) and its copy spans two feature blocks
+        X = ds.features.copy()
+        X[:, -2:] = X[:, :2]
+        ds = Dataset(X, ds.labels, ds.feature_names, ds.sample_ids)
+        ens = fit_gbt(ds, GBTParams(n_trees=1, max_depth=1))
+        assert ens.trees[0].feature[0] in (0, 1)
+        self.assert_same_fit(ds, GBTParams(n_trees=2, max_depth=3, min_child_weight=0.0))

@@ -88,6 +88,35 @@ class TestEce:
             ada_ece(np.array([0.5]), np.array([1]), 2)
 
 
+class TestInputBoundary:
+    def test_probability_above_one(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            ece([1.7, 0.5], [0, 1])
+
+    def test_label_outside_zero_one(self):
+        with pytest.raises(ValueError, match="labels"):
+            ece([0.3, 0.5], [0, 2])
+        with pytest.raises(ValueError, match="labels"):
+            auc([0.3, 0.5], [0, 2])
+
+    def test_empty(self):
+        with pytest.raises(ValueError, match="empty"):
+            ece([], [])
+
+    @pytest.mark.parametrize("metric", [
+        lambda p, y: ece(p, y), lambda p, y: mce(p, y), lambda p, y: ada_ece(p, y, 2),
+        lambda p, y: cece(p, y, [0, 1]), lambda p, y: scalar_metrics(p, y),
+        lambda p, y: reliability_data(p, y), lambda p, y: rejection_curve(p, y),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.1])
+    def test_probability_metrics_reject_bad_p(self, metric, bad):
+        with pytest.raises(ValueError, match="probabilities"):
+            metric([bad, 0.5], [0, 1])
+
+    def test_auc_accepts_arbitrary_scores(self):
+        assert auc([-3.0, 7.5], [0, 1])[0] == 1.0
+
+
 class TestCece:
     def test_invariant_bins_under_recalibration(self):
         # cluster bins ignore p, so a recalibrated p changes only the gaps

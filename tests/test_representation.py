@@ -124,6 +124,13 @@ class TestKmeans:
         with pytest.raises(ValueError, match="dimension"):
             assign(cm, np.zeros((3, 5)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_assign_rejects_non_finite_rows(self, bad):
+        cm = ClusterModel("kmeans", 2, np.array([[0.0], [10.0]]),
+                          np.array([1, 1]), np.array([0, 0]))
+        with pytest.raises(ValueError, match="finite"):
+            assign(cm, np.array([[1.0], [bad]]))
+
     def test_serialization_roundtrip(self):
         E, _ = blobs(3, seed=3)
         cm = fit_kmeans(E, 3, 0)

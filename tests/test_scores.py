@@ -39,6 +39,17 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             ScoreSet(np.array([0.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_from_margins_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ScoreSet.from_margins([bad, 1.0])
+
+    def test_rejects_nan_probabilities(self):
+        with pytest.raises(ValueError, match="strictly"):
+            ScoreSet(None, np.array([np.nan, 0.5]))
+        with pytest.raises(ValueError):
+            ScoreSet.from_probabilities([np.nan, 0.5])
+
     def test_take(self):
         s = ScoreSet.from_margins([0.0, 1.0, 2.0])
         sub = s.take([2, 0])
@@ -91,3 +102,9 @@ class TestLoadExternal:
         path = self.write(tmp_path, "sample_id,probability\na,1.5\n")
         with pytest.raises(ValueError, match="outside"):
             load_external_scores(path)
+
+    @pytest.mark.parametrize("text", ["sample_id,margin\na,nan\n",
+                                      "sample_id,probability\na,nan\n"])
+    def test_rejects_nan_scores(self, tmp_path, text):
+        with pytest.raises(ValueError):
+            load_external_scores(self.write(tmp_path, text))
