@@ -100,7 +100,7 @@ class Calibrator:
     def _transform(self, scores: ScoreSet) -> np.ndarray:
         q = self.params
         if self.method == "platt":
-            return 1.0 / (1.0 + np.exp(q["A"] * scores.margins + q["B"]))
+            return sigmoid(-(q["A"] * scores.margins + q["B"]))
         if self.method == "temperature":
             return sigmoid(scores.margins / q["T"])
         if self.method in ("beta", "dirichlet2"):

@@ -196,14 +196,13 @@ def _cluster(cfg: ExperimentConfig, E: EmbeddingMatrix, fit_idx):
     sub = EmbeddingMatrix(E.kind, E.vectors[fit_idx])
     method = cfg.clustering.get("method", "kmeans")
     k = cfg.clustering.get("k")
-    curve = None
     if k is None:
         grid = tuple(cfg.clustering.get("elbow", (5, 100, 5)))
-        k, curve = select_k_elbow(sub, grid, cfg.seed,
-                                  cfg.clustering.get("min_cluster_size", 0), method)
+        return select_k_elbow(sub, grid, cfg.seed,
+                              cfg.clustering.get("min_cluster_size", 0), method)
     cm = (fit_kmeans(sub, int(k), cfg.seed) if method == "kmeans"
           else fit_agglomerative(sub, int(k)))
-    return cm, curve
+    return cm, None
 
 
 def _eval_variant(p, y, cluster_labels, mopts) -> dict:
@@ -341,10 +340,9 @@ def _persist(cfg, report, ds, splits, ens, cm, diag, scores,
         _write_csv(os.path.join(out, f"calibrated_scores_{variant}.csv"),
                    ("sample_id", "probability", "label"),
                    [[sid, pi, int(yi)] for sid, pi, yi in zip(te_ids, p, y[te_idx])])
-        from .metrics import ece as _ece  # local alias to keep imports tight
         mopts = cfg.metric_opts
-        _, stats = _ece(p, y[te_idx], int(mopts.get("n_bins", 10)),
-                        mopts.get("scheme", "equal_width"))
+        _, stats = ece(p, y[te_idx], int(mopts.get("n_bins", 10)),
+                       mopts.get("scheme", "equal_width"))
         _write_csv(os.path.join(out, f"bins_{variant}.csv"),
                    ("bin", "count", "obs_rate", "mean_pred"),
                    [[b["bin"], b["count"], b["obs_rate"], b["mean_pred"]]

@@ -34,7 +34,6 @@ class EmbeddingMatrix:
     vectors: np.ndarray                   # (N, m)
     standardize_mean: np.ndarray | None = None
     standardize_std: np.ndarray | None = None
-    leaf_offsets: np.ndarray | None = None  # one-hot block starts per tree
 
     def __post_init__(self):
         V = np.asarray(self.vectors, dtype=np.float64)
@@ -102,14 +101,13 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
         return EmbeddingMatrix(kind, phi)
     if kind == "leaf":
         leaves = leaf_indices(ens, ds.features)
-        blocks, offsets = [], [0]
+        blocks = []
         for t, tree in enumerate(ens.trees):
             leaf_ids = np.flatnonzero(tree.feature < 0)
             onehot = (leaves[:, t][:, None] == leaf_ids[None, :]).astype(np.float64)
             blocks.append(onehot)
-            offsets.append(offsets[-1] + len(leaf_ids))
         V = np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
-        return EmbeddingMatrix(kind, V, leaf_offsets=np.asarray(offsets))
+        return EmbeddingMatrix(kind, V)
     if kind in ("raw", "topk"):
         if kind == "topk":
             fraction = opts.get("topk_fraction", 0.15)
@@ -169,14 +167,36 @@ class ClusterDiagnostics:
 
 
 def _dists(V, C):
-    # squared Euclidean distances (N, k) without the (N, k, m) intermediate
-    d = (V * V).sum(axis=1)[:, None] - 2.0 * V @ C.T + (C * C).sum(axis=1)[None, :]
-    return np.maximum(d, 0.0)
+    # squared Euclidean distances (N, k), built in place in one (N, k) buffer
+    vv = (V * V).sum(axis=1)
+    cc = (C * C).sum(axis=1)
+    d = (2.0 * V) @ C.T
+    np.subtract(vv[:, None], d, out=d)
+    d += cc
+    np.maximum(d, 0.0, out=d)
+    return d
 
 
 def _assign_nearest(V, C):
     d = _dists(V, C)
     return d.argmin(axis=1), d
+
+
+def _centroids(VT, labels, sizes):
+    # per-cluster means from the column-major embedding VT (m, N): one bincount
+    # per column adds each cluster's rows in row order, as a masked mean would
+    C = np.empty((len(sizes), len(VT)))
+    for c, col in enumerate(VT):
+        C[:, c] = np.bincount(labels, weights=col, minlength=len(sizes))
+    C /= sizes[:, None]
+    return C
+
+
+def _inertia(V, C, labels):
+    # in one (N, m) buffer, so the peak stays that of the fit
+    resid = C[labels]
+    np.subtract(V, resid, out=resid)
+    return float(np.square(resid, out=resid).sum())
 
 
 def _kmeans_pp_init(V, k, rng):
@@ -198,33 +218,37 @@ def _kmeans_pp_init(V, k, rng):
 
 def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0,
                max_iter: int = 300) -> ClusterModel:
-    """Lloyd's algorithm from a k-means++ start; deterministic given seed."""
+    """Lloyd's algorithm from a k-means++ start; deterministic given seed.
+
+    Each step sums every cluster's rows in row order with one ``bincount``
+    per embedding column. An empty cluster, taken in increasing id order, is
+    re-seeded at the point farthest from its centroid (lowest index on ties)
+    among points whose cluster keeps at least one member, so every returned
+    size is at least 1.
+    """
     V = E.vectors
     if k < 1 or k > len(V):
         raise ValueError(f"k={k} out of range for {len(V)} samples")
     rng = np.random.default_rng(seed)
     C = _kmeans_pp_init(V, k, rng)
+    VT = np.ascontiguousarray(V.T)  # bincount reads each column contiguously
     labels = np.full(len(V), -1)
-    inertia = np.inf
     for _ in range(max_iter):
         new_labels, d = _assign_nearest(V, C)
-        for j in range(k):
-            mask = new_labels == j
-            if mask.any():
-                C[j] = V[mask].mean(axis=0)
-            else:
-                # re-seed at the point farthest from its centroid (lowest index on ties)
-                far = d[np.arange(len(V)), new_labels]
-                idx = int(np.argmax(far))
-                C[j] = V[idx]
-                new_labels[idx] = j
-        new_inertia = float(((V - C[new_labels]) ** 2).sum())
-        if (new_labels == labels).all():
-            labels, inertia = new_labels, new_inertia
+        sizes = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            far = np.where(sizes[new_labels] > 1, d[np.arange(len(V)), new_labels], -1.0)
+            idx = int(np.argmax(far))
+            sizes[new_labels[idx]] -= 1
+            sizes[j] = 1
+            new_labels[idx] = j
+        C = _centroids(VT, new_labels, sizes)
+        converged = (new_labels == labels).all()
+        labels = new_labels
+        if converged:
             break
-        labels, inertia = new_labels, new_inertia
-    sizes = np.bincount(labels, minlength=k)
-    return ClusterModel("kmeans", k, C, sizes, np.zeros(k, dtype=np.int64), seed, inertia)
+    return ClusterModel("kmeans", k, C, sizes, np.zeros(k, dtype=np.int64), seed,
+                        _inertia(V, C, labels))
 
 
 def fit_agglomerative(E: EmbeddingMatrix, k: int) -> ClusterModel:
@@ -244,20 +268,19 @@ def fit_agglomerative(E: EmbeddingMatrix, k: int) -> ClusterModel:
         for i, c in enumerate(raw):
             labels[i] = seen.setdefault(int(c), len(seen))
     k_eff = int(labels.max()) + 1
-    C = np.vstack([V[labels == j].mean(axis=0) for j in range(k_eff)])
     sizes = np.bincount(labels, minlength=k_eff)
-    inertia = float(((V - C[labels]) ** 2).sum())
+    C = _centroids(np.ascontiguousarray(V.T), labels, sizes)
     return ClusterModel("agglomerative", k_eff, C, sizes,
-                        np.zeros(k_eff, dtype=np.int64), 0, inertia)
+                        np.zeros(k_eff, dtype=np.int64), 0, _inertia(V, C, labels))
 
 
 def select_k_elbow(E: EmbeddingMatrix, k_range=(5, 100, 5), seed: int = 0,
                    min_cluster_size: int = 0, method: str = "kmeans"):
     """Pick k at the largest discrete curvature of the inertia curve.
 
-    Returns (k, curve) where curve is a list of (k, inertia) pairs. With
-    ``min_cluster_size`` set, grid points whose smallest cluster violates the
-    floor are dropped before the curvature scan.
+    Returns (model, curve): the model fitted at the chosen k, and a list of
+    (k, inertia) pairs. With ``min_cluster_size`` set, grid points whose
+    smallest cluster violates the floor are dropped before the curvature scan.
     """
     k_min, k_max, step = k_range
     if k_min < 2:
@@ -275,7 +298,7 @@ def select_k_elbow(E: EmbeddingMatrix, k_range=(5, 100, 5), seed: int = 0,
     curvature = inertias[:-2] - 2 * inertias[1:-1] + inertias[2:]
     best = int(np.argmax(curvature)) + 1
     curve = list(zip(ks, inertias.tolist()))
-    return ks[best], curve
+    return models[ks[best]], curve
 
 
 def assign(cm: ClusterModel, E: EmbeddingMatrix | np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ PROB_CLIP_EPS = 1e-6
 
 
 def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    # exp overflows to inf for x <= -710, which correctly gives 0.0
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
 
 
 def logit(p):
@@ -46,7 +48,10 @@ class ScoreSet:
 
     @classmethod
     def from_margins(cls, margins, source: str = "builtin") -> "ScoreSet":
-        return cls(np.asarray(margins, dtype=np.float64), sigmoid(margins), source)
+        m = np.asarray(margins, dtype=np.float64)
+        # sigmoid rounds to exactly 1.0 at margins >= 37 and to 0.0 at <= -745
+        p = np.clip(sigmoid(m), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        return cls(m, p, source)
 
     @classmethod
     def from_probabilities(cls, probabilities, clip_eps: float = PROB_CLIP_EPS,
@@ -89,7 +94,7 @@ def load_external_scores(path, clip_eps: float = PROB_CLIP_EPS,
         m = np.asarray(margins)
         if probs:
             return ScoreSet(m, np.clip(np.asarray(probs), clip_eps, 1 - clip_eps), "external")
-        return ScoreSet(m, sigmoid(m), "external")
+        return ScoreSet.from_margins(m, "external")
     p = np.asarray(probs)
     if ((p < 0) | (p > 1)).any():
         raise ValueError(f"{path}: probabilities outside [0, 1]")

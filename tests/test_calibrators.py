@@ -186,6 +186,12 @@ class TestCalibratorSurface:
         with pytest.raises(ValueError, match="margins"):
             cal.apply(ScoreSet(None, np.array([0.5])))
 
+    @pytest.mark.filterwarnings("error")
+    def test_platt_applies_to_saturated_margins(self):
+        cal = Calibrator("platt", {"A": -1.0, "B": 0.0})
+        out = cal.apply(ScoreSet(np.array([800.0, 0.0, -800.0]), np.array([0.9, 0.5, 0.1])))
+        np.testing.assert_array_equal(out, [1 - 1e-6, 0.5, 1e-6])
+
     def test_monotone_flags(self):
         assert Calibrator("platt", {"A": -1.0, "B": 0.0}).monotone
         assert not Calibrator("platt", {"A": 1.0, "B": 0.0}).monotone

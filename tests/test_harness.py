@@ -113,6 +113,17 @@ class TestRunExperiment:
         assert report.cluster_diagnostics["elbow_curve"] is not None
         assert report.cluster_diagnostics["k"] >= 2
 
+    def test_elbow_path_reuses_the_chosen_model(self, monkeypatch):
+        import clustercal.harness as harness
+
+        def refit(*args, **kwargs):
+            raise AssertionError("the elbow's chosen k was fitted again")
+        monkeypatch.setattr(harness, "fit_kmeans", refit)
+        cfg = synth_config(clustering={"method": "kmeans", "elbow": [2, 6, 1]},
+                           methods=("platt",))
+        report = run_experiment(cfg)
+        assert report.cluster_diagnostics["k"] >= 2
+
     def test_stage_error_names_stage(self):
         cfg = synth_config()
         cfg.clustering = {"method": "kmeans", "k": 10_000}

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.cluster.hierarchy import fcluster, linkage
 
 from clustercal.data import Dataset, SyntheticSpec, gen_synthetic_full
 from clustercal.gbt import GBTParams, fit_gbt
 from clustercal.representation import (
-    ClusterModel, EmbeddingMatrix, assign, build_embedding, diagnostics,
-    fit_agglomerative, fit_kmeans, select_k_elbow, topk_feature_indices,
+    ClusterModel, EmbeddingMatrix, _dists, _kmeans_pp_init, assign, build_embedding,
+    diagnostics, fit_agglomerative, fit_kmeans, select_k_elbow, topk_feature_indices,
 )
 
 
@@ -139,6 +140,111 @@ class TestKmeans:
         np.testing.assert_array_equal(assign(back, E), assign(cm, E))
 
 
+def _ref_dists(V, C):
+    d = (V * V).sum(axis=1)[:, None] - 2.0 * V @ C.T + (C * C).sum(axis=1)[None, :]
+    return np.maximum(d, 0.0)
+
+
+def _ref_fit_kmeans(V, k, seed, max_iter=300):
+    """Lloyd's algorithm with a masked mean per cluster: the reference the
+    bincount update must match bit for bit while no cluster empties."""
+    C = _kmeans_pp_init(V, k, np.random.default_rng(seed))
+    labels = np.full(len(V), -1)
+    emptied = False
+    for _ in range(max_iter):
+        d = _ref_dists(V, C)
+        new_labels = d.argmin(axis=1)
+        for j in range(k):
+            mask = new_labels == j
+            if mask.any():
+                C[j] = V[mask].mean(axis=0)
+            else:
+                emptied = True
+                idx = int(np.argmax(d[np.arange(len(V)), new_labels]))
+                C[j] = V[idx]
+                new_labels[idx] = j
+        inertia = float(((V - C[new_labels]) ** 2).sum())
+        done = (new_labels == labels).all()
+        labels = new_labels
+        if done:
+            break
+    return C, np.bincount(labels, minlength=k), inertia, emptied
+
+
+def _oracle_embeddings():
+    rng = np.random.default_rng(11)
+    narrow = np.concatenate([c + rng.normal(size=(60, 4))
+                             for c in rng.normal(scale=3.0, size=(5, 4))])
+    wide = rng.normal(size=(240, 128)) + np.repeat(rng.normal(size=(4, 128)), 60, axis=0)
+    # leaf-style one-hot: 12 "trees" of 9 leaves each, many tied distances
+    onehot = np.zeros((240, 108))
+    leaves = rng.integers(0, 9, size=(240, 12))
+    onehot[np.arange(240)[:, None], np.arange(12) * 9 + leaves] = 1.0
+    return {"narrow": narrow, "wide": wide, "onehot": onehot}
+
+
+ORACLE_EMBEDDINGS = _oracle_embeddings()
+ORACLE_CASES = [(name, k) for name in sorted(ORACLE_EMBEDDINGS) for k in (1, 2, 5, 8, 20)]
+
+
+class TestKmeansOracle:
+    # k=37 runs on the first 40 narrow rows: k near N
+    @pytest.mark.parametrize("name,k", ORACLE_CASES + [("narrow40", 37)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_masked_mean_lloyd(self, name, k, seed):
+        V = ORACLE_EMBEDDINGS["narrow"][:40] if name == "narrow40" else ORACLE_EMBEDDINGS[name]
+        C, sizes, inertia, emptied = _ref_fit_kmeans(V, k, seed)
+        assert not emptied
+        cm = fit_kmeans(EmbeddingMatrix("raw", V), k, seed)
+        np.testing.assert_array_equal(cm.centroids, C)
+        np.testing.assert_array_equal(cm.sizes, sizes)
+        assert cm.inertia == inertia
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_EMBEDDINGS))
+    def test_agglomerative_centroids_match_masked_mean(self, name):
+        V = ORACLE_EMBEDDINGS[name]
+        raw = fcluster(linkage(V, method="ward"), t=6, criterion="maxclust")
+        values, first = np.unique(raw, return_index=True)
+        rank = np.empty(len(values), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(values))  # ids by first appearance
+        labels = rank[np.searchsorted(values, raw)]
+        C = np.vstack([V[labels == j].mean(axis=0) for j in range(len(values))])
+        cm = fit_agglomerative(EmbeddingMatrix("raw", V), 6)
+        np.testing.assert_array_equal(cm.centroids, C)
+        assert cm.inertia == float(((V - C[labels]) ** 2).sum())
+
+    def test_distances_match_reference_expression(self):
+        V = ORACLE_EMBEDDINGS["wide"]
+        C = V[::7][:40]
+        np.testing.assert_array_equal(_dists(V, C), _ref_dists(V, C))
+
+
+class TestKmeansEmptyClusters:
+    @staticmethod
+    def duplicates():
+        # 5 distinct points, the first repeated 16 times: k-means++ places
+        # several centroids on the repeated point, so clusters empty
+        rng = np.random.default_rng(0)
+        distinct = rng.normal(size=(5, 3))
+        return np.concatenate([np.repeat(distinct[:1], 16, axis=0), distinct[1:]])
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_cluster_keeps_a_member(self, k, seed):
+        V = self.duplicates()
+        cm = fit_kmeans(EmbeddingMatrix("raw", V), k, seed)
+        assert cm.sizes.min() >= 1
+        assert cm.sizes.sum() == len(V)
+        assert np.isfinite(cm.centroids).all()
+        # centroids are the means of clusters of these sizes: sum ||v||^2 - sum n_j ||c_j||^2
+        explained = cm.sizes @ (cm.centroids ** 2).sum(axis=1)
+        assert (V ** 2).sum() - explained == pytest.approx(cm.inertia, abs=1e-9)
+        again = fit_kmeans(EmbeddingMatrix("raw", V), k, seed)
+        np.testing.assert_array_equal(again.centroids, cm.centroids)
+        np.testing.assert_array_equal(again.sizes, cm.sizes)
+        assert again.inertia == cm.inertia
+
+
 class TestAgglomerative:
     def test_recovers_separated_blobs(self):
         E, truth = blobs(3, seed=4)
@@ -159,9 +265,10 @@ class TestAgglomerative:
 class TestElbow:
     def test_picks_true_k(self):
         E, _ = blobs(4, n_per=40, seed=6)
-        k, curve = select_k_elbow(E, (2, 8, 1), seed=0)
-        assert k == 4
+        cm, curve = select_k_elbow(E, (2, 8, 1), seed=0)
+        assert cm.k == 4
         assert [c[0] for c in curve] == list(range(2, 9))
+        np.testing.assert_array_equal(cm.centroids, fit_kmeans(E, 4, 0).centroids)
 
     def test_needs_three_grid_points(self):
         E, _ = blobs(2, n_per=10)
@@ -170,8 +277,8 @@ class TestElbow:
 
     def test_min_cluster_size_filters(self):
         E, _ = blobs(3, n_per=40, seed=7)
-        k, _ = select_k_elbow(E, (2, 8, 1), seed=0, min_cluster_size=9)
-        assert fit_kmeans(E, k, 0).sizes.min() >= 9
+        cm, _ = select_k_elbow(E, (2, 8, 1), seed=0, min_cluster_size=9)
+        assert cm.sizes.min() >= 9
 
     def test_min_cluster_size_can_exhaust_grid(self):
         E, _ = blobs(3, n_per=40, seed=7)

@@ -39,6 +39,19 @@ class TestScoreSet:
         with pytest.raises(ValueError):
             ScoreSet(np.array([0.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [40.0, 800.0])
+    def test_from_margins_accepts_saturated_margins(self, big):
+        s = ScoreSet.from_margins([big, 0.0, -big])
+        p = s.probabilities
+        assert ((p > 0) & (p < 1)).all()
+        assert p[0] > 0.5 > p[2]
+        np.testing.assert_array_equal(s.margins, [big, 0.0, -big])
+
+    def test_from_margins_keeps_unsaturated_probabilities(self):
+        m = np.linspace(-30.0, 30.0, 61)
+        np.testing.assert_array_equal(ScoreSet.from_margins(m).probabilities, sigmoid(m))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_from_margins_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="finite"):
