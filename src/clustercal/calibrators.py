@@ -4,6 +4,8 @@ histogram binning, isotonic (PAV), bin-wise Platt and constants.
 Every method exposes the same fit/apply/nll surface so the clustered
 ensemble can treat them uniformly. Parametric fits minimize mean negative
 log-likelihood with Newton steps (or golden section for temperature).
+Each fit runs under one ``np.errstate(over="ignore")``, so ``sigmoid`` can
+saturate to 0.0 without a warning on every objective evaluation.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ APPLY_EPS = 1e-6
 GRAD_TOL = 1e-8
 MAX_ITER = 1000
 T_BOUNDS = (0.01, 100.0)
+GOLDEN_ITER = 220
 PARAMETRIC_METHODS = ("platt", "temperature", "beta", "dirichlet2")
 ALL_METHODS = PARAMETRIC_METHODS + ("histogram", "isotonic", "platt_bin", "constant")
 
@@ -47,12 +50,18 @@ class FitData:
     def __post_init__(self):
         m = np.asarray(self.margins, dtype=np.float64)
         p = np.asarray(self.probabilities, dtype=np.float64)
-        y = np.asarray(self.labels, dtype=np.int64)
+        y = np.asarray(self.labels)
         if not (m.shape == p.shape == y.shape) or m.ndim != 1 or len(m) < 1:
             raise ValueError("margins, probabilities, labels must be equal-length, non-empty")
+        if not ((y == 0) | (y == 1)).all():
+            raise ValueError("labels must be 0 or 1")
+        if not np.isfinite(m).all():
+            raise ValueError("margins must be finite")
+        if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
+            raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "margins", m)
         object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "labels", y)
+        object.__setattr__(self, "labels", y.astype(np.int64))
 
     @classmethod
     def from_scores(cls, scores: ScoreSet, y) -> "FitData":
@@ -94,7 +103,8 @@ class Calibrator:
         if self.method in MARGIN_METHODS or self.method == "platt_bin":
             if scores.margins is None:
                 raise ValueError(f"{self.method} calibration requires margins")
-        raw = self._transform(scores)
+        with np.errstate(over="ignore"):
+            raw = self._transform(scores)
         return np.clip(raw, APPLY_EPS, 1 - APPLY_EPS)
 
     def _transform(self, scores: ScoreSet) -> np.ndarray:
@@ -173,9 +183,27 @@ def _decode(d: dict) -> dict:
 
 
 def nll_of_probs(p, y, eps: float = APPLY_EPS) -> float:
-    p = np.clip(np.asarray(p, dtype=np.float64), eps, 1 - eps)
-    y = np.asarray(y)
-    return float(-np.mean(y * np.log(p) + (1 - y) * np.log1p(-p)))
+    """Mean negative log-likelihood of labels ``y`` under ``p`` clipped to [eps, 1 - eps]."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    return _nll(np.asarray(p, dtype=np.float64).reshape(-1), y, 1.0 - y, eps)
+
+
+def _nll(p, y, y1, eps: float = APPLY_EPS) -> float:
+    """``nll_of_probs`` on 1-D float64 ``p`` with float labels ``y`` and ``y1 = 1 - y``.
+
+    The fit objectives convert the labels once per fit and call this directly.
+    It computes y*log(p) + (1-y)*log1p(-p) in two buffers and leaves ``p``
+    unchanged.
+    """
+    q = np.maximum(p, eps)
+    np.minimum(q, 1 - eps, out=q)
+    a = np.log(q)
+    a *= y
+    np.negative(q, out=q)
+    np.log1p(q, out=q)
+    q *= y1
+    a += q
+    return float(-(np.add.reduce(a) / len(a)))
 
 
 # fitting ----------------------------------------------------------------
@@ -192,19 +220,20 @@ def fit(method: str, data: FitData, opts: dict | None = None) -> Calibrator:
     if single_class and method != "isotonic":
         # degenerate fit data: fall back to a smoothed constant
         return _constant(_laplace_rate(y), note="single_class_fallback")
-    if method == "platt":
-        return _fit_platt(data.margins, y, opts)
-    if method == "temperature":
-        return _fit_temperature(data.margins, y)
-    if method in ("beta", "dirichlet2"):
-        return _fit_dirichlet2(data.probabilities, y, constrained=(method == "beta"))
-    if method == "histogram":
-        return _fit_histogram(data.probabilities, y,
-                              opts.get("n_bins", 10), opts.get("laplace", True))
-    if method == "isotonic":
-        return _fit_isotonic(data.probabilities, y)
-    if method == "platt_bin":
-        return _fit_platt_bin(data, opts.get("n_bins", 10))
+    with np.errstate(over="ignore"):
+        if method == "platt":
+            return _fit_platt(data.margins, y, opts)
+        if method == "temperature":
+            return _fit_temperature(data.margins, y)
+        if method in ("beta", "dirichlet2"):
+            return _fit_dirichlet2(data.probabilities, y, constrained=(method == "beta"))
+        if method == "histogram":
+            return _fit_histogram(data.probabilities, y,
+                                  opts.get("n_bins", 10), opts.get("laplace", True))
+        if method == "isotonic":
+            return _fit_isotonic(data.probabilities, y)
+        if method == "platt_bin":
+            return _fit_platt_bin(data, opts.get("n_bins", 10))
     raise AssertionError(method)
 
 
@@ -219,22 +248,26 @@ def _constant(p0: float, note: str | None = None) -> Calibrator:
 
 
 def _newton_logistic(Z, y, w0, frozen=None):
-    """Minimize mean logistic NLL of sigmoid(Z @ w) over the free coords of w."""
+    """Minimize mean logistic NLL of sigmoid(Z @ w) over the free coords of w.
+
+    The unclipped probabilities of the accepted line-search candidate are
+    sigmoid(Z @ w) for the next iteration, so they are kept for its gradient
+    and Hessian instead of being computed again.
+    """
     n = len(y)
+    yf = np.asarray(y, dtype=np.float64)
+    y1 = 1.0 - yf
     w = np.asarray(w0, dtype=np.float64).copy()
     free = np.ones(len(w), dtype=bool)
     if frozen is not None:
         free[list(frozen)] = False
 
-    def objective(wv):
-        return nll_of_probs(sigmoid(Z @ wv), y)
-
-    obj = objective(w)
+    p = sigmoid(Z @ w)
+    obj = _nll(p, yf, y1)
     it = 0
     gnorm = np.inf
     for it in range(1, MAX_ITER + 1):
-        p = sigmoid(Z @ w)
-        g = Z.T @ (p - y) / n
+        g = Z.T @ (p - yf) / n
         g[~free] = 0.0
         gnorm = float(np.linalg.norm(g))
         if gnorm <= GRAD_TOL:
@@ -251,7 +284,8 @@ def _newton_logistic(Z, y, w0, frozen=None):
         alpha = 1.0
         for _ in range(60):
             cand = w - alpha * step
-            cand_obj = objective(cand)
+            cand_p = sigmoid(Z @ cand)
+            cand_obj = _nll(cand_p, yf, y1)
             if cand_obj <= obj - 1e-4 * alpha * float(g @ step):
                 break
             alpha *= 0.5
@@ -260,7 +294,7 @@ def _newton_logistic(Z, y, w0, frozen=None):
         if abs(obj - cand_obj) < 1e-16 and gnorm < 1e-6:
             w, obj = cand, cand_obj
             break
-        w, obj = cand, cand_obj
+        w, obj, p = cand, cand_obj, cand_p
     return w, {"final_nll": obj, "iterations": it, "grad_norm": gnorm}
 
 
@@ -273,16 +307,29 @@ def _fit_platt(margins, y, opts) -> Calibrator:
 
 
 def _fit_temperature(margins, y) -> Calibrator:
+    """Golden-section search for log T over ``T_BOUNDS``, ``GOLDEN_ITER`` iterations.
+
+    Each iteration is a deterministic map of the state (a, b, c, d, fc, fd).
+    Once a state equals the one two iterations earlier, the states alternate
+    for good, so the bracket after the last iteration is the current state or
+    the previous one, by the parity of the iterations left. The loop stops
+    there (around iteration 80 in practice) and returns exactly the
+    ``GOLDEN_ITER``-iteration result, which is why ``iterations`` reports
+    ``GOLDEN_ITER``.
+    """
     lo, hi = math.log(T_BOUNDS[0]), math.log(T_BOUNDS[1])
+    yf = np.asarray(y, dtype=np.float64)
+    y1 = 1.0 - yf
 
     def objective(log_t):
-        return nll_of_probs(sigmoid(margins / math.exp(log_t)), y)
+        return _nll(sigmoid(margins / math.exp(log_t)), yf, y1)
 
     inv_phi = (math.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
     fc, fd = objective(c), objective(d)
-    for _ in range(220):
+    prev = older = None
+    for i in range(1, GOLDEN_ITER + 1):
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv_phi * (b - a)
@@ -291,10 +338,16 @@ def _fit_temperature(margins, y) -> Calibrator:
             a, c, fc = c, d, fd
             d = a + inv_phi * (b - a)
             fd = objective(d)
+        state = (a, b, c, d, fc, fd)
+        if state == older:
+            if (GOLDEN_ITER - i) % 2:
+                a, b = prev[0], prev[1]
+            break
+        older, prev = prev, state
     log_t = (a + b) / 2
     t = min(max(math.exp(log_t), T_BOUNDS[0]), T_BOUNDS[1])
     return Calibrator("temperature", {"T": float(t)},
-                      {"final_nll": objective(math.log(t)), "iterations": 220})
+                      {"final_nll": objective(math.log(t)), "iterations": GOLDEN_ITER})
 
 
 def _fit_dirichlet2(probs, y, constrained: bool) -> Calibrator:

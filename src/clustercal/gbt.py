@@ -267,7 +267,8 @@ def fit_gbt(train: Dataset, params: GBTParams | dict | None = None) -> TreeEnsem
     trees, losses = [], []
     losses.append(_logloss(margin, y))
     for _ in range(params.n_trees):
-        p = sigmoid(margin)
+        with np.errstate(over="ignore"):  # a margin below -709.78 gives p = 0.0
+            p = sigmoid(margin)
         g = p - y
         h = p * (1 - p)
         tree = _build_tree(X, order, g, h, params)

@@ -13,9 +13,16 @@ PROB_CLIP_EPS = 1e-6
 
 
 def sigmoid(x):
-    # exp overflows to inf for x <= -710, which correctly gives 0.0
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+    """1 / (1 + exp(-x)) as a new float64 array, built in one buffer.
+
+    exp overflows to inf for x < -709.78, which correctly gives 0.0; callers
+    that can pass such x run this under ``np.errstate(over="ignore")``.
+    """
+    s = np.array(x, dtype=np.float64)
+    np.negative(s, out=s)
+    np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
 
 
 def logit(p):
@@ -49,8 +56,9 @@ class ScoreSet:
     @classmethod
     def from_margins(cls, margins, source: str = "builtin") -> "ScoreSet":
         m = np.asarray(margins, dtype=np.float64)
-        # sigmoid rounds to exactly 1.0 at margins >= 37 and to 0.0 at <= -745
-        p = np.clip(sigmoid(m), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
+        # sigmoid rounds to exactly 1.0 at margins >= 37 and to 0.0 below -709.78
+        with np.errstate(over="ignore"):
+            p = np.clip(sigmoid(m), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
         return cls(m, p, source)
 
     @classmethod

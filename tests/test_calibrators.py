@@ -1,14 +1,19 @@
 """Calibration method fits, oracles and serialization."""
 
 import itertools
+import math
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize, minimize_scalar
 
+from clustercal import calibrators as cal_mod
 from clustercal.calibrators import (
-    ALL_METHODS, PARAMETRIC_METHODS, Calibrator, FitData, fit, nll_of_probs, pav,
+    ALL_METHODS, GRAD_TOL, MAX_ITER, PARAMETRIC_METHODS, T_BOUNDS,
+    Calibrator, FitData, fit, nll_of_probs, pav,
 )
 from clustercal.scores import ScoreSet, sigmoid
 
@@ -23,22 +28,27 @@ def logistic_data(n=400, scale=2.0, shift=0.5, seed=0):
 
 
 def isotonic_oracle(v, w=None):
-    """Best non-decreasing L2 fit by exhaustive block-partition search (N <= 8)."""
-    v = np.asarray(v, dtype=float)
-    w = np.ones_like(v) if w is None else np.asarray(w, dtype=float)
+    """Best non-decreasing L2 fit by exhaustive block-partition search (N <= 8).
+
+    Block means and SSEs are exact rationals: in floats, the SSEs of two
+    partitions of tiny values differ by less than their rounding, and the search
+    can then keep a pooled fit whose SSE is really higher.
+    """
+    v = [Fraction(float(x)) for x in v]
+    w = [Fraction(1)] * len(v) if w is None else [Fraction(float(x)) for x in w]
     n = len(v)
-    best_sse, best_fit = np.inf, None
+    best_sse, best_fit = None, None
     for cuts in itertools.product([0, 1], repeat=n - 1):
         edges = [0] + [i + 1 for i, c in enumerate(cuts) if c] + [n]
-        means = [np.average(v[a:b], weights=w[a:b]) for a, b in zip(edges, edges[1:])]
+        blocks = list(zip(edges, edges[1:]))
+        means = [sum(w[i] * v[i] for i in range(a, b)) / sum(w[a:b]) for a, b in blocks]
         if any(m2 < m1 for m1, m2 in zip(means, means[1:])):
             continue
-        fitted = np.concatenate([np.full(b - a, m) for (a, b), m
-                                 in zip(zip(edges, edges[1:]), means)])
-        sse = float((w * (v - fitted) ** 2).sum())
-        if sse < best_sse - 1e-15:
+        fitted = [m for (a, b), m in zip(blocks, means) for _ in range(a, b)]
+        sse = sum(wi * (vi - fi) ** 2 for wi, vi, fi in zip(w, v, fitted))
+        if best_sse is None or sse < best_sse:
             best_sse, best_fit = sse, fitted
-    return best_fit
+    return np.array([float(f) for f in best_fit])
 
 
 class TestPav:
@@ -214,3 +224,205 @@ class TestCalibratorSurface:
         np.testing.assert_allclose(
             back.apply(ScoreSet(data.margins, data.probabilities)),
             cal.apply(ScoreSet(data.margins, data.probabilities)), atol=1e-12)
+
+
+class TestFitDataBoundary:
+    BAD = {
+        "label_2": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, 2, 1]),
+        "label_half": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, 0.5, 1]),
+        "label_nan": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, np.nan, 1]),
+        "margin_nan": ([0.0, np.nan, -1.0], [0.5, 0.7, 0.3], [0, 1, 1]),
+        "margin_inf": ([0.0, np.inf, -1.0], [0.5, 0.7, 0.3], [0, 1, 1]),
+        "prob_nan": ([0.0, 1.0, -1.0], [0.5, np.nan, 0.3], [0, 1, 1]),
+        "prob_above_1": ([0.0, 1.0, -1.0], [0.5, 1.5, 0.3], [0, 1, 1]),
+        "prob_below_0": ([0.0, 1.0, -1.0], [0.5, -0.1, 0.3], [0, 1, 1]),
+    }
+
+    @pytest.mark.parametrize("method", ALL_METHODS)
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_rejects_bad_input_for_every_method(self, method, case):
+        m, p, y = self.BAD[case]
+        with pytest.raises(ValueError, match="labels|margins|probabilities"):
+            fit(method, FitData(np.array(m), np.array(p), np.array(y)))
+
+    def test_accepts_closed_probability_interval_and_bool_labels(self):
+        data = FitData([-1.0, 0.0, 1.0], [0.0, 0.5, 1.0], [False, True, True])
+        assert data.labels.dtype == np.int64
+        np.testing.assert_array_equal(data.labels, [0, 1, 1])
+
+
+# Reference kernels: the calibrator fits as they were before the golden
+# section stopped at its 2-cycle and the NLL was computed in place. The
+# current kernels must give byte-identical calibrators.
+
+def _ref_sigmoid(x):
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=np.float64)))
+
+
+def _ref_nll(p, y, eps=1e-6):
+    p = np.clip(np.asarray(p, dtype=np.float64), eps, 1 - eps)
+    y = np.asarray(y)
+    return float(-np.mean(y * np.log(p) + (1 - y) * np.log1p(-p)))
+
+
+def _ref_newton_logistic(Z, y, w0, frozen=None):
+    n = len(y)
+    w = np.asarray(w0, dtype=np.float64).copy()
+    free = np.ones(len(w), dtype=bool)
+    if frozen is not None:
+        free[list(frozen)] = False
+
+    def objective(wv):
+        return _ref_nll(_ref_sigmoid(Z @ wv), y)
+
+    obj = objective(w)
+    it = 0
+    gnorm = np.inf
+    for it in range(1, MAX_ITER + 1):
+        p = _ref_sigmoid(Z @ w)
+        g = Z.T @ (p - y) / n
+        g[~free] = 0.0
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= GRAD_TOL:
+            break
+        W = p * (1 - p)
+        H = (Z.T * W) @ Z / n + 1e-12 * np.eye(len(w))
+        Hf = H[np.ix_(free, free)]
+        step = np.zeros_like(w)
+        try:
+            step[free] = np.linalg.solve(Hf, g[free])
+        except np.linalg.LinAlgError:
+            step[free] = g[free]
+        alpha = 1.0
+        for _ in range(60):
+            cand = w - alpha * step
+            cand_obj = objective(cand)
+            if cand_obj <= obj - 1e-4 * alpha * float(g @ step):
+                break
+            alpha *= 0.5
+        else:
+            break
+        if abs(obj - cand_obj) < 1e-16 and gnorm < 1e-6:
+            w, obj = cand, cand_obj
+            break
+        w, obj = cand, cand_obj
+    return w, {"final_nll": obj, "iterations": it, "grad_norm": gnorm}
+
+
+def _ref_fit_temperature(margins, y):
+    lo, hi = math.log(T_BOUNDS[0]), math.log(T_BOUNDS[1])
+
+    def objective(log_t):
+        return _ref_nll(_ref_sigmoid(margins / math.exp(log_t)), y)
+
+    inv_phi = (math.sqrt(5.0) - 1) / 2
+    a, b = lo, hi
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = objective(c), objective(d)
+    for _ in range(220):
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = objective(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = objective(d)
+    log_t = (a + b) / 2
+    t = min(max(math.exp(log_t), T_BOUNDS[0]), T_BOUNDS[1])
+    return Calibrator("temperature", {"T": float(t)},
+                      {"final_nll": objective(math.log(t)), "iterations": 220})
+
+
+def _reference_fit(method, data, opts=None):
+    with mock.patch.object(cal_mod, "_newton_logistic", _ref_newton_logistic), \
+            mock.patch.object(cal_mod, "_fit_temperature", _ref_fit_temperature):
+        return fit(method, data, opts)
+
+
+ORACLE_METHODS = ("platt", "temperature", "beta", "dirichlet2", "platt_bin")
+
+
+def _assert_fits_match_reference(data, methods=ORACLE_METHODS, opts=None):
+    for method in methods:
+        assert fit(method, data, opts).to_json() == _reference_fit(method, data, opts).to_json(), \
+            method
+
+
+def _random_fit_data(rng):
+    n = int(np.exp(rng.uniform(np.log(2), np.log(700))))
+    true_logit = rng.normal(size=n) * rng.uniform(0.2, 3.0)
+    y = (rng.uniform(size=n) < _ref_sigmoid(true_logit)).astype(int)
+    y[0], y[-1] = 0, 1
+    margins = rng.uniform(0.1, 8.0) * true_logit + rng.uniform(-3.0, 3.0)
+    if rng.uniform() < 0.3:  # probabilities that disagree with the margins
+        probs = rng.uniform(size=n)
+    else:
+        probs = ScoreSet.from_margins(margins).probabilities
+    return FitData(margins, probs, y)
+
+
+class TestKernelOracle:
+    def test_sigmoid_matches_reference(self):
+        x = np.concatenate([np.linspace(-50, 50, 1001), [-800.0, -710.0, -709.0, 40.0, 800.0]])
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(sigmoid(x), _ref_sigmoid(x))
+        np.testing.assert_array_equal(sigmoid(np.arange(-5, 6)), _ref_sigmoid(np.arange(-5, 6)))
+
+    def test_nll_of_probs_matches_reference(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 30, 257, 800):
+            p = np.concatenate([rng.uniform(size=n), [0.0, 1.0, 1e-9, 1 - 1e-9]])
+            y = rng.integers(0, 2, size=len(p))
+            assert nll_of_probs(p, y) == _ref_nll(p, y)
+            assert nll_of_probs(p, y.astype(float)) == _ref_nll(p, y.astype(float))
+            assert nll_of_probs(list(p), list(y), eps=1e-3) == _ref_nll(p, y, eps=1e-3)
+
+    def test_random_fits(self):
+        rng = np.random.default_rng(2024)
+        for i in range(100):
+            # platt_bin's small bins can take 1,000 Newton steps, so fewer of those
+            methods = ORACLE_METHODS if i % 10 == 0 else PARAMETRIC_METHODS
+            _assert_fits_match_reference(_random_fit_data(rng), methods)
+
+    @pytest.mark.parametrize("y", [[0, 1], [1, 0]])
+    def test_two_rows(self, y):
+        m = np.array([-1.3, 0.4])
+        _assert_fits_match_reference(FitData(m, sigmoid(m), y))
+
+    def test_flat_temperature_objective(self):
+        y = np.tile([0, 1, 1], 20)
+        _assert_fits_match_reference(FitData(np.zeros(60), np.full(60, 0.5), y))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("big", [40.0, 800.0])
+    def test_saturated_margins(self, big):
+        rng = np.random.default_rng(int(big))
+        m = rng.choice([-big, big, -1.0, 0.5], size=80)
+        y = (rng.uniform(size=80) < 0.5).astype(int)
+        y[0], y[1] = 0, 1
+        _assert_fits_match_reference(FitData(m, ScoreSet.from_margins(m).probabilities, y))
+        # separable: every positive has a saturated positive margin
+        y = (m > 0).astype(int)
+        _assert_fits_match_reference(FitData(m, ScoreSet.from_margins(m).probabilities, y))
+
+    def test_platt_warm_starts(self):
+        rng = np.random.default_rng(5)
+        data = logistic_data(n=150, seed=5)
+        for _ in range(10):
+            init = (rng.uniform(-5, 1), rng.uniform(-3, 3))
+            _assert_fits_match_reference(data, ("platt",), {"init": init})
+
+    @pytest.mark.parametrize("seed, first", [(4, 1), (5, 0)])
+    def test_beta_freezes_one_coordinate_then_the_other(self, seed, first):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(10, 80))
+        m = rng.normal(size=n) * rng.uniform(0.2, 4) + rng.uniform(-2, 2)
+        t = rng.normal(size=n) * rng.uniform(0.2, 3) + rng.uniform(-1, 1)
+        y = (rng.uniform(size=n) < _ref_sigmoid(t)).astype(int)
+        data = FitData(m, ScoreSet.from_margins(m).probabilities, y)
+        d = fit("dirichlet2", data).params
+        assert [j for j, bad in ((0, d["w1"] < 0), (1, d["w2"] > 0)) if bad] == [first]
+        assert fit("beta", data).diagnostics["clamped"] == [0, 1]
+        _assert_fits_match_reference(data, ("beta",))
