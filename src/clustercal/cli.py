@@ -1,10 +1,22 @@
 """Command-line front end.
 
-Every subcommand replays the deterministic pipeline from the config up to
-its stage and writes that stage's artifacts into the output directory, so
-commands can run independently and repeated runs are byte-identical.
+Every command runs the pipeline's stages (``harness.STAGES``) from the
+config, so commands can run independently and repeated runs are
+byte-identical. Nothing is written when a stage fails.
 
-Exit codes: 0 success, 1 validation error, 2 runtime error.
+- ``train`` runs up to the model and writes ``ensemble.json`` (GBT models
+  only), ``splits.json`` and ``scores.csv``;
+- ``embed`` runs up to the embedding and writes ``embedding.csv``;
+- ``cluster`` runs up to the clustering and writes ``clusters.json``,
+  ``clusters.csv`` and ``diagnostics.json``;
+- ``report`` runs every stage and writes the full artifact set plus
+  ``selection.json``;
+- ``select`` picks the best variant from the ``eval_report.json`` in the
+  output directory (running ``report`` first when there is none), writes
+  ``selection.json`` and prints the selected row.
+
+Exit codes: 0 success, 1 validation or data error, 2 runtime error (the
+message names the failing stage).
 """
 
 from __future__ import annotations
@@ -14,15 +26,49 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from .data import DataError, SyntheticSpec, gen_synthetic_full, load_csv, split
+from .data import DataError
 from .harness import (
-    ConfigError, ExperimentConfig, StageError,
-    _cluster, _embed, _fit_model, _load_data, _write_csv, _write_json,
-    rejection_selection, run_experiment, select_model,
+    ConfigError, EvalReport, ExperimentConfig,
+    _write_clusters, _write_csv, _write_json,
+    run_experiment, run_stages, select_model,
 )
-from .representation import assign, diagnostics
+
+
+def _write_train(out, r):
+    if r.ens is not None:
+        _write_json(os.path.join(out, "ensemble.json"), r.ens.to_dict())
+    _write_json(os.path.join(out, "splits.json"),
+                {"train": r.splits.train.tolist(),
+                 "calibration": r.splits.calibration.tolist(),
+                 "test": r.splits.test.tolist(), "seed": r.splits.seed})
+    _write_csv(os.path.join(out, "scores.csv"),
+               ("sample_id", "margin", "probability"),
+               [[sid, m, p] for sid, m, p in
+                zip(r.ds.sample_ids, r.scores.margins, r.scores.probabilities)])
+
+
+def _write_embed(out, r):
+    _write_csv(os.path.join(out, "embedding.csv"),
+               ("sample_id",) + tuple(f"e{j}" for j in range(r.E.m)),
+               [[sid] + list(row) for sid, row in zip(r.ds.sample_ids, r.E.vectors)])
+
+
+def _write_cluster(out, r):
+    _write_clusters(out, r)
+    _write_json(os.path.join(out, "diagnostics.json"),
+                {"size_variance": r.diag.size_variance,
+                 "label_rate_variance": r.diag.label_rate_variance,
+                 "homogeneity_fraction": r.diag.homogeneity_fraction,
+                 "elbow_curve": r.elbow_curve,
+                 "table": r.diag.table})
+
+
+# command -> (last stage it runs, writer of its files)
+PREFIX_COMMANDS = {
+    "train": ("model", _write_train),
+    "embed": ("embedding", _write_embed),
+    "cluster": ("clustering", _write_cluster),
+}
 
 
 def _build_parser():
@@ -35,10 +81,7 @@ def _build_parser():
         ("train", "fit or ingest the base model; write scores and splits"),
         ("embed", "build the sample embedding matrix"),
         ("cluster", "fit the cluster model and diagnostics"),
-        ("calibrate", "fit unified and clustered calibrators"),
-        ("evaluate", "produce the metric report"),
         ("select", "pick the best variant from the report"),
-        ("reject", "rejection threshold sweep"),
         ("report", "run the full pipeline end to end"),
     ]:
         p = sub.add_parser(name, help=help_)
@@ -48,75 +91,9 @@ def _build_parser():
     return parser
 
 
-def _prefix_state(cfg, upto: str):
-    ds, synth_margins, _ = _load_data(cfg)
-    splits = split(ds, cfg.split_ratios, cfg.seed, cfg.stratify)
-    state = {"ds": ds, "splits": splits}
-    if upto == "split":
-        return state
-    ens, scores = _fit_model(cfg, ds, splits.train, synth_margins)
-    state.update(ens=ens, scores=scores)
-    if upto == "model":
-        return state
-    E = _embed(cfg, ens, ds)
-    state["E"] = E
-    if upto == "embed":
-        return state
-    fit_idx = np.sort(np.concatenate([splits.train, splits.calibration]))
-    cm, curve = _cluster(cfg, E, fit_idx)
-    state.update(cm=cm, elbow_curve=curve, fit_idx=fit_idx)
-    return state
-
-
-def _cmd_train(cfg):
-    st = _prefix_state(cfg, "model")
-    os.makedirs(cfg.out, exist_ok=True)
-    ds, splits, ens, scores = st["ds"], st["splits"], st["ens"], st["scores"]
-    if ens is not None:
-        _write_json(os.path.join(cfg.out, "ensemble.json"), ens.to_dict())
-    _write_json(os.path.join(cfg.out, "splits.json"),
-                {"train": splits.train.tolist(),
-                 "calibration": splits.calibration.tolist(),
-                 "test": splits.test.tolist(), "seed": splits.seed})
-    _write_csv(os.path.join(cfg.out, "scores.csv"),
-               ("sample_id", "margin", "probability"),
-               [[sid, m, p] for sid, m, p in
-                zip(ds.sample_ids, scores.margins, scores.probabilities)])
-
-
-def _cmd_embed(cfg):
-    st = _prefix_state(cfg, "embed")
-    os.makedirs(cfg.out, exist_ok=True)
-    E, ds = st["E"], st["ds"]
-    _write_csv(os.path.join(cfg.out, "embedding.csv"),
-               ("sample_id",) + tuple(f"e{j}" for j in range(E.m)),
-               [[sid] + list(row) for sid, row in zip(ds.sample_ids, E.vectors)])
-
-
-def _cmd_cluster(cfg):
-    st = _prefix_state(cfg, "cluster")
-    os.makedirs(cfg.out, exist_ok=True)
-    cm, E, ds, fit_idx = st["cm"], st["E"], st["ds"], st["fit_idx"]
-    _write_json(os.path.join(cfg.out, "clusters.json"), cm.to_dict())
-    diag = diagnostics(cm, assign(cm, E.vectors[fit_idx]), ds.labels[fit_idx])
-    _write_json(os.path.join(cfg.out, "diagnostics.json"),
-                {"size_variance": diag.size_variance,
-                 "label_rate_variance": diag.label_rate_variance,
-                 "homogeneity_fraction": diag.homogeneity_fraction,
-                 "elbow_curve": st["elbow_curve"],
-                 "table": diag.table})
-    _write_csv(os.path.join(cfg.out, "clusters.csv"),
-               ("cluster_id", "size", "positive_rate", "centroid_norm"),
-               [[r["cluster"], r["size"], r["positive_rate"],
-                 float(np.linalg.norm(cm.centroids[r["cluster"]]))]
-                for r in diag.table])
-
-
 def _cmd_report(cfg):
     report = run_experiment(cfg)
-    selection = select_model(report, "CECE")
-    _write_json(os.path.join(cfg.out, "selection.json"), selection)
-    return report
+    _write_json(os.path.join(cfg.out, "selection.json"), select_model(report, "CECE"))
 
 
 def _cmd_select(cfg):
@@ -124,11 +101,8 @@ def _cmd_select(cfg):
     if not os.path.exists(path):
         report = run_experiment(cfg)
     else:
-        from .harness import EvalReport
         with open(path, encoding="utf-8") as fh:
-            d = json.load(fh)
-        report = EvalReport(d["rows"], d["cluster_diagnostics"],
-                            d["improved_fractions"], d["provenance"])
+            report = EvalReport(**json.load(fh))
     selection = select_model(report)
     _write_json(os.path.join(cfg.out, "selection.json"), selection)
     print(json.dumps(selection["row"], sort_keys=True))
@@ -150,18 +124,15 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        if args.command == "train":
-            _cmd_train(cfg)
-        elif args.command == "embed":
-            _cmd_embed(cfg)
-        elif args.command == "cluster":
-            _cmd_cluster(cfg)
-        elif args.command in ("calibrate", "evaluate", "reject", "report"):
+        if args.command in PREFIX_COMMANDS:
+            last, write = PREFIX_COMMANDS[args.command]
+            r = run_stages(cfg, last)
+            os.makedirs(cfg.out, exist_ok=True)
+            write(cfg.out, r)
+        elif args.command == "report":
             _cmd_report(cfg)
-        elif args.command == "select":
+        else:
             _cmd_select(cfg)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
     except (ConfigError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

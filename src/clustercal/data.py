@@ -14,7 +14,6 @@ __all__ = [
     "SyntheticSpec",
     "load_csv",
     "split",
-    "gen_synthetic",
     "gen_synthetic_full",
 ]
 
@@ -249,8 +248,3 @@ def gen_synthetic_full(spec: SyntheticSpec):
                  tuple(f"f{j}" for j in range(spec.d)),
                  tuple(str(i) for i in range(n)))
     return ds, margins, sub
-
-
-def gen_synthetic(spec: SyntheticSpec) -> Dataset:
-    """Dataset-only view of :func:`gen_synthetic_full`."""
-    return gen_synthetic_full(spec)[0]

@@ -8,19 +8,21 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import t as student_t
 
 from . import calibrators as cal_mod
-from .calibrators import Calibrator, FitData, PARAMETRIC_METHODS
-from .data import Dataset, SyntheticSpec, gen_synthetic_full, load_csv, split
-from .ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
+from .calibrators import FitData, PARAMETRIC_METHODS
+from .data import (
+    DataError, Dataset, SplitIndices, SyntheticSpec, gen_synthetic_full, load_csv, split,
+)
+from .ensemble import improved_sample_fraction, train_clustered
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict
 from .metrics import ada_ece, auc, cece, ece, mce, rejection_curve, scalar_metrics
 from .representation import (
-    EmbeddingMatrix, build_embedding, assign, diagnostics,
+    ClusterDiagnostics, ClusterModel, EmbeddingMatrix, build_embedding, assign, diagnostics,
     fit_agglomerative, fit_kmeans, select_k_elbow,
 )
 from .scores import ScoreSet, load_external_scores
@@ -29,6 +31,9 @@ __all__ = [
     "ExperimentConfig",
     "EvalReport",
     "PairedTestResult",
+    "RunState",
+    "STAGES",
+    "run_stages",
     "run_experiment",
     "paired_resample_test",
     "select_model",
@@ -119,12 +124,7 @@ class EvalReport:
     provenance: dict
 
     def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "cluster_diagnostics": self.cluster_diagnostics,
-            "improved_fractions": self.improved_fractions,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
     def row(self, variant: str) -> dict:
         for r in self.rows:
@@ -146,77 +146,170 @@ class PairedTestResult:
 
 # pipeline stages ---------------------------------------------------------
 
-def _stage(name):
-    def deco(fn):
-        def wrapped(*a, **kw):
-            try:
-                return fn(*a, **kw)
-            except (ConfigError, StageError):
-                raise
-            except Exception as exc:
-                raise StageError(f"stage {name!r} failed: {exc}") from exc
-        return wrapped
-    return deco
+@dataclass
+class RunState:
+    """Everything the stages have computed so far; each stage fills its fields."""
+
+    cfg: ExperimentConfig
+    ds: Dataset | None = None
+    synth_margins: np.ndarray | None = None       # synthetic data only
+    splits: SplitIndices | None = None
+    ens: TreeEnsemble | None = None               # GBT model only
+    scores: ScoreSet | None = None
+    E: EmbeddingMatrix | None = None
+    cm: ClusterModel | None = None
+    elbow_curve: list | None = None
+    diag: ClusterDiagnostics | None = None
+    te_clusters: np.ndarray | None = None
+    calibrated: dict = field(default_factory=dict)    # variant -> test probabilities
+    unified: dict = field(default_factory=dict)       # method -> Calibrator
+    ccl: dict = field(default_factory=dict)           # method -> ClusteredCalibrator
+    improved: dict = field(default_factory=dict)      # method -> improved fraction
+    bins: dict = field(default_factory=dict)          # variant -> BinStats
+    rejection: dict = field(default_factory=dict)     # variant -> RejectionCurve
+    report: EvalReport | None = None
 
 
-@_stage("data")
-def _load_data(cfg: ExperimentConfig):
+def _data(r: RunState):
+    cfg = r.cfg
     if "csv" in cfg.data:
         spec = dict(cfg.data["csv"])
-        path = spec.pop("path")
-        return load_csv(path, **spec), None, None
-    ds, margins, sub = gen_synthetic_full(SyntheticSpec(**cfg.data["synthetic"]))
-    return ds, margins, sub
+        r.ds = load_csv(spec.pop("path"), **spec)
+    else:
+        r.ds, r.synth_margins, _ = gen_synthetic_full(SyntheticSpec(**cfg.data["synthetic"]))
+    r.splits = split(r.ds, cfg.split_ratios, cfg.seed, cfg.stratify)
 
 
-@_stage("model")
-def _fit_model(cfg: ExperimentConfig, ds: Dataset, tr_idx, synth_margins):
+def _model(r: RunState):
+    cfg, ds, tr_idx = r.cfg, r.ds, r.splits.train
     if "gbt" in cfg.model:
-        ens = fit_gbt(Dataset(ds.features[tr_idx], ds.labels[tr_idx],
-                              ds.feature_names, tuple(ds.sample_ids[i] for i in tr_idx)),
-                      GBTParams(**cfg.model["gbt"]))
-        return ens, predict(ens, ds.features)
-    if "external_scores" in cfg.model:
-        return None, load_external_scores(cfg.model["external_scores"],
-                                          expected_ids=ds.sample_ids)
-    return None, ScoreSet.from_margins(synth_margins, source="external")
+        r.ens = fit_gbt(Dataset(ds.features[tr_idx], ds.labels[tr_idx], ds.feature_names,
+                                tuple(ds.sample_ids[i] for i in tr_idx)),
+                        GBTParams(**cfg.model["gbt"]))
+        r.scores = predict(r.ens, ds.features)
+    elif "external_scores" in cfg.model:
+        r.scores = load_external_scores(cfg.model["external_scores"],
+                                        expected_ids=ds.sample_ids)
+    else:
+        r.scores = ScoreSet.from_margins(r.synth_margins, source="external")
 
 
-@_stage("embedding")
-def _embed(cfg: ExperimentConfig, ens, ds: Dataset):
-    kind = cfg.embedding.get("kind", "shap" if ens is not None else "raw")
+def _embedding(r: RunState):
+    cfg = r.cfg
+    kind = cfg.embedding.get("kind", "shap" if r.ens is not None else "raw")
     opts = dict(cfg.embedding.get("opts", {}))
     if kind == "external":
         opts["vectors"] = np.loadtxt(cfg.embedding["path"], delimiter=",", ndmin=2)
-    return build_embedding(kind, ens, ds, opts)
+    r.E = build_embedding(kind, r.ens, r.ds, opts)
 
 
-@_stage("clustering")
-def _cluster(cfg: ExperimentConfig, E: EmbeddingMatrix, fit_idx):
-    sub = EmbeddingMatrix(E.kind, E.vectors[fit_idx])
+def _clustering(r: RunState):
+    cfg = r.cfg
+    fit_idx = np.sort(np.concatenate([r.splits.train, r.splits.calibration]))
+    sub = EmbeddingMatrix(r.E.kind, r.E.vectors[fit_idx])
     method = cfg.clustering.get("method", "kmeans")
     k = cfg.clustering.get("k")
     if k is None:
         grid = tuple(cfg.clustering.get("elbow", (5, 100, 5)))
-        return select_k_elbow(sub, grid, cfg.seed,
-                              cfg.clustering.get("min_cluster_size", 0), method)
-    cm = (fit_kmeans(sub, int(k), cfg.seed) if method == "kmeans"
-          else fit_agglomerative(sub, int(k)))
-    return cm, None
+        r.cm, r.elbow_curve = select_k_elbow(
+            sub, grid, cfg.seed, cfg.clustering.get("min_cluster_size", 0), method)
+    elif method == "kmeans":
+        r.cm = fit_kmeans(sub, int(k), cfg.seed)
+    else:
+        r.cm = fit_agglomerative(sub, int(k))
+    r.diag = diagnostics(r.cm, assign(r.cm, sub), r.ds.labels[fit_idx])
 
 
-def _eval_variant(p, y, cluster_labels, mopts) -> dict:
+def _calibrate(r: RunState):
+    cfg, y = r.cfg, r.ds.labels
+    cal_idx, te_idx = r.splits.calibration, r.splits.test
+    cal_scores, te_scores = r.scores.take(cal_idx), r.scores.take(te_idx)
+    cal_E = EmbeddingMatrix(r.E.kind, r.E.vectors[cal_idx])
+    te_E = EmbeddingMatrix(r.E.kind, r.E.vectors[te_idx])
+    r.te_clusters = assign(r.cm, te_E)
+    cal_data = FitData.from_scores(cal_scores, y[cal_idx])
+    r.calibrated["base"] = r.scores.probabilities[te_idx]
+    for method in cfg.methods:
+        uni = r.unified[method] = cal_mod.fit(method, cal_data, cfg.ccl_opts.get("fit_opts"))
+        r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
+        if method in PARAMETRIC_METHODS:
+            ccl = r.ccl[method] = train_clustered(cal_scores, cal_E, r.cm, method,
+                                                  y[cal_idx], cfg.ccl_opts)
+            p_ccl, labels_ccl = ccl.infer(te_scores, te_E)
+            assert (labels_ccl == r.te_clusters).all()
+            r.calibrated[f"{method}_ccl"] = p_ccl
+            r.improved[method] = improved_sample_fraction(ccl, uni, te_scores, te_E,
+                                                          y[te_idx])
+
+
+def _eval_variant(p, y, cluster_labels, mopts):
+    """One report row's metrics, and the ECE bins they were computed from."""
     n_bins = int(mopts.get("n_bins", 10))
     scheme = mopts.get("scheme", "equal_width")
     base = mopts.get("cece_base", "ece")
     out = {}
     out["CECE"] = cece(p, y, cluster_labels, base)[0]
-    out["ECE"] = ece(p, y, n_bins, scheme)[0]
+    out["ECE"], bins = ece(p, y, n_bins, scheme)
     out["MCE"] = mce(p, y, n_bins, scheme)[0]
     out["AdaECE"] = ada_ece(p, y, min(n_bins, len(p)))[0]
     out["AUC"] = auc(p, y)[0]
     out.update(scalar_metrics(p, y))
-    return out
+    return out, bins
+
+
+def _evaluate(r: RunState):
+    cfg, y_te = r.cfg, r.ds.labels[r.splits.test]
+    thresholds = np.asarray(cfg.rejection_thresholds)
+    rows = []
+    for variant, p in r.calibrated.items():
+        metrics, r.bins[variant] = _eval_variant(p, y_te, r.te_clusters, cfg.metric_opts)
+        # variants are "base", "<method>_unified" and "<method>_ccl"
+        rows.append(dict(method=variant.rsplit("_", 1)[0], variant=variant, **metrics))
+        r.rejection[variant] = rejection_curve(p, y_te, thresholds)
+    r.report = EvalReport(
+        rows=rows,
+        cluster_diagnostics={
+            "size_variance": r.diag.size_variance,
+            "label_rate_variance": r.diag.label_rate_variance,
+            "homogeneity_fraction": r.diag.homogeneity_fraction,
+            "k": r.cm.k,
+            "elbow_curve": r.elbow_curve,
+        },
+        improved_fractions=r.improved,
+        provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed},
+    )
+
+
+STAGES = (
+    ("data", _data),
+    ("model", _model),
+    ("embedding", _embedding),
+    ("clustering", _clustering),
+    ("calibrate", _calibrate),
+    ("evaluate", _evaluate),
+)
+
+
+def run_stages(cfg: ExperimentConfig, last: str = "evaluate") -> RunState:
+    """Run the stages in order up to and including ``last``; write nothing.
+
+    A ``ConfigError`` or ``DataError`` passes through unchanged; any other
+    exception becomes a ``StageError`` that names the failing stage.
+    """
+    if last not in dict(STAGES):
+        raise ValueError(f"unknown stage {last!r}")
+    cfg.validate()
+    r = RunState(cfg)
+    for name, stage in STAGES:
+        try:
+            stage(r)
+        except (ConfigError, DataError):
+            raise
+        except Exception as exc:
+            raise StageError(f"stage {name!r} failed: {exc}") from exc
+        if name == last:
+            break
+    return r
 
 
 def run_experiment(cfg: ExperimentConfig) -> EvalReport:
@@ -225,83 +318,19 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     Deterministic given config and seed. When ``cfg.out`` is set, all
     artifacts are persisted there; nothing is written on failure.
     """
-    cfg.validate()
-    ds, synth_margins, _ = _load_data(cfg)
-    splits = split(ds, cfg.split_ratios, cfg.seed, cfg.stratify)
-    ens, scores = _fit_model(cfg, ds, splits.train, synth_margins)
-    E = _embed(cfg, ens, ds)
-    fit_idx = np.sort(np.concatenate([splits.train, splits.calibration]))
-    cm, elbow_curve = _cluster(cfg, E, fit_idx)
-
-    cal_idx, te_idx = splits.calibration, splits.test
-    y = ds.labels
-    cal_scores, te_scores = scores.take(cal_idx), scores.take(te_idx)
-    cal_E = E.vectors[cal_idx]
-    te_E = E.vectors[te_idx]
-    te_clusters = assign(cm, te_E)
-    cal_data = FitData.from_scores(cal_scores, y[cal_idx])
-
-    mopts = cfg.metric_opts
-    rows = [dict(method="base", variant="base",
-                 **_eval_variant(scores.probabilities[te_idx], y[te_idx], te_clusters, mopts))]
-    calibrated = {"base": scores.probabilities[te_idx]}
-    unified_models: dict[str, Calibrator] = {}
-    ccl_models: dict[str, ClusteredCalibrator] = {}
-    improved = {}
-    try:
-        for method in cfg.methods:
-            uni = cal_mod.fit(method, cal_data, cfg.ccl_opts.get("fit_opts"))
-            unified_models[method] = uni
-            p_uni = uni.apply(te_scores)
-            calibrated[f"{method}_unified"] = p_uni
-            rows.append(dict(method=method, variant=f"{method}_unified",
-                             **_eval_variant(p_uni, y[te_idx], te_clusters, mopts)))
-            if method in PARAMETRIC_METHODS:
-                ccl = train_clustered(cal_scores, EmbeddingMatrix(E.kind, cal_E),
-                                      cm, method, y[cal_idx], cfg.ccl_opts)
-                ccl_models[method] = ccl
-                p_ccl, labels_ccl = ccl.infer(te_scores, te_E)
-                assert (labels_ccl == te_clusters).all()
-                calibrated[f"{method}_ccl"] = p_ccl
-                rows.append(dict(method=method, variant=f"{method}_ccl",
-                                 **_eval_variant(p_ccl, y[te_idx], te_clusters, mopts)))
-                improved[method] = improved_sample_fraction(
-                    ccl, uni, te_scores, EmbeddingMatrix(E.kind, te_E), y[te_idx])
-    except (ConfigError, StageError):
-        raise
-    except Exception as exc:
-        raise StageError(f"stage 'calibrate' failed: {exc}") from exc
-
-    diag = diagnostics(cm, assign(cm, E.vectors[fit_idx]), y[fit_idx])
-    report = EvalReport(
-        rows=rows,
-        cluster_diagnostics={
-            "size_variance": diag.size_variance,
-            "label_rate_variance": diag.label_rate_variance,
-            "homogeneity_fraction": diag.homogeneity_fraction,
-            "k": cm.k,
-            "elbow_curve": elbow_curve,
-        },
-        improved_fractions=improved,
-        provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed},
-    )
+    r = run_stages(cfg)
     if cfg.out:
-        _persist(cfg, report, ds, splits, ens, cm, diag, scores,
-                 calibrated, unified_models, ccl_models, te_idx, y)
-    return report
+        _persist(r)
+    return r.report
 
 
 # persistence -------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return repr(float(x))
-
 
 def _write_csv(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for r in rows:
-            fh.write(",".join(str(v) if isinstance(v, (int, str)) else _fmt(v)
+            fh.write(",".join(str(v) if isinstance(v, (int, str)) else repr(float(v))
                               for v in r) + "\n")
 
 
@@ -311,43 +340,45 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _persist(cfg, report, ds, splits, ens, cm, diag, scores,
-             calibrated, unified_models, ccl_models, te_idx, y):
-    out = cfg.out
-    os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "eval_report.json"), report.to_dict())
-    _write_json(os.path.join(out, "clusters.json"), cm.to_dict())
-    if ens is not None:
-        _write_json(os.path.join(out, "ensemble.json"), ens.to_dict())
-    for method, ccl in ccl_models.items():
-        _write_json(os.path.join(out, f"ccl_{method}.json"), ccl.to_dict())
-    for method, cal in unified_models.items():
-        _write_json(os.path.join(out, f"unified_{method}.json"), cal.to_dict())
-
-    _write_csv(os.path.join(out, "metrics.csv"),
-               ("variant", "method") + METRIC_COLUMNS,
-               [[r["variant"], r["method"]] + [r[c] for c in METRIC_COLUMNS]
-                for r in report.rows])
+def _write_clusters(out: str, r: RunState):
+    """clusters.json (the cluster model) and clusters.csv (per-cluster table)."""
+    _write_json(os.path.join(out, "clusters.json"), r.cm.to_dict())
     _write_csv(os.path.join(out, "clusters.csv"),
                ("cluster_id", "size", "positive_rate", "centroid_norm"),
                [[row["cluster"], row["size"], row["positive_rate"],
-                 float(np.linalg.norm(cm.centroids[row["cluster"]]))]
-                for row in diag.table])
+                 float(np.linalg.norm(r.cm.centroids[row["cluster"]]))]
+                for row in r.diag.table])
 
-    te_ids = [ds.sample_ids[i] for i in te_idx]
+
+def _persist(r: RunState):
+    out = r.cfg.out
+    os.makedirs(out, exist_ok=True)
+    _write_json(os.path.join(out, "eval_report.json"), r.report.to_dict())
+    if r.ens is not None:
+        _write_json(os.path.join(out, "ensemble.json"), r.ens.to_dict())
+    _write_clusters(out, r)
+    for method, ccl in r.ccl.items():
+        _write_json(os.path.join(out, f"ccl_{method}.json"), ccl.to_dict())
+    for method, cal in r.unified.items():
+        _write_json(os.path.join(out, f"unified_{method}.json"), cal.to_dict())
+    _write_csv(os.path.join(out, "metrics.csv"),
+               ("variant", "method") + METRIC_COLUMNS,
+               [[row["variant"], row["method"]] + [row[c] for c in METRIC_COLUMNS]
+                for row in r.report.rows])
+
+    te_idx = r.splits.test
+    te_ids = [r.ds.sample_ids[i] for i in te_idx]
+    y_te = r.ds.labels[te_idx]
     rej_rows = []
-    for variant, p in sorted(calibrated.items()):
+    for variant, p in sorted(r.calibrated.items()):
         _write_csv(os.path.join(out, f"calibrated_scores_{variant}.csv"),
                    ("sample_id", "probability", "label"),
-                   [[sid, pi, int(yi)] for sid, pi, yi in zip(te_ids, p, y[te_idx])])
-        mopts = cfg.metric_opts
-        _, stats = ece(p, y[te_idx], int(mopts.get("n_bins", 10)),
-                       mopts.get("scheme", "equal_width"))
+                   [[sid, pi, int(yi)] for sid, pi, yi in zip(te_ids, p, y_te)])
         _write_csv(os.path.join(out, f"bins_{variant}.csv"),
                    ("bin", "count", "obs_rate", "mean_pred"),
                    [[b["bin"], b["count"], b["obs_rate"], b["mean_pred"]]
-                    for b in stats.as_rows()])
-        curve = rejection_curve(p, y[te_idx], np.asarray(cfg.rejection_thresholds))
+                    for b in r.bins[variant].as_rows()])
+        curve = r.rejection[variant]
         for t, acc_n, err, rej in zip(curve.thresholds, curve.accepted,
                                       curve.error_rate, curve.rejection_rate):
             rej_rows.append([variant, t, int(acc_n), err, rej])

@@ -59,6 +59,22 @@ class TestExitCodes:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         assert "runtime error:" in capsys.readouterr().err
 
+    def test_failed_run_writes_nothing(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"rejection_thresholds": [1.5]})
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+        assert "stage 'evaluate' failed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_csv_without_label_column_is_data_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,b\n1,2\n3,4\n")
+        cfg = write_config(tmp_path, {"data": {"csv": {"path": str(data),
+                                                         "label_column": "y"}},
+                                      "model": {"gbt": {}}})
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert "missing label column" in capsys.readouterr().err
+
 
 class TestArtifacts:
     def test_report_writes_full_set(self, tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from clustercal.data import (
     DataError, Dataset, SplitIndices, SyntheticSpec,
-    gen_synthetic, gen_synthetic_full, load_csv, split,
+    gen_synthetic_full, load_csv, split,
 )
 
 
@@ -161,7 +161,7 @@ class TestSynthetic:
         assert margins.shape == (300,)
         assert np.isfinite(margins).all()
         assert sub.tolist() == np.repeat([0, 1, 2], 100).tolist()
-        assert gen_synthetic(spec).n == 300
+        assert gen_synthetic_full(spec)[0].n == 300
 
     def test_deterministic(self):
         spec = SyntheticSpec(2, 50, 2, (0.3, 0.7), (0.0, 0.0), seed=5)

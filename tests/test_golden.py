@@ -1,13 +1,17 @@
-"""Golden-artifact regression test for the full `report` pipeline.
+"""Golden-artifact regression test for the CLI's `train`, `embed`, `cluster`
+and `report` outputs.
 
 `golden/report_config.json` is a small synthetic run (GBT scores, SHAP
 embedding, k-means with k=4, all seven calibration methods) whose per-cluster
 fits include a homogeneous constant, beta fits clamped on one and on both
-coefficients and temperature fits at the upper T bound. `golden/report/`
-holds the artifacts it wrote; regenerate them only for an intended change:
+coefficients and temperature fits at the upper T bound. `golden/<command>/`
+holds the artifacts each command wrote from it; regenerate them only for an
+intended change:
 
-    PYTHONPATH=src python -m clustercal.cli report \\
-        --config tests/golden/report_config.json --out tests/golden/report
+    for c in train embed cluster report; do
+        PYTHONPATH=src python -m clustercal.cli $c \\
+            --config tests/golden/report_config.json --out tests/golden/$c
+    done
 
 Strings, integers, booleans, list lengths and keys (labels, cluster ids,
 variant lists, CSV headers and row counts) must match exactly. Floats must
@@ -77,26 +81,42 @@ def _assert_csv_close(got: str, want: str, where):
                 assert g == w, f"{where} row {r} col {c}: {g!r} != {w!r}"
 
 
+COMMANDS = ("train", "embed", "cluster", "report")
+# report's artifacts keep their bare file names as test ids
+CASES = [pytest.param(c, p.name, id=p.name if c == "report" else f"{c}/{p.name}")
+         for c in COMMANDS for p in sorted((GOLDEN / c).iterdir())]
+
+
 @pytest.fixture(scope="module")
-def report_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("golden") / "report"
-    assert main(["report", "--config", str(GOLDEN / "report_config.json"),
-                 "--out", str(out)]) == 0
-    return out
+def output_dir(tmp_path_factory):
+    """Runs each command once, on first use, and returns its output directory."""
+    root = tmp_path_factory.mktemp("golden")
+    done = {}
+
+    def run(command):
+        if command not in done:
+            out = root / command
+            assert main([command, "--config", str(GOLDEN / "report_config.json"),
+                         "--out", str(out)]) == 0
+            done[command] = out
+        return done[command]
+    return run
 
 
-def test_same_artifact_files(report_dir):
-    want = sorted(p.name for p in (GOLDEN / "report").iterdir())
-    assert sorted(p.name for p in report_dir.iterdir()) == want
-    assert any(n.startswith("ccl_temperature") for n in want)
-    assert any(n.startswith("unified_platt_bin") for n in want)
+def test_same_artifact_files(output_dir):
+    for command in COMMANDS:
+        want = sorted(p.name for p in (GOLDEN / command).iterdir())
+        assert sorted(p.name for p in output_dir(command).iterdir()) == want, command
+    report = [p.name for p in (GOLDEN / "report").iterdir()]
+    assert any(n.startswith("ccl_temperature") for n in report)
+    assert any(n.startswith("unified_platt_bin") for n in report)
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in (GOLDEN / "report").iterdir()))
-def test_artifact_matches_golden(report_dir, name):
-    got = (report_dir / name).read_text(encoding="utf-8")
-    want = (GOLDEN / "report" / name).read_text(encoding="utf-8")
+@pytest.mark.parametrize("command, name", CASES)
+def test_artifact_matches_golden(output_dir, command, name):
+    got = (output_dir(command) / name).read_text(encoding="utf-8")
+    want = (GOLDEN / command / name).read_text(encoding="utf-8")
     if name.endswith(".json"):
-        _assert_json_close(json.loads(got), json.loads(want), name)
+        _assert_json_close(json.loads(got), json.loads(want), f"{command}/{name}")
     else:
-        _assert_csv_close(got, want, name)
+        _assert_csv_close(got, want, f"{command}/{name}")

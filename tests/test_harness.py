@@ -61,6 +61,15 @@ class TestConfig:
         assert a.config_hash() == synth_config(seed=1, out="/tmp/x").config_hash()
 
 
+# stage -> config overrides that make it fail
+STAGE_FAILURES = {
+    "clustering": {"clustering": {"method": "kmeans", "k": 10_000}},
+    "embedding": {"embedding": {"kind": "bogus"}},
+    "model": {"model": {"gbt": {"bogus": 1}}},
+    "evaluate": {"metric_opts": {"n_bins": 0}},
+}
+
+
 class TestRunExperiment:
     def test_report_structure(self):
         report = run_experiment(synth_config())
@@ -124,10 +133,10 @@ class TestRunExperiment:
         report = run_experiment(cfg)
         assert report.cluster_diagnostics["k"] >= 2
 
-    def test_stage_error_names_stage(self):
-        cfg = synth_config()
-        cfg.clustering = {"method": "kmeans", "k": 10_000}
-        with pytest.raises(StageError, match="clustering"):
+    @pytest.mark.parametrize("stage", STAGE_FAILURES)
+    def test_stage_error_names_stage(self, stage):
+        cfg = synth_config(**STAGE_FAILURES[stage])
+        with pytest.raises(StageError, match=f"stage '{stage}' failed"):
             run_experiment(cfg)
 
 
