@@ -33,6 +33,8 @@ def main():
     cal_s = scores.take(sp.calibration)
     te_s = scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
+    cal_data = FitData.from_scores(cal_s, y_cal)
+    cal_clusters = assign(cm, ds.features[sp.calibration])
 
     print(f"\n{'variant':<22}{'CECE':>8}{'ECE':>8}{'AUC':>8}")
     te_clusters = assign(cm, ds.features[sp.test])
@@ -43,14 +45,14 @@ def main():
 
     report("base", te_s.probabilities)
     for method in ("platt", "temperature", "beta", "dirichlet2"):
-        uni = fit(method, FitData.from_scores(cal_s, y_cal))
-        report(f"{method} unified", uni.apply(te_s))
-        ccl = train_clustered(cal_s, ds.features[sp.calibration], cm, method, y_cal)
+        uni = fit(method, cal_data)
+        p_uni = uni.apply(te_s)
+        report(f"{method} unified", p_uni)
+        # the global fit doubles as the fallback for clusters too small to fit
+        ccl = train_clustered(cal_data, cal_clusters, cm, method, uni)
         p_ccl, _ = ccl.infer(te_s, ds.features[sp.test])
         report(f"{method} clustered", p_ccl)
-        frac = improved_sample_fraction(ccl, uni, te_s,
-                                        EmbeddingMatrix("raw", ds.features[sp.test]),
-                                        y_te)
+        frac = improved_sample_fraction(p_ccl, p_uni, te_clusters, y_te)
         print(f"{'':<22}  improved-sample fraction: {frac:.2%}")
 
 

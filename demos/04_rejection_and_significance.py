@@ -13,7 +13,7 @@ from clustercal.calibrators import FitData, fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import train_clustered
 from clustercal.harness import paired_resample_test, rejection_selection
-from clustercal.representation import EmbeddingMatrix, fit_kmeans
+from clustercal.representation import EmbeddingMatrix, assign, fit_kmeans
 from clustercal.scores import ScoreSet
 
 
@@ -28,8 +28,9 @@ def main():
 
     cal_s, te_s = scores.take(sp.calibration), scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
-    uni = fit("platt", FitData.from_scores(cal_s, y_cal))
-    ccl = train_clustered(cal_s, ds.features[sp.calibration], cm, "platt", y_cal)
+    cal_data = FitData.from_scores(cal_s, y_cal)
+    uni = fit("platt", cal_data)
+    ccl = train_clustered(cal_data, assign(cm, ds.features[sp.calibration]), cm, "platt", uni)
     p_uni = uni.apply(te_s)
     p_ccl, _ = ccl.infer(te_s, ds.features[sp.test])
 

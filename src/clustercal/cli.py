@@ -12,8 +12,9 @@ byte-identical. Nothing is written when a stage fails.
 - ``report`` runs every stage and writes the full artifact set plus
   ``selection.json``;
 - ``select`` picks the best variant from the ``eval_report.json`` in the
-  output directory (running ``report`` first when there is none), writes
-  ``selection.json`` and prints the selected row.
+  output directory when its config hash matches the config (running
+  ``report`` first when there is none, or when it came from another config),
+  writes ``selection.json`` and prints the selected row.
 
 Exit codes: 0 success, 1 validation or data error, 2 runtime error (the
 message names the failing stage).
@@ -98,11 +99,12 @@ def _cmd_report(cfg):
 
 def _cmd_select(cfg):
     path = os.path.join(cfg.out, "eval_report.json")
-    if not os.path.exists(path):
-        report = run_experiment(cfg)
-    else:
+    report = None
+    if os.path.exists(path):
         with open(path, encoding="utf-8") as fh:
             report = EvalReport(**json.load(fh))
+    if report is None or report.provenance["config_hash"] != cfg.config_hash():
+        report = run_experiment(cfg)
     selection = select_model(report)
     _write_json(os.path.join(cfg.out, "selection.json"), selection)
     print(json.dumps(selection["row"], sort_keys=True))

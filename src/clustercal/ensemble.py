@@ -1,9 +1,10 @@
 """Clustered calibration: one calibrator per embedding cluster.
 
 Training fits the base method independently on each cluster's held-out
-scores, with a constant for label-homogeneous clusters and a global
-fallback for clusters too small to fit. Inference assigns clusters by
-embedding and applies the resolved per-cluster calibrator.
+scores, with a constant for label-homogeneous clusters. Clusters too small
+to fit use the fallback: the global calibrator that the caller has already
+fitted on the same rows, so no calibrator is fitted twice. Inference assigns
+clusters by embedding and applies the resolved per-cluster calibrator.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrators import (
-    Calibrator, FitData, PARAMETRIC_METHODS, fit, nll_of_probs, _constant, _laplace_rate,
-)
+from . import calibrators as cal_mod
+from .calibrators import Calibrator, FitData, PARAMETRIC_METHODS, _constant, _laplace_rate
 from .metrics import ece
 from .representation import ClusterModel, EmbeddingMatrix, assign
 from .scores import ScoreSet
@@ -84,30 +84,32 @@ def _warm_start_opts(method: str, fallback: Calibrator) -> dict:
     return {}
 
 
-def train_clustered(scores: ScoreSet, E: EmbeddingMatrix, cm: ClusterModel,
-                    method: str, y, opts: dict | None = None) -> ClusteredCalibrator:
+def train_clustered(data: FitData, labels, cm: ClusterModel, method: str,
+                    fallback: Calibrator, opts: dict | None = None) -> ClusteredCalibrator:
     """Fit the per-cluster calibration ensemble on the calibration split.
 
-    Homogeneous clusters get a constant (Laplace-smoothed by default, raw
-    rate behind ``raw_constant``); clusters below ``min_fit_size`` use the
-    global fallback. Every per-cluster fit is compared against the global
-    calibrator's parameters on that cluster and the lower-NLL fit is kept,
-    so the ensemble can never do worse than the unified calibrator on the
-    data it was fitted on.
+    ``labels`` are the cluster ids of ``data``'s rows under ``cm``, and
+    ``fallback`` is the global calibrator already fitted on ``data``.
+    Homogeneous clusters get a Laplace-smoothed constant; clusters below
+    ``min_fit_size`` use the fallback. Every per-cluster fit is compared
+    against the fallback's parameters on that cluster and the lower-NLL fit
+    is kept, so the ensemble can never do worse than the global calibrator
+    on the data it was fitted on.
     """
     opts = opts or {}
     if method not in PARAMETRIC_METHODS:
         raise ValueError(
             f"clustered calibration requires a parametric base method, got {method!r}")
-    y = np.asarray(y)
-    if len(scores) == 0 or len(y) != len(scores):
-        raise ValueError("scores and labels must be aligned and non-empty")
+    labels = np.asarray(labels)
+    if labels.shape != (len(data),):
+        raise ValueError("fit data and cluster ids must be aligned")
+    if not ((labels >= 0) & (labels < cm.k)).all():
+        raise ValueError(f"cluster ids must lie in [0, {cm.k})")
+    y = data.labels
+    expected = "constant" if (y == y[0]).all() else method  # what fit(method, data) returns
+    if fallback.method != expected:
+        raise ValueError(f"fallback is a {fallback.method!r} calibrator, expected {expected!r}")
     min_fit_size = int(opts.get("min_fit_size", DEFAULT_MIN_FIT_SIZE))
-    raw_constant = bool(opts.get("raw_constant", False))
-
-    labels = assign(cm, E)
-    data_all = FitData.from_scores(scores, y)
-    fallback = fit(method, data_all, opts.get("fit_opts"))
 
     calibrators: dict[int, Calibrator] = {}
     meta: dict[int, dict] = {}
@@ -120,16 +122,15 @@ def train_clustered(scores: ScoreSet, E: EmbeddingMatrix, cm: ClusterModel,
             info["used_fallback"] = True
             calibrators[c] = fallback
         elif (y[mask] == y[mask][0]).all():
-            rate = float(y[mask].mean()) if raw_constant else _laplace_rate(y[mask])
-            calibrators[c] = _constant(rate, note="homogeneous")
+            calibrators[c] = _constant(_laplace_rate(y[mask]), note="homogeneous")
             info["used_constant"] = True
         elif n_c < min_fit_size:
             info["used_fallback"] = True
             calibrators[c] = fallback
         else:
-            sub = FitData(data_all.margins[mask], data_all.probabilities[mask], y[mask])
-            cal = fit(method, sub, {**(opts.get("fit_opts") or {}),
-                                    **_warm_start_opts(method, fallback)})
+            sub = FitData(data.margins[mask], data.probabilities[mask], y[mask])
+            cal = cal_mod.fit(method, sub, {**(opts.get("fit_opts") or {}),
+                                            **_warm_start_opts(method, fallback)})
             if fallback.nll(sub) < cal.nll(sub):
                 cal = Calibrator(fallback.method, dict(fallback.params),
                                  dict(fallback.diagnostics, refit="kept_global"))
@@ -138,15 +139,11 @@ def train_clustered(scores: ScoreSet, E: EmbeddingMatrix, cm: ClusterModel,
     return ClusteredCalibrator(cm, method, calibrators, fallback, min_fit_size, meta)
 
 
-def improved_sample_fraction(model: ClusteredCalibrator, unified: Calibrator,
-                             scores: ScoreSet, E: EmbeddingMatrix, y,
-                             n_bins: int = 10) -> float:
+def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10) -> float:
     """Fraction of samples in clusters whose within-cluster calibration error
-    is strictly lower under the clustered ensemble than under the unified
-    calibrator."""
-    y = np.asarray(y)
-    p_cluster, labels = model.infer(scores, E)
-    p_unified = unified.apply(scores)
+    is strictly lower under the clustered probabilities ``p_cluster`` than
+    under the unified ones ``p_unified``; ``labels`` are the cluster ids."""
+    p_cluster, p_unified, labels, y = map(np.asarray, (p_cluster, p_unified, labels, y))
     improved = 0
     for c in np.unique(labels):
         mask = labels == c

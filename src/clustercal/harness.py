@@ -99,6 +99,11 @@ class ExperimentConfig:
             raise ConfigError("synthetic_scores requires a synthetic data source")
         if self.clustering.get("method", "kmeans") not in ("kmeans", "agglomerative"):
             raise ConfigError(f"unknown clustering method {self.clustering.get('method')!r}")
+        for name, allowed in (("metric_opts", {"n_bins", "scheme", "cece_base"}),
+                              ("ccl_opts", {"min_fit_size", "fit_opts"})):
+            unknown = set(getattr(self, name)) - allowed
+            if unknown:
+                raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
     def canonical(self) -> dict:
         return {
@@ -223,22 +228,20 @@ def _clustering(r: RunState):
 def _calibrate(r: RunState):
     cfg, y = r.cfg, r.ds.labels
     cal_idx, te_idx = r.splits.calibration, r.splits.test
-    cal_scores, te_scores = r.scores.take(cal_idx), r.scores.take(te_idx)
-    cal_E = EmbeddingMatrix(r.E.kind, r.E.vectors[cal_idx])
+    te_scores = r.scores.take(te_idx)
     te_E = EmbeddingMatrix(r.E.kind, r.E.vectors[te_idx])
+    cal_clusters = assign(r.cm, r.E.vectors[cal_idx])
     r.te_clusters = assign(r.cm, te_E)
-    cal_data = FitData.from_scores(cal_scores, y[cal_idx])
+    cal_data = FitData.from_scores(r.scores.take(cal_idx), y[cal_idx])
     r.calibrated["base"] = r.scores.probabilities[te_idx]
     for method in cfg.methods:
         uni = r.unified[method] = cal_mod.fit(method, cal_data, cfg.ccl_opts.get("fit_opts"))
-        r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
+        p_uni = r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
         if method in PARAMETRIC_METHODS:
-            ccl = r.ccl[method] = train_clustered(cal_scores, cal_E, r.cm, method,
-                                                  y[cal_idx], cfg.ccl_opts)
-            p_ccl, labels_ccl = ccl.infer(te_scores, te_E)
-            assert (labels_ccl == r.te_clusters).all()
-            r.calibrated[f"{method}_ccl"] = p_ccl
-            r.improved[method] = improved_sample_fraction(ccl, uni, te_scores, te_E,
+            ccl = r.ccl[method] = train_clustered(cal_data, cal_clusters, r.cm, method, uni,
+                                                  cfg.ccl_opts)
+            p_ccl = r.calibrated[f"{method}_ccl"] = ccl.infer(te_scores, te_E)[0]
+            r.improved[method] = improved_sample_fraction(p_ccl, p_uni, r.te_clusters,
                                                           y[te_idx])
 
 

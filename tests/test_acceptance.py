@@ -50,8 +50,9 @@ def het_pipeline(seed, method, spec_kwargs=None, k=3):
     cm = fit_kmeans(EmbeddingMatrix("raw", E[fit_idx]), k, seed)
     cal_s, te_s = scores.take(sp.calibration), scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
-    ccl = train_clustered(cal_s, E[sp.calibration], cm, method, y_cal)
-    uni = ccl.fallback  # fitted on the full calibration split
+    cal_data = FitData.from_scores(cal_s, y_cal)
+    uni = fit(method, cal_data)  # fitted on the full calibration split
+    ccl = train_clustered(cal_data, assign(cm, E[sp.calibration]), cm, method, uni)
     p_ccl, te_clusters = ccl.infer(te_s, E[sp.test])
     p_uni = uni.apply(te_s)
     return dict(ccl=ccl, uni=uni, cm=cm, te_clusters=te_clusters,
@@ -179,8 +180,7 @@ def test_criterion_06_improved_sample_fraction():
     for method in ("platt", "temperature", "beta", "dirichlet2"):
         r = het_pipeline(0, method, spec_kwargs, k=2)
         best[method] = improved_sample_fraction(
-            r["ccl"], r["uni"], r["te_s"],
-            EmbeddingMatrix("raw", r["te_E"]), r["y_te"])
+            r["p_ccl"], r["p_uni"], r["te_clusters"], r["y_te"])
     top = max(best.values())
     ok = top >= 0.8
     verdict(6, ok, "two-subpop improved-sample fraction " +

@@ -126,6 +126,16 @@ class TestArtifacts:
                                          ("base", "platt_unified", "platt_ccl")}
         assert capsys.readouterr().out.strip()
 
+    def test_select_ignores_a_report_from_another_config(self, tmp_path):
+        cfg = write_config(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["report", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        assert main(["select", "--config", cfg, "--seed", "9", "--out", str(out)]) == 0
+        assert main(["report", "--config", cfg, "--seed", "9", "--out", str(fresh)]) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        assert report["provenance"]["seed"] == 9
+        assert (out / "selection.json").read_text() == (fresh / "selection.json").read_text()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"

@@ -21,26 +21,48 @@ def synth_setup(seed=0, offsets=(2.0, -2.0, 1.0), rates=(0.2, 0.5, 0.8), n=500):
     return ds, sp, scores, E, cm
 
 
+def train(scores, V, cm, method, y, opts=None):
+    """Assign the rows, fit the global calibrator and train the ensemble on them."""
+    data = FitData.from_scores(scores, y)
+    fallback = fit(method, data, (opts or {}).get("fit_opts"))
+    return train_clustered(data, assign(cm, V), cm, method, fallback, opts)
+
+
 class TestTrainClustered:
     def test_requires_parametric_method(self):
         ds, sp, scores, E, cm = synth_setup()
         with pytest.raises(ValueError, match="parametric"):
-            train_clustered(scores.take(sp.calibration), E.vectors[sp.calibration],
-                            cm, "isotonic", ds.labels[sp.calibration])
+            train(scores.take(sp.calibration), E.vectors[sp.calibration],
+                  cm, "isotonic", ds.labels[sp.calibration])
 
     def test_alignment_checked(self):
         ds, sp, scores, E, cm = synth_setup()
+        data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
+        labels = assign(cm, E.vectors[sp.calibration])
         with pytest.raises(ValueError, match="aligned"):
-            train_clustered(scores.take(sp.calibration), E.vectors[sp.calibration],
-                            cm, "platt", ds.labels[sp.test][:3])
+            train_clustered(data, labels[:3], cm, "platt", fit("platt", data))
+
+    def test_cluster_ids_must_belong_to_the_model(self):
+        ds, sp, scores, E, cm = synth_setup()
+        data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
+        labels = assign(cm, E.vectors[sp.calibration])
+        labels[0] = cm.k
+        with pytest.raises(ValueError, match="cluster ids"):
+            train_clustered(data, labels, cm, "platt", fit("platt", data))
+
+    def test_fallback_must_be_the_base_method(self):
+        ds, sp, scores, E, cm = synth_setup()
+        data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
+        labels = assign(cm, E.vectors[sp.calibration])
+        with pytest.raises(ValueError, match="fallback is a 'beta' calibrator, expected 'platt'"):
+            train_clustered(data, labels, cm, "platt", fit("beta", data))
 
     def test_single_cluster_equals_unified(self):
         ds, sp, scores, E, _ = synth_setup()
         V = E.vectors[sp.calibration]
         cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
                            np.array([len(V)]), np.array([0]))
-        ccl = train_clustered(scores.take(sp.calibration), V, cm1, "platt",
-                              ds.labels[sp.calibration])
+        ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
         uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
                                                ds.labels[sp.calibration]))
         p_ccl, _ = ccl.infer(scores.take(sp.test), E.vectors[sp.test])
@@ -54,7 +76,7 @@ class TestTrainClustered:
         margins = np.random.default_rng(1).normal(size=48)
         cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
                           np.array([40, 8]), np.array([0, 0]))
-        ccl = train_clustered(ScoreSet.from_margins(margins), V, cm, "platt", y)
+        ccl = train(ScoreSet.from_margins(margins), V, cm, "platt", y)
         cal = ccl.resolve(1)
         assert cal.method == "constant"
         assert cal.params["p0"] == pytest.approx(9 / 10)
@@ -67,7 +89,7 @@ class TestTrainClustered:
         y[60:] = [0, 1, 0, 1, 0]  # mixed labels but below the fit floor
         cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
                           np.array([60, 5]), np.array([0, 0]))
-        ccl = train_clustered(ScoreSet.from_margins(rng.normal(size=65)), V, cm, "platt", y)
+        ccl = train(ScoreSet.from_margins(rng.normal(size=65)), V, cm, "platt", y)
         assert ccl.cluster_meta[1]["used_fallback"]
         assert ccl.resolve(1).params == ccl.fallback.params
 
@@ -78,8 +100,8 @@ class TestTrainClustered:
         y[60:] = [0, 1, 0, 1, 0]
         cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
                           np.array([60, 5]), np.array([0, 0]))
-        ccl = train_clustered(ScoreSet.from_margins(rng.normal(size=65)), V, cm,
-                              "platt", y, {"min_fit_size": 4})
+        ccl = train(ScoreSet.from_margins(rng.normal(size=65)), V, cm,
+                    "platt", y, {"min_fit_size": 4})
         assert not ccl.cluster_meta[1]["used_fallback"]
 
     @pytest.mark.parametrize("method", ["platt", "temperature", "beta", "dirichlet2"])
@@ -87,7 +109,7 @@ class TestTrainClustered:
         ds, sp, scores, E, cm = synth_setup(seed=4)
         cal_s = scores.take(sp.calibration)
         y_cal = ds.labels[sp.calibration]
-        ccl = train_clustered(cal_s, E.vectors[sp.calibration], cm, method, y_cal)
+        ccl = train(cal_s, E.vectors[sp.calibration], cm, method, y_cal)
         labels = assign(cm, E.vectors[sp.calibration])
         for c in range(cm.k):
             mask = labels == c
@@ -98,8 +120,8 @@ class TestTrainClustered:
 
     def test_serialization_roundtrip(self):
         ds, sp, scores, E, cm = synth_setup(seed=5)
-        ccl = train_clustered(scores.take(sp.calibration), E.vectors[sp.calibration],
-                              cm, "beta", ds.labels[sp.calibration])
+        ccl = train(scores.take(sp.calibration), E.vectors[sp.calibration],
+                    cm, "beta", ds.labels[sp.calibration])
         back = ClusteredCalibrator.from_json(ccl.to_json())
         p_a, l_a = ccl.infer(scores.take(sp.test), E.vectors[sp.test])
         p_b, l_b = back.infer(scores.take(sp.test), E.vectors[sp.test])
@@ -109,28 +131,35 @@ class TestTrainClustered:
 
 
 class TestImprovedFraction:
+    def test_hand_example(self):
+        # cluster 0: the clustered probabilities are calibrated, the unified ones
+        # are not; cluster 1: both are the same, so it is not strictly improved
+        labels = np.array([0, 0, 1, 1])
+        y = np.array([0, 1, 0, 1])
+        p_unified = np.array([0.1, 0.9, 0.1, 0.9])
+        p_cluster = np.array([0.5, 0.5, 0.1, 0.9])
+        assert improved_sample_fraction(p_cluster, p_unified, labels, y) == 0.5
+
     def test_bounded_and_zero_for_identical_models(self):
         ds, sp, scores, E, _ = synth_setup(seed=6)
         V = E.vectors[sp.calibration]
         cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
                            np.array([len(V)]), np.array([0]))
-        ccl = train_clustered(scores.take(sp.calibration), V, cm1, "platt",
-                              ds.labels[sp.calibration])
+        ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
         uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
                                                ds.labels[sp.calibration]))
-        frac = improved_sample_fraction(ccl, uni, scores.take(sp.test),
-                                        EmbeddingMatrix("raw", E.vectors[sp.test]),
-                                        ds.labels[sp.test])
+        te_s = scores.take(sp.test)
+        p_ccl, labels = ccl.infer(te_s, E.vectors[sp.test])
+        frac = improved_sample_fraction(p_ccl, uni.apply(te_s), labels, ds.labels[sp.test])
         assert frac == 0.0  # strict inequality never holds when models coincide
 
     def test_high_on_oppositely_miscalibrated_subpops(self):
         ds, sp, scores, E, cm = synth_setup(seed=7)
-        ccl = train_clustered(scores.take(sp.calibration), E.vectors[sp.calibration],
-                              cm, "platt", ds.labels[sp.calibration])
-        uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
-                                               ds.labels[sp.calibration]))
-        frac = improved_sample_fraction(ccl, uni, scores.take(sp.test),
-                                        EmbeddingMatrix("raw", E.vectors[sp.test]),
+        ccl = train(scores.take(sp.calibration), E.vectors[sp.calibration],
+                    cm, "platt", ds.labels[sp.calibration])
+        te_s = scores.take(sp.test)
+        p_ccl, labels = ccl.infer(te_s, E.vectors[sp.test])
+        frac = improved_sample_fraction(p_ccl, ccl.fallback.apply(te_s), labels,
                                         ds.labels[sp.test])
         assert 0.0 <= frac <= 1.0
         assert frac >= 0.5

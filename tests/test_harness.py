@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from clustercal.harness import (
     ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError,
-    paired_resample_test, rejection_selection, run_experiment, select_model,
+    paired_resample_test, rejection_selection, run_experiment, run_stages, select_model,
 )
 from clustercal.metrics import auc, cece, ece
 
@@ -47,6 +47,14 @@ class TestConfig:
     def test_unknown_clustering_rejected(self):
         with pytest.raises(ConfigError, match="clustering"):
             synth_config(clustering={"method": "dbscan"})
+
+    def test_unknown_ccl_opts_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown ccl_opts keys: \['raw_constant'\]"):
+            synth_config(ccl_opts={"min_fit_size": 10, "raw_constant": True})
+
+    def test_unknown_metric_opts_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown metric_opts keys: \['n_bin'\]"):
+            synth_config(metric_opts={"n_bin": 15, "scheme": "equal_width"})
 
     def test_missing_csv_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -114,6 +122,13 @@ class TestRunExperiment:
             p, y = rows[:, 0], rows[:, 1].astype(int)
             assert ece(p, y, 10)[0] == pytest.approx(row["ECE"], abs=1e-12)
             assert auc(p, y)[0] == pytest.approx(row["AUC"], abs=1e-12)
+
+    def test_ensembles_reuse_the_unified_calibrator_as_fallback(self):
+        methods = ("platt", "temperature", "beta", "dirichlet2", "isotonic")
+        r = run_stages(synth_config(methods=methods), "calibrate")
+        assert sorted(r.ccl) == sorted(methods[:4])
+        for method, ccl in r.ccl.items():
+            assert ccl.fallback is r.unified[method]
 
     def test_elbow_path(self):
         cfg = synth_config(clustering={"method": "kmeans", "elbow": [2, 6, 1]},

@@ -4,7 +4,8 @@
 its `PATCHES` table with recording wrappers. A hook whose attribute leaves
 the call path records nothing, and its layer then reads zero without an
 error. These tests run `report` under the tracer and check that every hook
-records at least one call.
+records at least one call, and that the golden run does each piece of work
+once.
 """
 
 import importlib.util
@@ -43,3 +44,18 @@ def test_elbow_hooks_record(tmp_path):
     tracer = traced_report(tmp_path, cfg)
     assert tracer.calls("representation.elbow") >= 1
     assert tracer.calls("representation.kmeans") >= 1
+
+
+def test_golden_run_assigns_and_fits_once(tmp_path):
+    tracer = traced_report(tmp_path, json.loads(GOLDEN_CONFIG.read_text()))
+    # 4 of the 7 methods are parametric: each gets one ensemble and one infer
+    assert tracer.calls("ensemble.train") == 4
+    assert tracer.calls("ensemble.infer") == 4
+    # one assign per split (clustering rows, calibration, test), plus one per infer
+    assert tracer.calls("representation.assign") == 3 + 4
+    fitted = sum(not (info["used_fallback"] or info["used_constant"])
+                 for _, ccl in tracer.kept("ensemble.train")
+                 for info in ccl.cluster_meta.values())
+    assert fitted > 0
+    # one global fit per method; each ensemble reuses it as its fallback
+    assert tracer.calls("calibrators.fit") == 7 + fitted
