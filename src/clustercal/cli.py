@@ -44,14 +44,13 @@ def _write_train(out, r):
                  "test": r.splits.test.tolist(), "seed": r.splits.seed})
     _write_csv(os.path.join(out, "scores.csv"),
                ("sample_id", "margin", "probability"),
-               [[sid, m, p] for sid, m, p in
-                zip(r.ds.sample_ids, r.scores.margins, r.scores.probabilities)])
+               [r.ds.sample_ids, r.scores.margins.tolist(), r.scores.probabilities.tolist()])
 
 
 def _write_embed(out, r):
     _write_csv(os.path.join(out, "embedding.csv"),
                ("sample_id",) + tuple(f"e{j}" for j in range(r.E.m)),
-               [[sid] + list(row) for sid, row in zip(r.ds.sample_ids, r.E.vectors)])
+               [r.ds.sample_ids] + r.E.vectors.T.tolist())
 
 
 def _write_cluster(out, r):

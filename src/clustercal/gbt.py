@@ -201,8 +201,12 @@ def _partition(order, keep):
     return np.compress(keep[order].ravel(), order).reshape(len(order), -1)
 
 
-def _build_tree(X, order, g, h, params: GBTParams) -> Tree:
-    """Grow one tree; ``order`` is the fit's (d, N) presorted row order."""
+def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
+    """Grow one tree; ``order`` is the fit's (d, N) presorted row order.
+
+    Each leaf adds its value to its rows' entries of ``margin``: one add per
+    row, the same float ``margin += tree.value[tree.apply(X)]`` would add.
+    """
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
     child = np.zeros(len(X), dtype=bool)  # per-row flag: goes to the child being built
 
@@ -225,6 +229,7 @@ def _build_tree(X, order, g, h, params: GBTParams) -> Tree:
                                 params.min_child_weight)
         if split is None:
             value[j] = float(-G / (H + params.lambda_l2) * params.learning_rate)
+            margin[idx] += value[j]
             return j
         _, f, t = split
         feature[j] = f
@@ -271,9 +276,7 @@ def fit_gbt(train: Dataset, params: GBTParams | dict | None = None) -> TreeEnsem
             p = sigmoid(margin)
         g = p - y
         h = p * (1 - p)
-        tree = _build_tree(X, order, g, h, params)
-        trees.append(tree)
-        margin += tree.value[tree.apply(X)]
+        trees.append(_build_tree(X, order, g, h, params, margin))
         losses.append(_logloss(margin, y))
     return TreeEnsemble(tuple(trees), base, X.shape[1], params, tuple(losses))
 

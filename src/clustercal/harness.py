@@ -329,12 +329,22 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
 
 # persistence -------------------------------------------------------------
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, columns):
+    """Write a CSV file from ``header`` and one list per column.
+
+    Every column holds Python scalars (``ndarray.tolist()``, ids, or ints
+    cast beforehand) and has one entry per row. Each cell is written with
+    ``str``: a float as its shortest round-trip ``repr`` (``0.1``, ``1.0``,
+    ``-0.0``, ``1e-05``, ``nan``), an int without a decimal point, so a
+    count column must be passed as ints. Rows are streamed, not joined into
+    one string.
+    """
+    if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
+        raise ValueError(f"{path}: need {len(header)} columns of one length")
+    row = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for r in rows:
-            fh.write(",".join(str(v) if isinstance(v, (int, str)) else repr(float(v))
-                              for v in r) + "\n")
+        fh.writelines(map(row.format, *columns))
 
 
 def _write_json(path, payload):
@@ -346,11 +356,12 @@ def _write_json(path, payload):
 def _write_clusters(out: str, r: RunState):
     """clusters.json (the cluster model) and clusters.csv (per-cluster table)."""
     _write_json(os.path.join(out, "clusters.json"), r.cm.to_dict())
+    table = r.diag.table
+    ids = [row["cluster"] for row in table]
     _write_csv(os.path.join(out, "clusters.csv"),
                ("cluster_id", "size", "positive_rate", "centroid_norm"),
-               [[row["cluster"], row["size"], row["positive_rate"],
-                 float(np.linalg.norm(r.cm.centroids[row["cluster"]]))]
-                for row in r.diag.table])
+               [ids, [row["size"] for row in table], [row["positive_rate"] for row in table],
+                [float(np.linalg.norm(r.cm.centroids[j])) for j in ids]])
 
 
 def _persist(r: RunState):
@@ -364,30 +375,29 @@ def _persist(r: RunState):
         _write_json(os.path.join(out, f"ccl_{method}.json"), ccl.to_dict())
     for method, cal in r.unified.items():
         _write_json(os.path.join(out, f"unified_{method}.json"), cal.to_dict())
-    _write_csv(os.path.join(out, "metrics.csv"),
-               ("variant", "method") + METRIC_COLUMNS,
-               [[row["variant"], row["method"]] + [row[c] for c in METRIC_COLUMNS]
-                for row in r.report.rows])
+    header = ("variant", "method") + METRIC_COLUMNS
+    _write_csv(os.path.join(out, "metrics.csv"), header,
+               [[row[c] for row in r.report.rows] for c in header])
 
     te_idx = r.splits.test
     te_ids = [r.ds.sample_ids[i] for i in te_idx]
-    y_te = r.ds.labels[te_idx]
-    rej_rows = []
-    for variant, p in sorted(r.calibrated.items()):
+    y_te = r.ds.labels[te_idx].tolist()
+    variants = sorted(r.calibrated)
+    for variant in variants:
         _write_csv(os.path.join(out, f"calibrated_scores_{variant}.csv"),
                    ("sample_id", "probability", "label"),
-                   [[sid, pi, int(yi)] for sid, pi, yi in zip(te_ids, p, y_te)])
+                   [te_ids, r.calibrated[variant].tolist(), y_te])
+        bins = r.bins[variant]
         _write_csv(os.path.join(out, f"bins_{variant}.csv"),
                    ("bin", "count", "obs_rate", "mean_pred"),
-                   [[b["bin"], b["count"], b["obs_rate"], b["mean_pred"]]
-                    for b in r.bins[variant].as_rows()])
-        curve = r.rejection[variant]
-        for t, acc_n, err, rej in zip(curve.thresholds, curve.accepted,
-                                      curve.error_rate, curve.rejection_rate):
-            rej_rows.append([variant, t, int(acc_n), err, rej])
+                   [list(range(len(bins.counts))), bins.counts.tolist(),
+                    bins.obs_rate.tolist(), bins.mean_pred.tolist()])
+    curves = [r.rejection[v] for v in variants]
     _write_csv(os.path.join(out, "rejection.csv"),
                ("variant", "threshold", "accepted", "error_rate", "rejection_rate"),
-               rej_rows)
+               [[v for v, c in zip(variants, curves) for _ in c.thresholds]]
+               + [np.concatenate([getattr(c, f) for c in curves]).tolist()
+                  for f in ("thresholds", "accepted", "error_rate", "rejection_rate")])
 
 
 # analysis ----------------------------------------------------------------
@@ -399,16 +409,24 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
 
     Each iteration draws floor(fraction*N) test indices without replacement
     (seeded per iteration), evaluates the metric for both score sets on the
-    same subsample, and records the difference a - b. Iterations where the
-    metric is undefined (e.g. single-class AUC) are redrawn with an offset
-    seed and counted. Note: subsamples overlap, so the independence
-    assumption behind the t-test is only approximate.
+    same subsample, and records the difference a - b. For AUC, a subsample
+    with a single class is redrawn with an offset seed and counted. Note:
+    subsamples overlap, so the independence assumption behind the t-test is
+    only approximate.
+
+    ``scores_a`` and ``scores_b`` must be finite probabilities in [0, 1] and
+    ``y`` 0/1 labels; anything else raises ``ValueError``.
     """
     a = np.asarray(scores_a, dtype=np.float64)
     b = np.asarray(scores_b, dtype=np.float64)
     y = np.asarray(y)
     if not (a.shape == b.shape == y.shape):
         raise ValueError("inputs must be aligned")
+    if not ((y == 0) | (y == 1)).all():
+        raise ValueError("y must hold 0/1 labels")
+    for name, p in (("scores_a", a), ("scores_b", b)):
+        if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
+            raise ValueError(f"{name} must be finite probabilities in [0, 1]")
     if not 0 < fraction <= 1:
         raise ConfigError("fraction must be in (0, 1]")
     if iterations < 2:
@@ -431,18 +449,15 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
     diffs = np.empty(iterations)
     resampled = 0
     for i in range(iterations):
-        offset = 0
-        while True:
+        for offset in range(101):
             rng = np.random.default_rng(seed + i + offset * 1_000_003)
             idx = rng.choice(len(y), size=m, replace=False)
-            try:
-                diffs[i] = metric_fn(a[idx], y[idx]) - metric_fn(b[idx], y[idx])
+            if metric != "auc" or 0 < np.count_nonzero(y[idx]) < m:
                 break
-            except ValueError:
-                offset += 1
-                resampled += 1
-                if offset > 100:
-                    raise StageError(f"metric {metric!r} undefined on all resamples")
+            resampled += 1
+        else:
+            raise StageError(f"metric {metric!r} undefined on all resamples")
+        diffs[i] = metric_fn(a[idx], y[idx]) - metric_fn(b[idx], y[idx])
     sd = float(np.std(diffs, ddof=1))
     dof = iterations - 1
     if sd == 0.0:
@@ -466,6 +481,10 @@ def select_model(report: EvalReport, criterion: str = "CECE") -> dict:
         raise ValueError("need at least 2 rows to select between")
     if criterion not in METRIC_COLUMNS:
         raise ValueError(f"unknown criterion {criterion!r}")
+    for row in report.rows:
+        for c in (criterion, "ECE", "AUC"):
+            if not math.isfinite(row[c]):
+                raise ValueError(f"variant {row['variant']!r}: {c} is {row[c]!r}, not finite")
 
     def key(row):
         return (row[criterion], -row["AUC"], row["variant"])

@@ -1,16 +1,21 @@
 """Boosted-tree training, splitting rules and serialization."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from clustercal import gbt
 from clustercal.data import Dataset
 from clustercal.gbt import (
     GAIN_EPS, SCAN_BLOCK_CELLS, GBTParams, Tree, TreeEnsemble, _logloss, fit_gbt,
     leaf_indices, predict,
 )
+from clustercal.harness import ExperimentConfig, run_stages
 from clustercal.scores import logit, sigmoid
+
+GOLDEN_CONFIG = Path(__file__).parent / "golden" / "report_config.json"
 
 
 def toy_dataset(n=200, d=3, seed=0):
@@ -265,3 +270,47 @@ class TestPresortedSplitSearch:
         ens = fit_gbt(ds, GBTParams(n_trees=1, max_depth=1))
         assert ens.trees[0].feature[0] in (0, 1)
         self.assert_same_fit(ds, GBTParams(n_trees=2, max_depth=3, min_child_weight=0.0))
+
+
+class TestFitMargins:
+    """The fit adds each leaf's value to the margins of the rows the build put
+    there; that equals the `tree.apply` path bit for bit."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The margins of every `_logloss` call of a fit, in order."""
+        seen, real = [], gbt._logloss
+
+        def record(margin, y):
+            seen.append(margin.copy())
+            return real(margin, y)
+        monkeypatch.setattr(gbt, "_logloss", record)
+        return seen
+
+    @staticmethod
+    def assert_matches_apply_path(ens, seen, X, y):
+        y = np.asarray(y, dtype=np.float64)
+        margin = np.full(len(X), ens.base_score)
+        losses = [_logloss(margin, y)]
+        for tree in ens.trees:
+            margin += tree.value[tree.apply(X)]
+            losses.append(_logloss(margin, y))
+        assert len(seen) == len(ens.trees) + 1
+        assert seen[-1].tobytes() == margin.tobytes() == ens.margins(X).tobytes()
+        assert np.asarray(ens.train_loss).tobytes() == np.asarray(losses).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_data(self, seen, seed):
+        ds = toy_dataset(n=300 + 100 * seed, d=4, seed=seed)
+        ens = fit_gbt(ds, GBTParams(n_trees=6, max_depth=2 + seed, learning_rate=0.3))
+        self.assert_matches_apply_path(ens, seen, ds.features, ds.labels)
+
+    def test_tied_features(self, seen):
+        ds = tied_dataset(400, 5, 3)
+        ens = fit_gbt(ds, GBTParams(n_trees=5, max_depth=4, min_child_weight=0.0))
+        self.assert_matches_apply_path(ens, seen, ds.features, ds.labels)
+
+    def test_golden_config(self, seen):
+        r = run_stages(ExperimentConfig.from_json_file(str(GOLDEN_CONFIG)), "model")
+        tr = r.splits.train
+        self.assert_matches_apply_path(r.ens, seen, r.ds.features[tr], r.ds.labels[tr])

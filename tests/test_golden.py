@@ -41,7 +41,8 @@ def _float_close(a: float, b: float) -> bool:
 
 
 def _is_float_cell(cell: str) -> bool:
-    # _write_csv writes ints with str() and floats with repr(float)
+    # _write_csv writes each cell with str() of a Python scalar: an int has
+    # no decimal point, a float is its shortest repr (1.0, 1e-05, nan)
     if INT_CELL.fullmatch(cell):
         return False
     try:

@@ -197,6 +197,25 @@ class TestPairedResampleTest:
         with pytest.raises(ConfigError):
             paired_resample_test(self.p, self.p, self.y, "f1")
 
+    def test_rejects_nan_scores(self):
+        a = self.p.copy()
+        a[7] = np.nan
+        with pytest.raises(ValueError, match="scores_a must be finite"):
+            paired_resample_test(a, self.p, self.y, "ece")
+
+    @pytest.mark.parametrize("bad", [1.5, -0.1, np.inf])
+    def test_rejects_probabilities_outside_unit_interval(self, bad):
+        b = self.p.copy()
+        b[3] = bad
+        with pytest.raises(ValueError, match="scores_b must be finite"):
+            paired_resample_test(self.p, b, self.y, "ece")
+
+    @pytest.mark.parametrize("metric", ["ece", "auc"])
+    def test_rejects_non_binary_labels(self, metric):
+        y = self.y * 2
+        with pytest.raises(ValueError, match="y must hold 0/1 labels"):
+            paired_resample_test(self.p, self.p, y, metric)
+
 
 def fake_report(rows):
     full = []
@@ -241,6 +260,13 @@ class TestSelectModel:
             select_model(fake_report([{"variant": "only", "CECE": 0.1}]))
         with pytest.raises(ValueError):
             select_model(fake_report([{"variant": "a"}, {"variant": "b"}]), "F1")
+
+    @pytest.mark.parametrize("column", ["CECE", "AUC", "ECE"])
+    def test_non_finite_value_is_rejected_in_any_row_order(self, column):
+        rows = [{"variant": "a", column: float("nan")}, {"variant": "b"}]
+        for ordered in (rows, rows[::-1]):
+            with pytest.raises(ValueError, match=f"variant 'a': {column} is nan"):
+                select_model(fake_report(ordered))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(

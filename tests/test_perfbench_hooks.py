@@ -59,3 +59,7 @@ def test_golden_run_assigns_and_fits_once(tmp_path):
     assert fitted > 0
     # one global fit per method; each ensemble reuses it as its fallback
     assert tracer.calls("calibrators.fit") == 7 + fitted
+    # one model fit, one scoring pass and one write of the artifacts per report
+    assert tracer.calls("gbt.fit") == 1
+    assert tracer.calls("gbt.predict") == 1
+    assert tracer.calls("harness.persist") == 1
