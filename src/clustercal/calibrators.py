@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .metrics import _bin_ids
 from .scores import ScoreSet, sigmoid
 
 __all__ = [
@@ -130,14 +131,7 @@ class Calibrator:
             return vals[idx]
         if self.method == "platt_bin":
             idx = _bin_lookup(np.asarray(q["edges"]), scores.probabilities)
-            out = np.empty(len(scores))
-            for b, sub in enumerate(q["bins"]):
-                mask = idx == b
-                if not mask.any():
-                    continue
-                cal = sub if isinstance(sub, Calibrator) else Calibrator(**_decode(sub))
-                out[mask] = cal.apply(scores.take(mask))
-            return out
+            return _apply_by_group(idx, lambda b: q["bins"][b], scores)
         if self.method == "constant":
             return np.full(len(scores), q["p0"])
         raise ValueError(f"unknown calibration method {self.method!r}")
@@ -168,6 +162,15 @@ class Calibrator:
     @classmethod
     def from_json(cls, s: str) -> "Calibrator":
         return cls.from_dict(json.loads(s))
+
+
+def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
+    """Apply ``calibrator_of(g)`` to the rows of ``scores`` in each group ``g``."""
+    out = np.empty(len(scores))
+    for g in np.unique(groups):
+        mask = groups == g
+        out[mask] = calibrator_of(g).apply(scores.take(mask))
+    return out
 
 
 def _decode(d: dict) -> dict:
@@ -379,20 +382,12 @@ def _fit_dirichlet2(probs, y, constrained: bool) -> Calibrator:
 
 
 def _equal_mass_edges(probs, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bin ids (stable sort, sizes differing by <= 1) and apply-time edges."""
-    order = np.argsort(probs, kind="stable")
-    ids = np.empty(len(probs), dtype=np.int64)
-    blocks = np.array_split(order, m)
-    edges = np.zeros(m + 1)
-    edges[m] = 1.0
-    prev_max = None
-    for i, blk in enumerate(blocks):
-        ids[blk] = i
-        if i > 0:
-            lo = probs[blk].min() if len(blk) else prev_max
-            edges[i] = (prev_max + lo) / 2 if prev_max is not None else 0.0
-        prev_max = probs[blk].max() if len(blk) else prev_max
-    return ids, edges
+    """AdaECE's equal-mass bin ids for ``1 <= m <= len(probs)`` bins, and the
+    apply-time edges: 0, the midpoints between adjacent bins, 1."""
+    ids = _bin_ids(probs, m, "equal_mass")
+    s = np.sort(probs)
+    start = np.cumsum(np.bincount(ids, minlength=m))[:-1]
+    return ids, np.r_[0.0, (s[start - 1] + s[start]) / 2, 1.0]
 
 
 def _bin_lookup(edges, probs) -> np.ndarray:
@@ -403,11 +398,9 @@ def _bin_lookup(edges, probs) -> np.ndarray:
 def _fit_histogram(probs, y, m: int, laplace: bool) -> Calibrator:
     m = min(m, len(probs))
     ids, edges = _equal_mass_edges(probs, m)
-    outputs = np.empty(m)
-    for b in range(m):
-        mask = ids == b
-        n_b, k_b = int(mask.sum()), int(y[mask].sum())
-        outputs[b] = (k_b + 1) / (n_b + 2) if laplace else (k_b / n_b if n_b else 0.5)
+    n_b = np.bincount(ids, minlength=m)
+    k_b = np.bincount(ids, weights=y, minlength=m)
+    outputs = (k_b + 1) / (n_b + 2) if laplace else k_b / n_b
     return Calibrator("histogram", {"edges": edges, "outputs": outputs},
                       {"n_bins": m, "laplace": laplace})
 
@@ -447,8 +440,8 @@ def _fit_platt_bin(data: FitData, m: int) -> Calibrator:
     for b in range(m):
         mask = ids == b
         yb = data.labels[mask]
-        if len(yb) == 0 or (yb == yb[0]).all():
-            bins.append(_constant(_laplace_rate(yb) if len(yb) else 0.5))
+        if (yb == yb[0]).all():
+            bins.append(_constant(_laplace_rate(yb)))
         else:
             bins.append(_fit_platt(data.margins[mask], yb, {}))
     return Calibrator("platt_bin", {"edges": edges, "bins": bins}, {"n_bins": m})

@@ -8,6 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .scores import sigmoid
+
 __all__ = [
     "Dataset",
     "SplitIndices",
@@ -208,7 +210,7 @@ def split(ds: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0,
             for p, chunk in zip(parts, carve(sub)):
                 p.append(chunk)
         tr, cal, te = (np.sort(np.concatenate(p)) for p in parts)
-        if stratify and (len(tr) == 0 or len(cal) == 0 or len(te) == 0):
+        if len(tr) == 0 or len(cal) == 0 or len(te) == 0:
             raise DataError("a split received zero samples")
         for part, name in ((tr, "train"), (cal, "calibration"), (te, "test")):
             labs = ds.labels[part]
@@ -241,7 +243,7 @@ def gen_synthetic_full(spec: SyntheticSpec):
     base_logit = np.array([math.log(r / (1 - r)) for r in spec.base_rates])
     u = rng.normal(scale=spec.noise, size=n)
     true_logit = base_logit[sub] + u
-    p_true = 1.0 / (1.0 + np.exp(-true_logit))
+    p_true = sigmoid(true_logit)
     y = (rng.random(n) < p_true).astype(np.int64)
     margins = true_logit + np.asarray(spec.miscal_offsets)[sub]
     ds = Dataset(X, y,

@@ -42,11 +42,7 @@ class ClusteredCalibrator:
     def infer(self, scores: ScoreSet, E: EmbeddingMatrix | np.ndarray):
         """Calibrated probabilities plus the cluster labels used."""
         labels = assign(self.cluster_model, E)
-        out = np.empty(len(scores))
-        for c in np.unique(labels):
-            mask = labels == c
-            out[mask] = self.resolve(c).apply(scores.take(mask))
-        return out, labels
+        return cal_mod._apply_by_group(labels, self.resolve, scores), labels
 
     # serialization -------------------------------------------------------
     def to_dict(self) -> dict:

@@ -8,7 +8,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -99,22 +99,20 @@ class ExperimentConfig:
             raise ConfigError("synthetic_scores requires a synthetic data source")
         if self.clustering.get("method", "kmeans") not in ("kmeans", "agglomerative"):
             raise ConfigError(f"unknown clustering method {self.clustering.get('method')!r}")
-        for name, allowed in (("metric_opts", {"n_bins", "scheme", "cece_base"}),
-                              ("ccl_opts", {"min_fit_size", "fit_opts"})):
-            unknown = set(getattr(self, name)) - allowed
+        for name, section, allowed in (
+                ("metric_opts", self.metric_opts, {"n_bins", "scheme", "cece_base"}),
+                ("ccl_opts", self.ccl_opts, {"min_fit_size", "fit_opts"}),
+                ("clustering", self.clustering, {"method", "k", "elbow", "min_cluster_size"}),
+                ("embedding", self.embedding, {"kind", "opts", "path"}),
+                ("embedding.opts", self.embedding.get("opts", {}),
+                 {"standardize", "topk_fraction"})):
+            unknown = set(section) - allowed
             if unknown:
                 raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
     def canonical(self) -> dict:
-        return {
-            "data": self.data, "model": self.model,
-            "split_ratios": list(self.split_ratios), "stratify": self.stratify,
-            "embedding": self.embedding, "clustering": self.clustering,
-            "methods": list(self.methods), "metric_opts": self.metric_opts,
-            "ccl_opts": self.ccl_opts,
-            "rejection_thresholds": list(self.rejection_thresholds),
-            "seed": self.seed,
-        }
+        """Every field but ``out``, the part of the config that shapes the results."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
 
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
@@ -169,7 +167,6 @@ class RunState:
     calibrated: dict = field(default_factory=dict)    # variant -> test probabilities
     unified: dict = field(default_factory=dict)       # method -> Calibrator
     ccl: dict = field(default_factory=dict)           # method -> ClusteredCalibrator
-    improved: dict = field(default_factory=dict)      # method -> improved fraction
     bins: dict = field(default_factory=dict)          # variant -> BinStats
     rejection: dict = field(default_factory=dict)     # variant -> RejectionCurve
     report: EvalReport | None = None
@@ -236,20 +233,15 @@ def _calibrate(r: RunState):
     r.calibrated["base"] = r.scores.probabilities[te_idx]
     for method in cfg.methods:
         uni = r.unified[method] = cal_mod.fit(method, cal_data, cfg.ccl_opts.get("fit_opts"))
-        p_uni = r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
+        r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
         if method in PARAMETRIC_METHODS:
             ccl = r.ccl[method] = train_clustered(cal_data, cal_clusters, r.cm, method, uni,
                                                   cfg.ccl_opts)
-            p_ccl = r.calibrated[f"{method}_ccl"] = ccl.infer(te_scores, te_E)[0]
-            r.improved[method] = improved_sample_fraction(p_ccl, p_uni, r.te_clusters,
-                                                          y[te_idx])
+            r.calibrated[f"{method}_ccl"] = ccl.infer(te_scores, te_E)[0]
 
 
-def _eval_variant(p, y, cluster_labels, mopts):
+def _eval_variant(p, y, cluster_labels, n_bins, scheme, base):
     """One report row's metrics, and the ECE bins they were computed from."""
-    n_bins = int(mopts.get("n_bins", 10))
-    scheme = mopts.get("scheme", "equal_width")
-    base = mopts.get("cece_base", "ece")
     out = {}
     out["CECE"] = cece(p, y, cluster_labels, base)[0]
     out["ECE"], bins = ece(p, y, n_bins, scheme)
@@ -263,9 +255,12 @@ def _eval_variant(p, y, cluster_labels, mopts):
 def _evaluate(r: RunState):
     cfg, y_te = r.cfg, r.ds.labels[r.splits.test]
     thresholds = np.asarray(cfg.rejection_thresholds)
+    n_bins = int(cfg.metric_opts.get("n_bins", 10))
+    scheme = cfg.metric_opts.get("scheme", "equal_width")
+    base = cfg.metric_opts.get("cece_base", "ece")
     rows = []
     for variant, p in r.calibrated.items():
-        metrics, r.bins[variant] = _eval_variant(p, y_te, r.te_clusters, cfg.metric_opts)
+        metrics, r.bins[variant] = _eval_variant(p, y_te, r.te_clusters, n_bins, scheme, base)
         # variants are "base", "<method>_unified" and "<method>_ccl"
         rows.append(dict(method=variant.rsplit("_", 1)[0], variant=variant, **metrics))
         r.rejection[variant] = rejection_curve(p, y_te, thresholds)
@@ -278,7 +273,10 @@ def _evaluate(r: RunState):
             "k": r.cm.k,
             "elbow_curve": r.elbow_curve,
         },
-        improved_fractions=r.improved,
+        improved_fractions={
+            m: improved_sample_fraction(r.calibrated[f"{m}_ccl"], r.calibrated[f"{m}_unified"],
+                                        r.te_clusters, y_te, n_bins)
+            for m in r.ccl},
         provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed},
     )
 
@@ -402,6 +400,15 @@ def _persist(r: RunState):
 
 # analysis ----------------------------------------------------------------
 
+# name -> metric(p, y, n_bins) of paired_resample_test
+_TEST_METRICS = {
+    "ece": lambda p, y, m: ece(p, y, m)[0],
+    "adaece": lambda p, y, m: ada_ece(p, y, min(m, len(p)))[0],
+    "auc": lambda p, y, m: auc(p, y)[0],
+    "brier": lambda p, y, m: scalar_metrics(p, y)["MSE_brier"],
+}
+
+
 def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 0.3,
                          iterations: int = 30, seed: int = 0,
                          n_bins: int = 10) -> PairedTestResult:
@@ -431,18 +438,8 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
         raise ConfigError("fraction must be in (0, 1]")
     if iterations < 2:
         raise ConfigError("need at least 2 iterations")
-    if metric not in ("ece", "adaece", "auc", "brier"):
-        raise ConfigError(f"unknown test metric {metric!r}")
-
-    def metric_fn(p, yy):
-        if metric == "ece":
-            return ece(p, yy, n_bins)[0]
-        if metric == "adaece":
-            return ada_ece(p, yy, min(n_bins, len(p)))[0]
-        if metric == "auc":
-            return auc(p, yy)[0]
-        if metric == "brier":
-            return scalar_metrics(p, yy)["MSE_brier"]
+    metric_fn = _TEST_METRICS.get(metric)
+    if metric_fn is None:
         raise ConfigError(f"unknown test metric {metric!r}")
 
     m = max(1, int(math.floor(fraction * len(y))))
@@ -457,7 +454,7 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
             resampled += 1
         else:
             raise StageError(f"metric {metric!r} undefined on all resamples")
-        diffs[i] = metric_fn(a[idx], y[idx]) - metric_fn(b[idx], y[idx])
+        diffs[i] = metric_fn(a[idx], y[idx], n_bins) - metric_fn(b[idx], y[idx], n_bins)
     sd = float(np.std(diffs, ddof=1))
     dof = iterations - 1
     if sd == 0.0:

@@ -109,28 +109,38 @@ def _binned(p, y, m, scheme):
     return _stats_from_ids(p, y, _bin_ids(p, m, scheme), m, scheme)
 
 
+def _gap(stats: BinStats, n: int, base: str) -> float:
+    """The binned error of ``stats`` over ``n`` samples: ``"ece"`` is the
+    count-weighted mean absolute gap, ``"mce"`` the largest absolute gap over
+    non-empty bins, ``"adaece"`` the root count-weighted squared gap."""
+    gaps = stats.obs_rate - stats.mean_pred
+    if base == "ece":
+        return float(np.sum(stats.counts * np.abs(gaps)) / n)
+    if base == "mce":
+        return float(np.abs(gaps)[stats.counts > 0].max(initial=0.0))
+    if base == "adaece":
+        return float(np.sqrt(np.sum(stats.counts * gaps ** 2) / n))
+    raise ValueError(f"unknown base metric {base!r}")
+
+
 def ece(p, y, m: int = 10, scheme: str = "equal_width"):
     """Expected calibration error: count-weighted mean absolute bin gap."""
     stats = _binned(p, y, m, scheme)
-    val = float(np.sum(stats.counts * np.abs(stats.obs_rate - stats.mean_pred)) / len(p))
-    return val, stats
+    return _gap(stats, len(p), "ece"), stats
 
 
 def mce(p, y, m: int = 10, scheme: str = "equal_width"):
     """Maximum calibration error over non-empty bins."""
     stats = _binned(p, y, m, scheme)
-    gaps = np.abs(stats.obs_rate - stats.mean_pred)[stats.counts > 0]
-    return float(gaps.max(initial=0.0)), stats
+    return _gap(stats, len(p), "mce"), stats
 
 
 def ada_ece(p, y, m: int = 10):
     """Adaptive ECE: root count-weighted squared bin gap over equal-mass bins."""
-    p, y = _check_lengths(p, y)
+    stats = _binned(p, y, m, "equal_mass")
     if m > len(p):
         raise ValueError("more bins than samples")
-    stats = _binned(p, y, m, "equal_mass")
-    val = float(np.sqrt(np.sum(stats.counts * (stats.obs_rate - stats.mean_pred) ** 2) / len(p)))
-    return val, stats
+    return _gap(stats, len(p), "adaece"), stats
 
 
 def cece(p, y, cluster_labels, base: str = "ece"):
@@ -143,18 +153,8 @@ def cece(p, y, cluster_labels, base: str = "ece"):
     ids = np.asarray(cluster_labels, dtype=np.int64)
     if ids.shape != p.shape:
         raise ValueError("cluster labels length mismatch")
-    k = int(ids.max()) + 1 if len(ids) else 0
-    stats = _stats_from_ids(p, y, ids, k, "cluster")
-    gaps = stats.obs_rate - stats.mean_pred
-    if base == "ece":
-        val = float(np.sum(stats.counts * np.abs(gaps)) / len(p))
-    elif base == "mce":
-        val = float(np.abs(gaps)[stats.counts > 0].max(initial=0.0))
-    elif base == "adaece":
-        val = float(np.sqrt(np.sum(stats.counts * gaps ** 2) / len(p)))
-    else:
-        raise ValueError(f"unknown base metric {base!r}")
-    return val, stats
+    stats = _stats_from_ids(p, y, ids, int(ids.max()) + 1, "cluster")
+    return _gap(stats, len(p), base), stats
 
 
 def auc(scores, y):

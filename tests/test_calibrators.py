@@ -168,6 +168,87 @@ class TestBinnedFits:
         assert ((out > 0) & (out < 1)).all()
 
 
+def ref_equal_mass_edges(probs, m):
+    """The per-block loop that ``_equal_mass_edges`` replaced."""
+    order = np.argsort(probs, kind="stable")
+    ids = np.empty(len(probs), dtype=np.int64)
+    blocks = np.array_split(order, m)
+    edges = np.zeros(m + 1)
+    edges[m] = 1.0
+    prev_max = None
+    for i, blk in enumerate(blocks):
+        ids[blk] = i
+        if i > 0:
+            lo = probs[blk].min() if len(blk) else prev_max
+            edges[i] = (prev_max + lo) / 2 if prev_max is not None else 0.0
+        prev_max = probs[blk].max() if len(blk) else prev_max
+    return ids, edges
+
+
+def ref_histogram_outputs(ids, y, m, laplace):
+    """The per-bin mask loop that ``_fit_histogram`` replaced."""
+    outputs = np.empty(m)
+    for b in range(m):
+        mask = ids == b
+        n_b, k_b = int(mask.sum()), int(y[mask].sum())
+        outputs[b] = (k_b + 1) / (n_b + 2) if laplace else (k_b / n_b if n_b else 0.5)
+    return outputs
+
+
+def ref_platt_bin_apply(cal, scores):
+    """The per-bin apply loop that platt_bin's transform replaced."""
+    idx = cal_mod._bin_lookup(np.asarray(cal.params["edges"]), scores.probabilities)
+    out = np.empty(len(scores))
+    for b, sub in enumerate(cal.params["bins"]):
+        mask = idx == b
+        if mask.any():
+            out[mask] = sub.apply(scores.take(mask))
+    return np.clip(out, 1e-6, 1 - 1e-6)
+
+
+class TestBinningOracle:
+    """Equal-mass bins, histogram outputs and platt_bin's apply equal the old
+    loops bit for bit."""
+
+    @staticmethod
+    def draws():
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 3, 10, 41, 200):
+            for ties in (False, True):
+                p = rng.uniform(size=n)
+                if ties:  # few distinct values, so blocks start inside runs of ties
+                    p = np.round(p * 4) / 4
+                y = rng.integers(0, 2, size=n)
+                for m in sorted({1, 2, 3, 7, n // 2, n - 1, n} & set(range(1, n + 1))):
+                    yield p, y, m
+
+    def test_ids_and_edges(self):
+        for p, _, m in self.draws():
+            ids, edges = cal_mod._equal_mass_edges(p, m)
+            want_ids, want_edges = ref_equal_mass_edges(p, m)
+            np.testing.assert_array_equal(ids, want_ids)
+            assert edges.tobytes() == want_edges.tobytes()
+
+    @pytest.mark.parametrize("laplace", [True, False])
+    def test_histogram_outputs(self, laplace):
+        for p, y, m in self.draws():
+            cal = cal_mod._fit_histogram(p, y, m, laplace)
+            want_ids, want_edges = ref_equal_mass_edges(p, m)
+            want = ref_histogram_outputs(want_ids, y, m, laplace)
+            assert cal.params["outputs"].tobytes() == want.tobytes()
+            assert cal.params["edges"].tobytes() == want_edges.tobytes()
+
+    def test_platt_bin_apply(self):
+        data = logistic_data(n=120, seed=3)
+        rng = np.random.default_rng(4)
+        for m in (1, 4, 10):
+            cal = fit("platt_bin", data, {"n_bins": m})
+            # the first 20 draws fall in one bin, so the other bins get no rows
+            for margins in (data.margins, rng.normal(size=300) * 3, np.full(20, -4.0)):
+                scores = ScoreSet.from_margins(margins)
+                assert cal.apply(scores).tobytes() == ref_platt_bin_apply(cal, scores).tobytes()
+
+
 class TestDegenerateFits:
     def test_single_class_falls_back_to_laplace_constant(self):
         data = FitData(np.ones(5), np.full(5, 0.7), np.ones(5, dtype=int))

@@ -1,5 +1,6 @@
 """Experiment orchestration, significance testing and model selection."""
 
+import dataclasses
 import json
 import os
 
@@ -11,6 +12,7 @@ from clustercal.harness import (
     ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError,
     paired_resample_test, rejection_selection, run_experiment, run_stages, select_model,
 )
+from clustercal.ensemble import improved_sample_fraction
 from clustercal.metrics import auc, cece, ece
 
 
@@ -56,6 +58,19 @@ class TestConfig:
         with pytest.raises(ConfigError, match=r"unknown metric_opts keys: \['n_bin'\]"):
             synth_config(metric_opts={"n_bin": 15, "scheme": "equal_width"})
 
+    def test_unknown_clustering_key_rejected(self):
+        # "K" would be ignored and the default elbow grid would pick k
+        with pytest.raises(ConfigError, match=r"unknown clustering keys: \['K'\]"):
+            synth_config(clustering={"method": "kmeans", "K": 4})
+
+    def test_unknown_embedding_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown embedding keys: \['opt'\]"):
+            synth_config(embedding={"kind": "raw", "opt": {"standardize": False}})
+
+    def test_unknown_embedding_opts_key_rejected(self):
+        with pytest.raises(ConfigError, match=r"unknown embedding.opts keys: \['standardise'\]"):
+            synth_config(embedding={"kind": "raw", "opts": {"standardise": False}})
+
     def test_missing_csv_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             ExperimentConfig.from_dict(
@@ -67,6 +82,12 @@ class TestConfig:
         assert synth_config(seed=2).config_hash() != a.config_hash()
         # the output directory is not part of the hashed payload
         assert a.config_hash() == synth_config(seed=1, out="/tmp/x").config_hash()
+
+    def test_config_hash_covers_every_field_but_out(self):
+        cfg = synth_config()
+        for f in dataclasses.fields(cfg):
+            changed = dataclasses.replace(cfg, **{f.name: "changed"})
+            assert (changed.config_hash() == cfg.config_hash()) == (f.name == "out"), f.name
 
 
 # stage -> config overrides that make it fail
@@ -122,6 +143,16 @@ class TestRunExperiment:
             p, y = rows[:, 0], rows[:, 1].astype(int)
             assert ece(p, y, 10)[0] == pytest.approx(row["ECE"], abs=1e-12)
             assert auc(p, y)[0] == pytest.approx(row["AUC"], abs=1e-12)
+
+    def test_improved_fractions_use_the_report_bins(self):
+        r = run_stages(synth_config(methods=("platt", "beta"), metric_opts={"n_bins": 5}))
+        y_te = r.ds.labels[r.splits.test]
+
+        def improved(m, n_bins):
+            return improved_sample_fraction(r.calibrated[f"{m}_ccl"], r.calibrated[f"{m}_unified"],
+                                            r.te_clusters, y_te, n_bins)
+        assert r.report.improved_fractions == {m: improved(m, 5) for m in ("platt", "beta")}
+        assert improved("platt", 5) != improved("platt", 10)  # so the bin count shows
 
     def test_ensembles_reuse_the_unified_calibrator_as_fallback(self):
         methods = ("platt", "temperature", "beta", "dirichlet2", "isotonic")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercal.metrics import (
-    ada_ece, auc, cece, ece, mce, reliability_data, rejection_curve, scalar_metrics,
+    _bin_ids, ada_ece, auc, cece, ece, mce, reliability_data, rejection_curve, scalar_metrics,
 )
 
 HAND_P = np.array([0.2, 0.3, 0.7, 0.9])
@@ -25,6 +25,15 @@ def brute_auc(s, y):
             elif s[i] == s[j]:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def ref_gap(stats, n, base):
+    """The separate ECE, MCE and AdaECE expressions that one kernel replaced."""
+    if base == "ece":
+        return float(np.sum(stats.counts * np.abs(stats.obs_rate - stats.mean_pred)) / n)
+    if base == "mce":
+        return float(np.abs(stats.obs_rate - stats.mean_pred)[stats.counts > 0].max(initial=0.0))
+    return float(np.sqrt(np.sum(stats.counts * (stats.obs_rate - stats.mean_pred) ** 2) / n))
 
 
 class TestHandFixture:
@@ -152,6 +161,28 @@ class TestCece:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             cece(np.array([0.5, 0.5]), np.array([0, 1]), np.array([0]))
+
+    @pytest.mark.parametrize("m", [1, 3, 10, 25])
+    def test_equals_binned_metrics_on_their_own_bins(self, m):
+        # one error kernel over the same bins gives the same floats, which are
+        # those of the per-metric expressions it replaced
+        rng = np.random.default_rng(m)
+        for ties in (False, True):
+            p = rng.uniform(size=60)
+            if ties:
+                p = np.round(p * 8) / 8
+            p[0] = 1.0  # the top bin is occupied, so cece sees all m bins
+            y = rng.integers(0, 2, size=60)
+            for scheme in ("equal_width", "equal_mass"):
+                ids = _bin_ids(p, m, scheme)
+                assert ids.max() == m - 1
+                val, stats = ece(p, y, m, scheme)
+                assert cece(p, y, ids, "ece")[0] == val == ref_gap(stats, 60, "ece")
+                val, stats = mce(p, y, m, scheme)
+                assert cece(p, y, ids, "mce")[0] == val == ref_gap(stats, 60, "mce")
+            ids = _bin_ids(p, m, "equal_mass")
+            val, stats = ada_ece(p, y, m)
+            assert cece(p, y, ids, "adaece")[0] == val == ref_gap(stats, 60, "adaece")
 
 
 class TestAuc:
