@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _bin_ids
+from .metrics import _bin_ids, _labels, _probabilities
 from .scores import ScoreSet, sigmoid
 
 __all__ = [
@@ -50,16 +50,12 @@ class FitData:
 
     def __post_init__(self):
         m = np.asarray(self.margins, dtype=np.float64)
-        p = np.asarray(self.probabilities, dtype=np.float64)
-        y = np.asarray(self.labels)
+        p = _probabilities(self.probabilities, "probabilities")
+        y = _labels(self.labels, "labels")
         if not (m.shape == p.shape == y.shape) or m.ndim != 1 or len(m) < 1:
             raise ValueError("margins, probabilities, labels must be equal-length, non-empty")
-        if not ((y == 0) | (y == 1)).all():
-            raise ValueError("labels must be 0 or 1")
         if not np.isfinite(m).all():
             raise ValueError("margins must be finite")
-        if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
-            raise ValueError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "margins", m)
         object.__setattr__(self, "probabilities", p)
         object.__setattr__(self, "labels", y.astype(np.int64))
@@ -88,17 +84,20 @@ class Calibrator:
             return q["A"] < 0
         if m == "temperature":
             return True
-        if m == "dirichlet2":
-            return q["w1"] > 0 and q["w2"] < 0
-        if m == "beta":
-            return q["a"] > 0 and q["b"] > 0
-        if m == "isotonic":
-            v = np.asarray(q["values"])
-            return bool(len(v) > 1 and (np.diff(v) > 0).all())
-        if m == "histogram":
-            v = np.asarray(q["outputs"])
+        if m in ("beta", "dirichlet2"):
+            a, b, _ = self._beta_coefs()
+            return a > 0 and b > 0
+        if m in ("isotonic", "histogram"):
+            v = np.asarray(q["values" if m == "isotonic" else "outputs"])
             return bool(len(v) > 1 and (np.diff(v) > 0).all())
         return False
+
+    def _beta_coefs(self) -> tuple:
+        """(a, b, c) of sigmoid(a ln p - b ln(1 - p) + c); dirichlet2's is (w1, -w2, c)."""
+        q = self.params
+        if self.method == "beta":
+            return q["a"], q["b"], q["c"]
+        return q["w1"], -q["w2"], q["c"]
 
     def apply(self, scores: ScoreSet) -> np.ndarray:
         if self.method in MARGIN_METHODS or self.method == "platt_bin":
@@ -116,11 +115,8 @@ class Calibrator:
             return sigmoid(scores.margins / q["T"])
         if self.method in ("beta", "dirichlet2"):
             p = np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS)
-            if self.method == "beta":
-                z = q["a"] * np.log(p) - q["b"] * np.log1p(-p) + q["c"]
-            else:
-                z = q["w1"] * np.log(p) + q["w2"] * np.log1p(-p) + q["c"]
-            return sigmoid(z)
+            a, b, c = self._beta_coefs()
+            return sigmoid(a * np.log(p) - b * np.log1p(-p) + c)
         if self.method == "histogram":
             idx = _bin_lookup(np.asarray(q["edges"]), scores.probabilities)
             return np.asarray(q["outputs"])[idx]

@@ -119,7 +119,6 @@ def main(argv=None) -> int:
             cfg.out = args.out
         if cfg.out is None:
             raise ConfigError("an output directory is required (--out or config 'out')")
-        cfg.validate()
     except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

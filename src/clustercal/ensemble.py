@@ -135,17 +135,19 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str,
     return ClusteredCalibrator(cm, method, calibrators, fallback, min_fit_size, meta)
 
 
-def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10) -> float:
-    """Fraction of samples in clusters whose within-cluster calibration error
-    is strictly lower under the clustered probabilities ``p_cluster`` than
-    under the unified ones ``p_unified``; ``labels`` are the cluster ids."""
+def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10,
+                             scheme: str = "equal_width") -> float:
+    """Fraction of samples in clusters whose within-cluster ECE (binned by
+    ``scheme``) is strictly lower under the clustered probabilities
+    ``p_cluster`` than under the unified ones ``p_unified``; ``labels`` are
+    the cluster ids."""
     p_cluster, p_unified, labels, y = map(np.asarray, (p_cluster, p_unified, labels, y))
     improved = 0
     for c in np.unique(labels):
         mask = labels == c
         m = min(n_bins, int(mask.sum()))
-        e_ccl, _ = ece(p_cluster[mask], y[mask], m)
-        e_uni, _ = ece(p_unified[mask], y[mask], m)
+        e_ccl, _ = ece(p_cluster[mask], y[mask], m, scheme)
+        e_uni, _ = ece(p_unified[mask], y[mask], m, scheme)
         if e_ccl < e_uni:
             improved += int(mask.sum())
     return improved / len(y)

@@ -249,17 +249,13 @@ def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
                 np.asarray(value), np.asarray(cover))
 
 
-def fit_gbt(train: Dataset, params: GBTParams | dict | None = None) -> TreeEnsemble:
+def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
     """Train a boosted-tree binary classifier on the training split.
 
     Training is deterministic: exact greedy boosting draws no random numbers.
     Each feature is sorted once per fit; every node scans the presorted
     order of its rows, so no node sorts.
     """
-    if params is None:
-        params = GBTParams()
-    elif isinstance(params, dict):
-        params = GBTParams(**params)
     X, y = train.features, train.labels.astype(np.float64)
     if (y == y[0]).all():
         raise ValueError("training set has a single class")

@@ -20,7 +20,9 @@ from .data import (
 )
 from .ensemble import improved_sample_fraction, train_clustered
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict
-from .metrics import ada_ece, auc, cece, ece, mce, rejection_curve, scalar_metrics
+from .metrics import (
+    _labels, _probabilities, ada_ece, auc, cece, ece, mce, rejection_curve, scalar_metrics,
+)
 from .representation import (
     ClusterDiagnostics, ClusterModel, EmbeddingMatrix, build_embedding, assign, diagnostics,
     fit_agglomerative, fit_kmeans, select_k_elbow,
@@ -83,6 +85,16 @@ class ExperimentConfig:
             return cls.from_dict(json.load(fh))
 
     def validate(self) -> None:
+        for name, section, allowed in (
+                ("data", self.data, None),
+                ("model", self.model, None),
+                ("metric_opts", self.metric_opts, {"n_bins", "scheme", "cece_base"}),
+                ("ccl_opts", self.ccl_opts, {"min_fit_size", "fit_opts"}),
+                ("clustering", self.clustering, {"method", "k", "elbow", "min_cluster_size"}),
+                ("embedding", self.embedding, {"kind", "opts", "path"})):
+            _check_section(name, section, allowed)
+        _check_section("embedding.opts", self.embedding.get("opts", {}),
+                       {"standardize", "topk_fraction"})
         if sum(k in self.data for k in ("csv", "synthetic")) != 1:
             raise ConfigError("config needs exactly one data source: csv or synthetic")
         if "csv" in self.data and not os.path.exists(self.data["csv"]["path"]):
@@ -99,16 +111,6 @@ class ExperimentConfig:
             raise ConfigError("synthetic_scores requires a synthetic data source")
         if self.clustering.get("method", "kmeans") not in ("kmeans", "agglomerative"):
             raise ConfigError(f"unknown clustering method {self.clustering.get('method')!r}")
-        for name, section, allowed in (
-                ("metric_opts", self.metric_opts, {"n_bins", "scheme", "cece_base"}),
-                ("ccl_opts", self.ccl_opts, {"min_fit_size", "fit_opts"}),
-                ("clustering", self.clustering, {"method", "k", "elbow", "min_cluster_size"}),
-                ("embedding", self.embedding, {"kind", "opts", "path"}),
-                ("embedding.opts", self.embedding.get("opts", {}),
-                 {"standardize", "topk_fraction"})):
-            unknown = set(section) - allowed
-            if unknown:
-                raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
     def canonical(self) -> dict:
         """Every field but ``out``, the part of the config that shapes the results."""
@@ -117,6 +119,15 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         blob = json.dumps(self.canonical(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()
+
+
+def _check_section(name: str, section, allowed) -> None:
+    """``section`` must be a dict whose keys lie in ``allowed`` (any keys when None)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {type(section).__name__}")
+    unknown = set() if allowed is None else set(section) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
 
 
 @dataclass
@@ -193,7 +204,7 @@ def _model(r: RunState):
         r.scores = load_external_scores(cfg.model["external_scores"],
                                         expected_ids=ds.sample_ids)
     else:
-        r.scores = ScoreSet.from_margins(r.synth_margins, source="external")
+        r.scores = ScoreSet.from_margins(r.synth_margins)
 
 
 def _embedding(r: RunState):
@@ -275,7 +286,7 @@ def _evaluate(r: RunState):
         },
         improved_fractions={
             m: improved_sample_fraction(r.calibrated[f"{m}_ccl"], r.calibrated[f"{m}_unified"],
-                                        r.te_clusters, y_te, n_bins)
+                                        r.te_clusters, y_te, n_bins, scheme)
             for m in r.ccl},
         provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed},
     )
@@ -424,16 +435,11 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
     ``scores_a`` and ``scores_b`` must be finite probabilities in [0, 1] and
     ``y`` 0/1 labels; anything else raises ``ValueError``.
     """
-    a = np.asarray(scores_a, dtype=np.float64)
-    b = np.asarray(scores_b, dtype=np.float64)
-    y = np.asarray(y)
+    a = _probabilities(scores_a, "scores_a")
+    b = _probabilities(scores_b, "scores_b")
+    y = _labels(y, "y")
     if not (a.shape == b.shape == y.shape):
         raise ValueError("inputs must be aligned")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("y must hold 0/1 labels")
-    for name, p in (("scores_a", a), ("scores_b", b)):
-        if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
-            raise ValueError(f"{name} must be finite probabilities in [0, 1]")
     if not 0 < fraction <= 1:
         raise ConfigError("fraction must be in (0, 1]")
     if iterations < 2:
@@ -511,11 +517,9 @@ def rejection_selection(models: dict, y, thresholds=None) -> list:
     """
     if len(models) < 2:
         raise ValueError("need at least 2 models to compare")
-    if thresholds is None:
-        thresholds = np.arange(0.0, 0.91, 0.1)
     curves = {name: rejection_curve(p, y, thresholds) for name, p in models.items()}
     rows = []
-    for i, t in enumerate(np.asarray(thresholds, dtype=np.float64)):
+    for i, t in enumerate(next(iter(curves.values())).thresholds):
         errors = {name: float(c.error_rate[i]) for name, c in curves.items()}
         best = min(errors.values())
         winners = sorted(n for n, e in errors.items() if e == best)

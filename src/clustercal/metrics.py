@@ -24,6 +24,8 @@ __all__ = [
 ]
 
 CE_EPS = 1e-12
+# ACC and the rejection error count a sample as predicted positive at p >= this.
+DECISION_THRESHOLD = 0.5
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,6 @@ class BinStats:
     counts: np.ndarray      # (M,) int
     obs_rate: np.ndarray    # (M,) float, 0 for empty bins
     mean_pred: np.ndarray   # (M,) float, 0 for empty bins
-    scheme: str             # equal_width | equal_mass | cluster
-    n_bins: int
 
     def as_rows(self):
         return [
@@ -59,6 +59,22 @@ class RejectionCurve:
     rejection_rate: np.ndarray
 
 
+def _labels(y, name: str) -> np.ndarray:
+    """The label rule of every boundary: each entry of ``y`` is 0 or 1."""
+    y = np.asarray(y)
+    if not ((y == 0) | (y == 1)).all():  # also false for NaN
+        raise ValueError(f"{name} must hold 0/1 labels")
+    return y
+
+
+def _probabilities(p, name: str) -> np.ndarray:
+    """The probability rule of every boundary: each entry of ``p`` is finite, in [0, 1]."""
+    p = np.asarray(p, dtype=np.float64)
+    if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
+        raise ValueError(f"{name} must be finite, with no value outside [0, 1]")
+    return p
+
+
 def _check_lengths(p, y):
     p = np.asarray(p, dtype=np.float64)
     y = np.asarray(y)
@@ -66,17 +82,13 @@ def _check_lengths(p, y):
         raise ValueError(f"length mismatch: {p.shape} vs {y.shape}")
     if p.size == 0:
         raise ValueError("empty input")
-    if not ((y == 0) | (y == 1)).all():
-        raise ValueError("labels must be 0 or 1")
-    return p, y
+    return p, _labels(y, "y")
 
 
 def _check_probs(p, y):
-    """_check_lengths plus probabilities that are finite and lie in [0, 1]."""
+    """_check_lengths plus the probability rule."""
     p, y = _check_lengths(p, y)
-    if not ((p >= 0) & (p <= 1)).all():  # also false for NaN
-        raise ValueError("probabilities must be finite and lie in [0, 1]")
-    return p, y
+    return _probabilities(p, "probabilities"), y
 
 
 def _bin_ids(p, m, scheme):
@@ -94,19 +106,19 @@ def _bin_ids(p, m, scheme):
     return ids
 
 
-def _stats_from_ids(p, y, ids, m, scheme) -> BinStats:
+def _stats_from_ids(p, y, ids, m) -> BinStats:
     counts = np.bincount(ids, minlength=m)
     sums_y = np.bincount(ids, weights=y, minlength=m)
     sums_p = np.bincount(ids, weights=p, minlength=m)
     safe = np.maximum(counts, 1)
-    return BinStats(counts, sums_y / safe, sums_p / safe, scheme, m)
+    return BinStats(counts, sums_y / safe, sums_p / safe)
 
 
 def _binned(p, y, m, scheme):
     p, y = _check_probs(p, y)
     if m < 1:
         raise ValueError("need at least one bin")
-    return _stats_from_ids(p, y, _bin_ids(p, m, scheme), m, scheme)
+    return _stats_from_ids(p, y, _bin_ids(p, m, scheme), m)
 
 
 def _gap(stats: BinStats, n: int, base: str) -> float:
@@ -153,7 +165,7 @@ def cece(p, y, cluster_labels, base: str = "ece"):
     ids = np.asarray(cluster_labels, dtype=np.int64)
     if ids.shape != p.shape:
         raise ValueError("cluster labels length mismatch")
-    stats = _stats_from_ids(p, y, ids, int(ids.max()) + 1, "cluster")
+    stats = _stats_from_ids(p, y, ids, int(ids.max()) + 1)
     return _gap(stats, len(p), base), stats
 
 
@@ -178,11 +190,11 @@ def auc(scores, y):
     return float(val), RocCurve(fpr, tpr)
 
 
-def scalar_metrics(p, y, decision_threshold: float = 0.5):
+def scalar_metrics(p, y):
     """Accuracy, cross-entropy, Brier score and its root."""
     p, y = _check_probs(p, y)
     pc = np.clip(p, CE_EPS, 1 - CE_EPS)
-    acc = float(np.mean((p >= decision_threshold).astype(np.int64) == y))
+    acc = float(np.mean((p >= DECISION_THRESHOLD).astype(np.int64) == y))
     cross = float(-np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc)))
     brier = float(np.mean((y - p) ** 2))
     return {"ACC": acc, "CE": cross, "MSE_brier": brier, "RMSE": float(np.sqrt(brier))}
@@ -198,10 +210,10 @@ def reliability_data(p, y, m: int = 10, scheme: str = "equal_width"):
     return rows, stats
 
 
-def rejection_curve(p, y, thresholds=None, decision_threshold: float = 0.5) -> RejectionCurve:
+def rejection_curve(p, y, thresholds=None) -> RejectionCurve:
     """Accept samples whose uncertainty ``2*min(p, 1-p)`` is at most ``t``.
 
-    Error is the misclassification rate at ``decision_threshold`` among
+    Error is the misclassification rate at ``DECISION_THRESHOLD`` among
     accepted samples; an empty accepted set reports error 0 with count 0.
     """
     p, y = _check_probs(p, y)
@@ -211,7 +223,7 @@ def rejection_curve(p, y, thresholds=None, decision_threshold: float = 0.5) -> R
     if ((t < 0) | (t > 1)).any():
         raise ValueError("thresholds must lie in [0, 1]")
     u = 2.0 * np.minimum(p, 1.0 - p)
-    wrong = (p >= decision_threshold).astype(np.int64) != y
+    wrong = (p >= DECISION_THRESHOLD).astype(np.int64) != y
     accepted = np.empty(len(t), dtype=np.int64)
     err = np.empty(len(t))
     for i, ti in enumerate(t):

@@ -26,14 +26,13 @@ __all__ = [
 ]
 
 EMBEDDING_KINDS = ("shap", "leaf", "raw", "topk", "external")
+KMEANS_MAX_ITER = 300
 
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
     kind: str
     vectors: np.ndarray                   # (N, m)
-    standardize_mean: np.ndarray | None = None
-    standardize_std: np.ndarray | None = None
 
     def __post_init__(self):
         V = np.asarray(self.vectors, dtype=np.float64)
@@ -49,19 +48,12 @@ class EmbeddingMatrix:
     def m(self) -> int:
         return self.vectors.shape[1]
 
-    def transform_like(self, raw_vectors: np.ndarray) -> np.ndarray:
-        """Apply this embedding's standardization to new raw vectors."""
-        V = np.asarray(raw_vectors, dtype=np.float64)
-        if self.standardize_mean is not None:
-            V = (V - self.standardize_mean) / self.standardize_std
-        return V
-
 
 def _standardize(V):
     mean = V.mean(axis=0)
     std = V.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    return (V - mean) / std, mean, std
+    return (V - mean) / std
 
 
 def topk_feature_indices(ens: TreeEnsemble, fraction: float) -> np.ndarray:
@@ -96,8 +88,7 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
     if kind == "shap":
         phi, _ = shap_values(ens, ds.features)
         if opts.get("standardize", False):
-            V, mean, std = _standardize(phi)
-            return EmbeddingMatrix(kind, V, mean, std)
+            phi = _standardize(phi)
         return EmbeddingMatrix(kind, phi)
     if kind == "leaf":
         leaves = leaf_indices(ens, ds.features)
@@ -118,8 +109,7 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
         else:
             V = ds.features
         if opts.get("standardize", True):
-            V, mean, std = _standardize(V)
-            return EmbeddingMatrix(kind, V, mean, std)
+            return EmbeddingMatrix(kind, _standardize(V))
         return EmbeddingMatrix(kind, np.array(V))
     if kind == "external":
         V = np.asarray(opts["vectors"], dtype=np.float64)
@@ -216,9 +206,9 @@ def _kmeans_pp_init(V, k, rng):
     return centroids
 
 
-def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0,
-               max_iter: int = 300) -> ClusterModel:
-    """Lloyd's algorithm from a k-means++ start; deterministic given seed.
+def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0) -> ClusterModel:
+    """Lloyd's algorithm from a k-means++ start, at most ``KMEANS_MAX_ITER``
+    steps; deterministic given seed.
 
     Each step sums every cluster's rows in row order with one ``bincount``
     per embedding column. An empty cluster, taken in increasing id order, is
@@ -233,7 +223,7 @@ def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0,
     C = _kmeans_pp_init(V, k, rng)
     VT = np.ascontiguousarray(V.T)  # bincount reads each column contiguously
     labels = np.full(len(V), -1)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         new_labels, d = _assign_nearest(V, C)
         sizes = np.bincount(new_labels, minlength=k)
         for j in np.flatnonzero(sizes == 0):

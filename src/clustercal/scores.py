@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import _probabilities
+
 __all__ = ["ScoreSet", "load_external_scores", "sigmoid", "logit"]
 
 PROB_CLIP_EPS = 1e-6
@@ -36,7 +38,6 @@ class ScoreSet:
 
     margins: np.ndarray | None
     probabilities: np.ndarray
-    source: str = "builtin"  # builtin | external
 
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=np.float64)
@@ -54,30 +55,29 @@ class ScoreSet:
         return len(self.probabilities)
 
     @classmethod
-    def from_margins(cls, margins, source: str = "builtin") -> "ScoreSet":
+    def from_margins(cls, margins) -> "ScoreSet":
         m = np.asarray(margins, dtype=np.float64)
         # sigmoid rounds to exactly 1.0 at margins >= 37 and to 0.0 below -709.78
         with np.errstate(over="ignore"):
             p = np.clip(sigmoid(m), np.finfo(float).tiny, np.nextafter(1.0, 0.0))
-        return cls(m, p, source)
+        return cls(m, p)
 
     @classmethod
-    def from_probabilities(cls, probabilities, clip_eps: float = PROB_CLIP_EPS,
-                           source: str = "external") -> "ScoreSet":
-        p = np.clip(np.asarray(probabilities, dtype=np.float64), clip_eps, 1 - clip_eps)
-        return cls(logit(p), p, source)
+    def from_probabilities(cls, probabilities) -> "ScoreSet":
+        p = np.clip(np.asarray(probabilities, dtype=np.float64), PROB_CLIP_EPS, 1 - PROB_CLIP_EPS)
+        return cls(logit(p), p)
 
     def take(self, idx) -> "ScoreSet":
         m = None if self.margins is None else self.margins[idx]
-        return ScoreSet(m, self.probabilities[idx], self.source)
+        return ScoreSet(m, self.probabilities[idx])
 
 
-def load_external_scores(path, clip_eps: float = PROB_CLIP_EPS,
-                         expected_ids=None) -> ScoreSet:
+def load_external_scores(path, expected_ids=None) -> ScoreSet:
     """Read a score CSV with columns sample_id and margin and/or probability.
 
-    When only probabilities are present, margins are recovered via the clipped
-    logit. ``expected_ids`` cross-checks row identity and order.
+    Probabilities must lie in [0, 1] and are clipped by ``PROB_CLIP_EPS``. When
+    only they are present, margins are recovered via the clipped logit.
+    ``expected_ids`` cross-checks row identity and order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -98,12 +98,9 @@ def load_external_scores(path, clip_eps: float = PROB_CLIP_EPS,
             raise ValueError(f"{path}: sample ids do not match the dataset")
     if margins and probs and len(margins) != len(probs):
         raise ValueError(f"{path}: ragged margin/probability columns")
-    if margins:
-        m = np.asarray(margins)
-        if probs:
-            return ScoreSet(m, np.clip(np.asarray(probs), clip_eps, 1 - clip_eps), "external")
-        return ScoreSet.from_margins(m, "external")
-    p = np.asarray(probs)
-    if ((p < 0) | (p > 1)).any():
-        raise ValueError(f"{path}: probabilities outside [0, 1]")
-    return ScoreSet.from_probabilities(p, clip_eps)
+    if not probs:
+        return ScoreSet.from_margins(np.asarray(margins))
+    p = _probabilities(probs, f"{path}: probabilities")
+    if not margins:
+        return ScoreSet.from_probabilities(p)
+    return ScoreSet(np.asarray(margins), np.clip(p, PROB_CLIP_EPS, 1 - PROB_CLIP_EPS))

@@ -293,6 +293,25 @@ class TestCalibratorSurface:
         assert not Calibrator("isotonic", {"breakpoints": np.array([0.1, 0.9]),
                                            "values": np.array([0.5, 0.5])}).monotone
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 2.0),
+                                      (2.0, -1.0), (-0.0, -0.0)])
+    def test_beta_is_dirichlet2_with_negated_w2(self, a, b):
+        beta = Calibrator("beta", {"a": a, "b": b, "c": 0.3})
+        dirichlet2 = Calibrator("dirichlet2", {"w1": a, "w2": -b, "c": 0.3})
+        assert beta.monotone == dirichlet2.monotone == (a > 0 and b > 0)
+        scores = ScoreSet(None, np.linspace(1e-3, 1 - 1e-3, 9))
+        np.testing.assert_array_equal(beta.apply(scores), dirichlet2.apply(scores))
+
+    @pytest.mark.parametrize("steps", [[0.2, 0.8], [0.1, 0.4, 0.9], [0.5, 0.5], [0.6, 0.3],
+                                       [0.1, 0.4, 0.4], [0.5]])
+    def test_histogram_and_isotonic_monotone_on_the_same_steps(self, steps):
+        v = np.array(steps)
+        edges = np.linspace(0.0, 1.0, len(v) + 1)
+        histogram = Calibrator("histogram", {"edges": edges, "outputs": v})
+        isotonic = Calibrator("isotonic", {"breakpoints": edges[:-1], "values": v})
+        expected = len(v) > 1 and bool((np.diff(v) > 0).all())
+        assert histogram.monotone == isotonic.monotone == expected
+
     def test_nll_of_probs_hand_value(self):
         assert nll_of_probs([0.8, 0.4], [1, 0]) == pytest.approx(
             -(np.log(0.8) + np.log(0.6)) / 2)

@@ -39,6 +39,15 @@ class TestExitCodes:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [{"clustering": None}, {"metric_opts": None},
+                                       {"ccl_opts": None}, {"embedding": {"opts": None}}])
+    def test_validation_error_names_a_section_that_is_not_an_object(self, tmp_path, capsys,
+                                                                    extra):
+        cfg = write_config(tmp_path, extra)
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        name = "embedding.opts" if "embedding" in extra else next(iter(extra))
+        assert capsys.readouterr().err == f"error: {name} must be a JSON object, not NoneType\n"
+
     def test_validation_error_on_missing_config(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")]) == 1

@@ -71,11 +71,6 @@ class TestFit:
         with pytest.raises(ValueError):
             GBTParams(learning_rate=0.0)
 
-    def test_params_dict_accepted(self):
-        ds = toy_dataset()
-        ens = fit_gbt(ds, {"n_trees": 2, "max_depth": 2})
-        assert ens.params.n_trees == 2
-
 
 class TestTreeStructure:
     def test_cover_accounting(self):

@@ -34,6 +34,18 @@ def synth_config(out=None, seed=0, methods=("platt", "temperature"), **overrides
 
 
 class TestConfig:
+    @pytest.mark.parametrize("section", ["data", "model", "embedding", "embedding.opts",
+                                         "clustering", "metric_opts", "ccl_opts"])
+    @pytest.mark.parametrize("value", [None, [], "kmeans", 3])
+    def test_section_that_is_not_an_object_rejected(self, section, value):
+        d = dataclasses.asdict(synth_config())
+        if section == "embedding.opts":
+            d["embedding"]["opts"] = value
+        else:
+            d[section] = value
+        with pytest.raises(ConfigError, match=rf"^{section} must be a JSON object"):
+            ExperimentConfig.from_dict(d)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"data": {"synthetic": {}}, "modle": {}})
@@ -153,6 +165,18 @@ class TestRunExperiment:
                                             r.te_clusters, y_te, n_bins)
         assert r.report.improved_fractions == {m: improved(m, 5) for m in ("platt", "beta")}
         assert improved("platt", 5) != improved("platt", 10)  # so the bin count shows
+
+    def test_improved_fractions_use_the_report_scheme(self):
+        r = run_stages(synth_config(methods=("platt", "beta"),
+                                    metric_opts={"n_bins": 5, "scheme": "equal_mass"}))
+        y_te = r.ds.labels[r.splits.test]
+
+        def improved(m, scheme):
+            return improved_sample_fraction(r.calibrated[f"{m}_ccl"], r.calibrated[f"{m}_unified"],
+                                            r.te_clusters, y_te, 5, scheme)
+        assert r.report.improved_fractions == {
+            m: improved(m, "equal_mass") for m in ("platt", "beta")}
+        assert improved("platt", "equal_mass") != improved("platt", "equal_width")
 
     def test_ensembles_reuse_the_unified_calibrator_as_fallback(self):
         methods = ("platt", "temperature", "beta", "dirichlet2", "isotonic")

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clustercal.calibrators import FitData
+from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
     _bin_ids, ada_ece, auc, cece, ece, mce, reliability_data, rejection_curve, scalar_metrics,
 )
+from clustercal.scores import load_external_scores
 
 HAND_P = np.array([0.2, 0.3, 0.7, 0.9])
 HAND_Y = np.array([0, 1, 1, 1])
@@ -124,6 +127,53 @@ class TestInputBoundary:
 
     def test_auc_accepts_arbitrary_scores(self):
         assert auc([-3.0, 7.5], [0, 1])[0] == 1.0
+
+
+class TestSharedInputRules:
+    """Every boundary applies the one label rule and the one probability rule;
+    the message names the argument (or the file) that broke it."""
+
+    P = np.array([0.2, 0.7, 0.4, 0.9])
+    Y = np.array([0.0, 1.0, 0.0, 1.0])
+    # boundary -> (call on probabilities and labels, name of the labels, of the probabilities)
+    BOUNDARIES = {
+        "ece": (lambda p, y: ece(p, y), "y", "probabilities"),
+        "FitData": (lambda p, y: FitData(np.zeros(len(p)), p, y), "labels", "probabilities"),
+        "paired_resample_test": (lambda p, y: paired_resample_test(p, np.full(len(p), 0.5), y),
+                                 "y", "scores_a"),
+    }
+    # score CSV layouts with a probability column: boundary -> (header, row)
+    CSV_LAYOUTS = {
+        "load_external_scores[probability]": ("sample_id,probability", "{i},{p!r}"),
+        "load_external_scores[margin,probability]": ("sample_id,margin,probability",
+                                                     "{i},0.0,{p!r}"),
+    }
+
+    @pytest.mark.parametrize("bad", [2.0, 0.5, -1.0, np.nan])
+    @pytest.mark.parametrize("boundary", sorted(BOUNDARIES))
+    def test_bad_label(self, boundary, bad):
+        call, name, _ = self.BOUNDARIES[boundary]
+        y = self.Y.copy()
+        y[1] = bad
+        with pytest.raises(ValueError, match=rf"^{name} must hold 0/1 labels$"):
+            call(self.P, y)
+
+    @pytest.mark.parametrize("bad", [1.5, -0.3, np.nan, np.inf])
+    @pytest.mark.parametrize("boundary", sorted(BOUNDARIES) + sorted(CSV_LAYOUTS))
+    def test_bad_probability(self, boundary, bad, tmp_path):
+        p = self.P.copy()
+        p[2] = bad
+        if boundary in self.CSV_LAYOUTS:
+            header, row = self.CSV_LAYOUTS[boundary]
+            path = tmp_path / "scores.csv"
+            path.write_text("\n".join([header] + [row.format(i=i, p=x)
+                                                  for i, x in enumerate(p.tolist())]) + "\n")
+            call, name = (lambda p, y: load_external_scores(str(path))), f"{path}: probabilities"
+        else:
+            call, _, name = self.BOUNDARIES[boundary]
+        with pytest.raises(ValueError) as exc:
+            call(p, self.Y)
+        assert str(exc.value) == f"{name} must be finite, with no value outside [0, 1]"
 
 
 class TestCece:

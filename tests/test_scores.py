@@ -21,7 +21,6 @@ class TestScoreSet:
     def test_from_margins(self):
         s = ScoreSet.from_margins([0.0, 2.0])
         np.testing.assert_allclose(s.probabilities, sigmoid([0.0, 2.0]))
-        assert s.source == "builtin"
 
     def test_from_probabilities_clips_and_recovers_margins(self):
         s = ScoreSet.from_probabilities([0.0, 0.5, 1.0])
@@ -86,7 +85,6 @@ class TestLoadExternal:
         s = load_external_scores(path)
         np.testing.assert_allclose(s.margins, [0.0, 1.5])
         np.testing.assert_allclose(s.probabilities, sigmoid([0.0, 1.5]))
-        assert s.source == "external"
 
     def test_probability_only(self, tmp_path):
         path = self.write(tmp_path, "sample_id,probability\na,0.25\nb,0.75\n")
