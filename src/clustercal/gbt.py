@@ -204,8 +204,11 @@ def _partition(order, keep):
 def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
     """Grow one tree; ``order`` is the fit's (d, N) presorted row order.
 
-    Each leaf adds its value to its rows' entries of ``margin``: one add per
-    row, the same float ``margin += tree.value[tree.apply(X)]`` would add.
+    Each node is built from its rows and their presorted order, which is
+    None for a node that cannot split (at ``max_depth`` or with fewer than
+    2 rows): no scan reads it, so it is not partitioned. Each leaf adds its
+    value to its rows' entries of ``margin``: one add per row, the same
+    float ``margin += tree.value[tree.apply(X)]`` would add.
     """
     feature, threshold, left, right, value, cover = [], [], [], [], [], []
     child = np.zeros(len(X), dtype=bool)  # per-row flag: goes to the child being built
@@ -224,7 +227,7 @@ def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
         cover[j] = float(len(idx))
         G, H = g[idx].sum(), h[idx].sum()
         split = None
-        if depth < params.max_depth and len(idx) >= 2:
+        if order is not None:
             split = _best_split(X, order, g, h, G, H, params.lambda_l2,
                                 params.min_child_weight)
         if split is None:
@@ -237,13 +240,16 @@ def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
         mask = X[idx, f] <= t
         # only this node's entries of `child` are read; the left subtree
         # overwrites them, so they are set again for the right child
-        child[idx] = mask
-        left[j] = build(idx[mask], _partition(order, child), depth + 1)
-        child[idx] = ~mask
-        right[j] = build(idx[~mask], _partition(order, child), depth + 1)
+        kids = []
+        for keep in (mask, ~mask):
+            rows = idx[keep]
+            child[idx] = keep
+            scan = depth + 1 < params.max_depth and len(rows) >= 2
+            kids.append(build(rows, _partition(order, child) if scan else None, depth + 1))
+        left[j], right[j] = kids
         return j
 
-    build(np.arange(len(X)), order, 0)
+    build(np.arange(len(X)), order, 0)  # fit_gbt's checks let the root split: 2+ rows
     return Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
                 np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
                 np.asarray(value), np.asarray(cover))

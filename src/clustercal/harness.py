@@ -99,6 +99,9 @@ class ExperimentConfig:
             raise ConfigError("config needs exactly one data source: csv or synthetic")
         if "csv" in self.data and not os.path.exists(self.data["csv"]["path"]):
             raise ConfigError(f"data file not found: {self.data['csv']['path']}")
+        if not (isinstance(self.methods, (list, tuple))
+                and all(isinstance(m, str) for m in self.methods)):
+            raise ConfigError("methods must be a list of method names")
         if not self.methods:
             raise ConfigError("methods list must be non-empty")
         bad = [m for m in self.methods if m not in cal_mod.ALL_METHODS]

@@ -206,10 +206,11 @@ def _kmeans_pp_init(V, k, rng):
     return centroids
 
 
-def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0) -> ClusterModel:
+def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0, init=None) -> ClusterModel:
     """Lloyd's algorithm from a k-means++ start, at most ``KMEANS_MAX_ITER``
     steps; deterministic given seed.
 
+    ``init`` (k, m), when given, replaces the k-means++ draw from ``seed``.
     Each step sums every cluster's rows in row order with one ``bincount``
     per embedding column. An empty cluster, taken in increasing id order, is
     re-seeded at the point farthest from its centroid (lowest index on ties)
@@ -219,8 +220,12 @@ def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0) -> ClusterModel:
     V = E.vectors
     if k < 1 or k > len(V):
         raise ValueError(f"k={k} out of range for {len(V)} samples")
-    rng = np.random.default_rng(seed)
-    C = _kmeans_pp_init(V, k, rng)
+    if init is None:
+        C = _kmeans_pp_init(V, k, np.random.default_rng(seed))
+    elif np.shape(init) == (k, V.shape[1]):
+        C = init
+    else:
+        raise ValueError(f"init must have shape {(k, V.shape[1])}, not {np.shape(init)}")
     VT = np.ascontiguousarray(V.T)  # bincount reads each column contiguously
     labels = np.full(len(V), -1)
     for _ in range(KMEANS_MAX_ITER):
@@ -241,16 +246,25 @@ def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0) -> ClusterModel:
                         _inertia(V, C, labels))
 
 
+def _ward(V):
+    """The Ward linkage of V's rows, or None for a single row."""
+    return linkage(V, method="ward") if len(V) > 1 else None
+
+
 def fit_agglomerative(E: EmbeddingMatrix, k: int) -> ClusterModel:
     """Ward-linkage hierarchy cut at k clusters; centroids summarize each
     cluster so new points assign by nearest centroid."""
+    return _cut_ward(E, k, _ward(E.vectors))
+
+
+def _cut_ward(E: EmbeddingMatrix, k: int, Z) -> ClusterModel:
+    """The agglomerative model of E from its Ward linkage ``Z`` cut at k clusters."""
     V = E.vectors
     if k < 1 or k > len(V):
         raise ValueError(f"k={k} out of range for {len(V)} samples")
-    if len(V) == 1:
+    if Z is None:
         labels = np.zeros(1, dtype=np.int64)
     else:
-        Z = linkage(V, method="ward")
         raw = fcluster(Z, t=k, criterion="maxclust")
         # relabel clusters by first appearance for determinism
         labels = np.empty(len(V), dtype=np.int64)
@@ -276,10 +290,14 @@ def select_k_elbow(E: EmbeddingMatrix, k_range=(5, 100, 5), seed: int = 0,
     if k_min < 2:
         raise ValueError("k_min must be >= 2")
     ks = [k for k in range(k_min, min(k_max, len(E.vectors)) + 1, step)]
-    models = {}
-    for k in ks:
-        models[k] = (fit_kmeans(E, k, seed) if method == "kmeans"
-                     else fit_agglomerative(E, k))
+    # the grid shares its start: k-means++ draws centroid j from the same
+    # generator state whatever k is, and Ward's hierarchy does not depend on k
+    if method == "kmeans":
+        init = _kmeans_pp_init(E.vectors, ks[-1], np.random.default_rng(seed)) if ks else None
+        models = {k: fit_kmeans(E, k, seed, init[:k]) for k in ks}
+    else:
+        Z = _ward(E.vectors)
+        models = {k: _cut_ward(E, k, Z) for k in ks}
     if min_cluster_size > 0:
         ks = [k for k in ks if models[k].sizes.min() >= min_cluster_size] or ks
     if len(ks) < 3:

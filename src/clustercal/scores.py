@@ -98,6 +98,8 @@ def load_external_scores(path, expected_ids=None) -> ScoreSet:
             raise ValueError(f"{path}: sample ids do not match the dataset")
     if margins and probs and len(margins) != len(probs):
         raise ValueError(f"{path}: ragged margin/probability columns")
+    if not np.isfinite(margins).all():
+        raise ValueError(f"{path}: margins must be finite")
     if not probs:
         return ScoreSet.from_margins(np.asarray(margins))
     p = _probabilities(probs, f"{path}: probabilities")

@@ -4,49 +4,58 @@ Implements exact path-dependent TreeSHAP with cover-weighted expectations
 (Lundberg et al. 2020), evaluated one root-to-leaf path at a time as in
 Fast TreeSHAP v2 (Yang 2021) so that numpy carries the work;
 ``shap_values`` returns per-feature attributions whose sum plus the base
-value reproduces each margin exactly. ``brute_force_shap`` is the
-independent subset-enumeration oracle used by the tests.
+value reproduces each margin exactly. A leaf's attributions depend on a row
+only through which of its path features the row satisfies, so they are
+tabulated by that pattern; the tables of all leaves with the same path
+length in a chunk of leaves are built by one batched EXTEND/UNWIND.
 """
 
 from __future__ import annotations
 
-import math
 from functools import reduce
-from itertools import combinations
 
 import numpy as np
 
 from .gbt import TreeEnsemble, Tree
 
-__all__ = ["shap_values", "brute_force_shap", "expected_value"]
+__all__ = ["shap_values", "expected_value"]
+
+# Cap on the pattern-table cells (leaves x 2**m patterns x m) built at once;
+# more leaves are tabulated in several chunks.
+TABLE_BLOCK_CELLS = 1 << 16
 
 
-def _unwound_sums(z, o):
-    """EXTEND a path by every element, then UNWIND each element in turn.
+def _attributions(z, o, values):
+    """Attributions of L paths of length m to their elements at B patterns.
 
-    ``z`` (m,) holds the path's zero fractions and ``o`` (B, m) one batch of
-    one fractions (each 0 or 1). The path starts with a dummy element
-    (zero and one fraction 1). Returns (B, m): for each element, the sum of
-    the permutation weights of the path with that element removed.
+    ``z`` (L, m) holds the paths' zero fractions, ``values`` (L,) their leaf
+    values and ``o`` (m, B) the one fractions (each 0 or 1) shared by every
+    path. Each path starts with a dummy element (zero and one fraction 1) and
+    is EXTENDed by every element; UNWINDing an element gives the sum of the
+    permutation weights of the path without it. Returns (L, m, B). The work
+    arrays are element-major, so each step acts on whole (L, B) blocks.
     """
-    B, m = o.shape
+    L, m = z.shape
     l = m + 1
-    w = np.zeros((B, l))
-    w[:, 0] = 1.0
+    zt = z.T[:, :, None]  # (m, L, 1)
+    ot = o[:, None, :]    # (m, 1, B)
+    w = np.zeros((l, L, o.shape[1]))
+    w[0] = 1.0
     for k in range(1, l):
-        i = np.arange(k)
-        one = o[:, k - 1:k] * w[:, :k] * (i + 1) / (k + 1)
-        w[:, :k] = z[k - 1] * w[:, :k] * (k - i) / (k + 1)
-        w[:, 1:k + 1] += one
-    nxt = np.repeat(w[:, l - 1:], m, axis=1)
-    total_one = np.zeros((B, m))
-    total_zero = np.zeros((B, m))
+        i = np.arange(k)[:, None, None]
+        one = ot[k - 1] * w[:k] * (i + 1) / (k + 1)
+        w[:k] = zt[k - 1] * w[:k] * (k - i) / (k + 1)
+        w[1:k + 1] += one
+    nxt = w[l - 1]  # the same for every element until its first UNWIND step
+    total_one = np.zeros((m,) + w.shape[1:])
+    total_zero = np.zeros((m,) + w.shape[1:])
     for j in range(l - 2, -1, -1):
         tmp = nxt * l / (j + 1)
         total_one += tmp
-        nxt = w[:, j:j + 1] - tmp * z * (l - 1 - j) / l
-        total_zero += w[:, j:j + 1] * l / (z * (l - 1 - j))
-    return np.where(o != 0, total_one, total_zero)
+        nxt = w[j] - tmp * zt * (l - 1 - j) / l
+        total_zero += w[j] * l / (zt * (l - 1 - j))
+    sums = np.where(ot != 0, total_one, total_zero)
+    return (sums * (ot - zt) * values[:, None]).transpose(1, 0, 2)
 
 
 def _leaf_paths(tree: Tree):
@@ -56,6 +65,8 @@ def _leaf_paths(tree: Tree):
     product of each one's cover ratios, and per feature the (internal node,
     goes-left) conditions a sample must meet for its one fraction to be 1.
     """
+    if np.any(tree.cover <= 0):
+        raise ValueError("tree has a node with non-positive cover")
     stack = [(0, ())]
     while stack:
         node, path = stack.pop()
@@ -74,6 +85,49 @@ def _leaf_paths(tree: Tree):
                [conds for _, conds in merged.values()])
 
 
+def _patterns(m):
+    """(m, 2**m): column p holds the bits of p, element e's one fraction in bit e."""
+    return (np.arange(2 ** m) >> np.arange(m)[:, None]) & 1
+
+
+def _pattern_tables(chunk, n):
+    """Each leaf's (m, 2**m) attributions by one-fraction pattern, or None
+    for a leaf computed per row (2**m > n).
+
+    ``chunk`` holds ``(tree, value, feats, z, conds)`` leaves. The tabulated
+    leaves with the same path length m share one batched :func:`_attributions`
+    call.
+    """
+    by_m = {}
+    for pos, (_, _, _, z, _) in enumerate(chunk):
+        if 2 ** len(z) <= n:
+            by_m.setdefault(len(z), []).append(pos)
+    tables = [None] * len(chunk)
+    for m, group in by_m.items():
+        batch = _attributions(np.array([chunk[p][3] for p in group]), _patterns(m),
+                              np.array([chunk[p][1] for p in group]))
+        for p, table in zip(group, batch):
+            tables[p] = table
+    return tables
+
+
+def _chunks(leaves, n):
+    """Consecutive runs of ``leaves`` whose pattern tables total at most
+    ``TABLE_BLOCK_CELLS`` cells; a leaf computed per row (2**m > n) holds
+    no table."""
+    chunk, cells = [], 0
+    for leaf in leaves:
+        m = len(leaf[3])  # the leaf's z
+        size = m << m if 2 ** m <= n else 0
+        if chunk and cells + size > TABLE_BLOCK_CELLS:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append(leaf)
+        cells += size
+    if chunk:
+        yield chunk
+
+
 def expected_value(ens: TreeEnsemble) -> float:
     """Cover-weighted ensemble mean: the SHAP base value."""
     return ens.base_score + sum(t.expected_value() for t in ens.trees)
@@ -87,79 +141,31 @@ def shap_values(ens: TreeEnsemble, X):
     Exact path-dependent TreeSHAP, reorganised per leaf: a leaf's attributions
     depend on a sample only through which of its m path features the sample
     satisfies. With 2**m patterns at most the row count, they are tabulated
-    once per leaf and gathered by each row's pattern; otherwise they are
-    computed for the rows directly.
+    and gathered by each row's pattern; otherwise they are computed for the
+    rows directly. The leaves are taken in consecutive chunks whose tables
+    total at most ``TABLE_BLOCK_CELLS`` cells, and the tables of a chunk's
+    leaves with the same m come from one batched EXTEND/UNWIND. Attributions
+    are then added leaf by leaf in tree order and, within a tree, in
+    ``_leaf_paths`` order, so every float sum is the same as with one table
+    per leaf.
     """
     X = ens._check(np.asarray(X, dtype=np.float64))
     n = len(X)
+    leaves = ((tree,) + leaf for tree in ens.trees for leaf in _leaf_paths(tree))
     phi = np.zeros((ens.n_features, n))  # feature-major: each leaf adds to whole rows
-    for tree in ens.trees:
-        if np.any(tree.cover <= 0):
-            raise ValueError("tree has a node with non-positive cover")
-        goes = {}
-        for j in np.flatnonzero(tree.feature >= 0):
-            left = X[:, tree.feature[j]] <= tree.threshold[j]
-            goes[int(j), True], goes[int(j), False] = left, ~left
-        for value, feats, z, conds in _leaf_paths(tree):
-            ones = [reduce(np.logical_and, (goes[c] for c in fc)) for fc in conds]
-            m = len(feats)
-            if 2 ** m <= n:  # tabulate every pattern of one fractions; rows look theirs up
-                o = (np.arange(2 ** m)[:, None] >> np.arange(m)) & 1
-                row = sum(mask * (1 << e) for e, mask in enumerate(ones))
-            else:
-                o, row = np.column_stack(ones), np.arange(n)
-            table = _unwound_sums(z, o) * (o - z) * value
+    current, goes = None, {}
+    for chunk in _chunks(leaves, n):
+        for (tree, value, feats, z, conds), table in zip(chunk, _pattern_tables(chunk, n)):
+            if tree is not current:
+                current, goes = tree, {}
+                for j in np.flatnonzero(tree.feature >= 0):
+                    left = X[:, tree.feature[j]] <= tree.threshold[j]
+                    goes[int(j), True], goes[int(j), False] = left, ~left
+            ones = np.array([reduce(np.logical_and, (goes[c] for c in fc)) for fc in conds])
+            if table is not None:  # rows look their pattern up
+                row = (1 << np.arange(len(feats))) @ ones
+            else:  # one pattern per row
+                table, row = _attributions(z[None], ones, np.array([value]))[0], slice(None)
             for e, f in enumerate(feats):
-                phi[f] += table[row, e]
+                phi[f] += table[e][row]
     return np.ascontiguousarray(phi.T), expected_value(ens)
-
-
-# brute-force oracle ------------------------------------------------------
-
-def _exp_value_subset(tree: Tree, x, subset: frozenset, node: int = 0) -> float:
-    """Conditional expectation: follow x on subset features, cover-average otherwise."""
-    if tree.feature[node] < 0:
-        return float(tree.value[node])
-    f = tree.feature[node]
-    l, r = tree.left[node], tree.right[node]
-    if f in subset:
-        child = l if x[f] <= tree.threshold[node] else r
-        return _exp_value_subset(tree, x, subset, child)
-    wl, wr = tree.cover[l], tree.cover[r]
-    return (wl * _exp_value_subset(tree, x, subset, l)
-            + wr * _exp_value_subset(tree, x, subset, r)) / tree.cover[node]
-
-
-def brute_force_shap(ens: TreeEnsemble, X) -> tuple[np.ndarray, float]:
-    """Exact Shapley values by enumerating all feature subsets per tree.
-
-    Exponential in the number of features participating in each tree; only
-    usable for small trees. Serves as the independent oracle for
-    :func:`shap_values`.
-    """
-    X = ens._check(np.asarray(X, dtype=np.float64))
-    phi = np.zeros((len(X), ens.n_features))
-    for tree in ens.trees:
-        feats = sorted({int(f) for f in tree.feature if f >= 0})
-        m = len(feats)
-        if m == 0:
-            continue
-        for s in range(len(X)):
-            x = X[s]
-            cache = {}
-
-            def ev(sub):
-                if sub not in cache:
-                    cache[sub] = _exp_value_subset(tree, x, sub)
-                return cache[sub]
-
-            for f in feats:
-                others = [g for g in feats if g != f]
-                total = 0.0
-                for k in range(m):
-                    weight = math.factorial(k) * math.factorial(m - k - 1) / math.factorial(m)
-                    for sub in combinations(others, k):
-                        fs = frozenset(sub)
-                        total += weight * (ev(fs | {f}) - ev(fs))
-                phi[s, f] += total
-    return phi, expected_value(ens)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from randtrees import random_ensemble
+from shap_oracle import brute_force_shap
 from test_calibrators import isotonic_oracle
 from test_metrics import brute_auc
 
@@ -25,7 +26,7 @@ from clustercal.harness import ExperimentConfig, paired_resample_test, run_exper
 from clustercal.metrics import ada_ece, auc, cece, ece, mce, rejection_curve
 from clustercal.representation import EmbeddingMatrix, assign, fit_kmeans
 from clustercal.scores import ScoreSet
-from clustercal.treeshap import brute_force_shap, shap_values
+from clustercal.treeshap import shap_values
 
 ADULT_CSV = os.path.join(os.path.dirname(__file__), "..", "data", "adult.csv")
 

@@ -48,6 +48,13 @@ class TestExitCodes:
         name = "embedding.opts" if "embedding" in extra else next(iter(extra))
         assert capsys.readouterr().err == f"error: {name} must be a JSON object, not NoneType\n"
 
+    @pytest.mark.parametrize("methods", ["platt", {"platt": 1}, ["platt", 3]])
+    def test_validation_error_on_methods_that_are_not_a_list_of_names(self, tmp_path, capsys,
+                                                                     methods):
+        cfg = write_config(tmp_path, {"methods": methods})
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: methods must be a list of method names\n"
+
     def test_validation_error_on_missing_config(self, tmp_path):
         assert main(["report", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")]) == 1

@@ -266,6 +266,34 @@ class TestPresortedSplitSearch:
         assert ens.trees[0].feature[0] in (0, 1)
         self.assert_same_fit(ds, GBTParams(n_trees=2, max_depth=3, min_child_weight=0.0))
 
+    @pytest.mark.parametrize("max_depth", [1, 2, 4])
+    def test_partitions_only_nodes_that_scan(self, monkeypatch, max_depth):
+        ds = tied_dataset(200, 4, 3)
+        params = GBTParams(n_trees=3, max_depth=max_depth, min_child_weight=0.0)
+        calls = []
+        real = gbt._partition
+
+        def counted(order, keep):
+            calls.append(1)
+            return real(order, keep)
+
+        monkeypatch.setattr(gbt, "_partition", counted)
+        ens = fit_gbt(ds, params)
+        # every scanned node but the root is a child below max_depth with 2+ rows
+        scanned = sum(1 for t in ens.trees for j in range(1, t.n_nodes)
+                      if _node_depth(t, j) < max_depth and t.cover[j] >= 2)
+        assert len(calls) == scanned
+        self.assert_same_fit(ds, params)
+
+
+def _node_depth(tree, j):
+    parent = {int(c): p for p in range(tree.n_nodes)
+              for c in (tree.left[p], tree.right[p]) if c >= 0}
+    depth = 0
+    while j:
+        j, depth = parent[j], depth + 1
+    return depth
+
 
 class TestFitMargins:
     """The fit adds each leaf's value to the margins of the rows the build put

@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown calibration methods"):
             synth_config(methods=("platt", "venn_abers"))
 
+    def test_methods_string_rejected(self):
+        # a string is not iterated letter by letter
+        cfg = synth_config()
+        cfg.methods = "platt"
+        with pytest.raises(ConfigError, match="methods must be a list of method names"):
+            cfg.validate()
+
     def test_unknown_clustering_rejected(self):
         with pytest.raises(ConfigError, match="clustering"):
             synth_config(clustering={"method": "dbscan"})

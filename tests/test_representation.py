@@ -269,6 +269,35 @@ class TestElbow:
         assert [c[0] for c in curve] == list(range(2, 9))
         np.testing.assert_array_equal(cm.centroids, fit_kmeans(E, 4, 0).centroids)
 
+    def test_kmeans_pp_draws_are_prefixes(self):
+        # centroid j comes from the same generator state whatever k is, so
+        # the elbow can draw once for its largest k
+        E, _ = blobs(4, n_per=30, seed=8)
+        init = _kmeans_pp_init(E.vectors, 20, np.random.default_rng(3))
+        for k in (2, 7, 20):
+            np.testing.assert_array_equal(
+                init[:k], _kmeans_pp_init(E.vectors, k, np.random.default_rng(3)))
+            a, b = fit_kmeans(E, k, 3), fit_kmeans(E, k, 3, init[:k])
+            np.testing.assert_array_equal(a.centroids, b.centroids)
+            np.testing.assert_array_equal(a.sizes, b.sizes)
+            assert a.inertia == b.inertia
+
+    def test_init_shape_checked(self):
+        E, _ = blobs(2, n_per=10)
+        with pytest.raises(ValueError, match="init must have shape"):
+            fit_kmeans(E, 3, init=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("method", ["kmeans", "agglomerative"])
+    def test_grid_models_match_single_fits(self, method):
+        E, _ = blobs(4, n_per=30, seed=9)
+        cm, curve = select_k_elbow(E, (2, 11, 3), seed=5, method=method)
+        fits = {k: fit_kmeans(E, k, 5) if method == "kmeans" else fit_agglomerative(E, k)
+                for k in (2, 5, 8, 11)}
+        assert curve == [(k, m.inertia) for k, m in fits.items()]
+        want = fits[cm.k]
+        np.testing.assert_array_equal(cm.centroids, want.centroids)
+        np.testing.assert_array_equal(cm.sizes, want.sizes)
+
     def test_needs_three_grid_points(self):
         E, _ = blobs(2, n_per=10)
         with pytest.raises(ValueError, match="3 grid points"):

@@ -1,5 +1,7 @@
 """Score containers and external score ingestion."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -112,6 +114,14 @@ class TestLoadExternal:
     def test_rejects_probability_out_of_range(self, tmp_path):
         path = self.write(tmp_path, "sample_id,probability\na,1.5\n")
         with pytest.raises(ValueError, match="outside"):
+            load_external_scores(path)
+
+    @pytest.mark.parametrize("text", ["sample_id,margin\na,nan\n",
+                                      "sample_id,margin\na,inf\n",
+                                      "sample_id,margin,probability\na,nan,0.5\n"])
+    def test_non_finite_margin_names_the_file(self, tmp_path, text):
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: margins must be finite$"):
             load_external_scores(path)
 
     @pytest.mark.parametrize("text", ["sample_id,margin\na,nan\n",
