@@ -41,7 +41,7 @@ def main():
 
     def report(name, p):
         print(f"{name:<22}{cece(p, y_te, te_clusters)[0]:>8.4f}"
-              f"{ece(p, y_te)[0]:>8.4f}{auc(p, y_te)[0]:>8.4f}")
+              f"{ece(p, y_te)[0]:>8.4f}{auc(p, y_te):>8.4f}")
 
     report("base", te_s.probabilities)
     for method in ("platt", "temperature", "beta", "dirichlet2"):

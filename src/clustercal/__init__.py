@@ -3,7 +3,7 @@ learned sample representations, cluster-binned calibration metrics, and an
 experiment harness for calibration comparison, model selection and rejection."""
 
 from .data import (
-    Dataset, SplitIndices, SyntheticSpec, load_csv, split, gen_synthetic_full,
+    CsvSpec, Dataset, SplitIndices, SyntheticSpec, load_csv, split, gen_synthetic_full,
 )
 from .scores import ScoreSet, load_external_scores
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict, leaf_indices
@@ -16,7 +16,8 @@ from .metrics import (
 )
 
 __all__ = [
-    "Dataset", "SplitIndices", "SyntheticSpec", "load_csv", "split", "gen_synthetic_full",
+    "CsvSpec", "Dataset", "SplitIndices", "SyntheticSpec", "load_csv", "split",
+    "gen_synthetic_full",
     "ScoreSet", "load_external_scores",
     "GBTParams", "TreeEnsemble", "fit_gbt", "predict", "leaf_indices",
     "shap_values", "EmbeddingMatrix", "assign", "fit_kmeans", "train_clustered",

@@ -10,7 +10,6 @@ saturate to 0.0 without a warning on every objective evaluation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -151,13 +150,6 @@ class Calibrator:
     @classmethod
     def from_dict(cls, d: dict) -> "Calibrator":
         return cls(**_decode(d))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "Calibrator":
-        return cls.from_dict(json.loads(s))
 
 
 def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:

@@ -17,7 +17,8 @@ byte-identical. Nothing is written when a stage fails.
   writes ``selection.json`` and prints the selected row.
 
 Exit codes: 0 success, 1 validation or data error, 2 runtime error (the
-message names the failing stage).
+message names the failing stage). The whole config is checked before the
+first stage runs, so a bad value exits 1 and runs nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .data import DataError
 from .harness import (
@@ -56,11 +58,7 @@ def _write_embed(out, r):
 def _write_cluster(out, r):
     _write_clusters(out, r)
     _write_json(os.path.join(out, "diagnostics.json"),
-                {"size_variance": r.diag.size_variance,
-                 "label_rate_variance": r.diag.label_rate_variance,
-                 "homogeneity_fraction": r.diag.homogeneity_fraction,
-                 "elbow_curve": r.elbow_curve,
-                 "table": r.diag.table})
+                {**asdict(r.diag), "elbow_curve": r.elbow_curve})
 
 
 # command -> (last stage it runs, writer of its files)
@@ -111,15 +109,12 @@ def _cmd_select(cfg):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     try:
-        cfg = ExperimentConfig.from_json_file(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.out is not None:
-            cfg.out = args.out
+        cfg = ExperimentConfig.from_json_file(args.config, **overrides)
         if cfg.out is None:
             raise ConfigError("an output directory is required (--out or config 'out')")
-    except (ConfigError, DataError, FileNotFoundError, json.JSONDecodeError, TypeError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -133,7 +128,7 @@ def main(argv=None) -> int:
             _cmd_report(cfg)
         else:
             _cmd_select(cfg)
-    except (ConfigError, DataError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

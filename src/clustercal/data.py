@@ -14,6 +14,7 @@ __all__ = [
     "Dataset",
     "SplitIndices",
     "SyntheticSpec",
+    "CsvSpec",
     "load_csv",
     "split",
     "gen_synthetic_full",
@@ -108,18 +109,29 @@ class SyntheticSpec:
             raise DataError("base rates must be in (0, 1)")
 
 
-def load_csv(path, label_column: str, id_column: str | None = None,
-             label_map: dict | None = None, impute: str = "reject",
-             category_maps: dict[str, dict[str, int]] | None = None) -> Dataset:
-    """Read a headered CSV into a Dataset.
+@dataclass(frozen=True)
+class CsvSpec:
+    """A headered CSV and how ``load_csv`` reads it: ``label_map`` recodes
+    labels, ``category_maps`` codes string-valued columns as ints, and rows
+    with non-finite values are dropped (``impute="reject"``) or mean-imputed."""
 
-    Feature columns keep file order, excluding the label and id columns.
-    Rows with non-finite values are rejected (default) or mean-imputed.
-    ``category_maps`` supplies integer codings for string-valued columns.
-    """
-    if impute not in ("reject", "mean"):
-        raise DataError(f"unknown impute mode {impute!r}")
-    category_maps = category_maps or {}
+    path: str
+    label_column: str
+    id_column: str | None = None
+    label_map: dict | None = None
+    impute: str = "reject"
+    category_maps: dict | None = None
+
+    def __post_init__(self):
+        if self.impute not in ("reject", "mean"):
+            raise DataError(f"unknown impute mode {self.impute!r}")
+
+
+def load_csv(spec: CsvSpec) -> Dataset:
+    """Read the CSV that ``spec`` describes into a Dataset; feature columns
+    keep file order, excluding the label and id columns."""
+    path, label_column, label_map = spec.path, spec.label_column, spec.label_map
+    category_maps = spec.category_maps or {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -130,7 +142,7 @@ def load_csv(path, label_column: str, id_column: str | None = None,
     if label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
     label_j = header.index(label_column)
-    id_j = header.index(id_column) if id_column is not None else None
+    id_j = header.index(spec.id_column) if spec.id_column is not None else None
     feat_js = [j for j in range(len(header)) if j != label_j and j != id_j]
     feature_names = tuple(header[j] for j in feat_js)
     if not rows:
@@ -171,7 +183,7 @@ def load_csv(path, label_column: str, id_column: str | None = None,
 
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        if impute == "mean":
+        if spec.impute == "mean":
             col_mean = np.nanmean(np.where(np.isfinite(X), X, np.nan), axis=0)
             col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
             idx = np.where(~np.isfinite(X))
@@ -185,14 +197,19 @@ def load_csv(path, label_column: str, id_column: str | None = None,
     return Dataset(X, y, feature_names, tuple(ids))
 
 
-def split(ds: Dataset, ratios=(0.6, 0.2, 0.2), seed: int = 0,
-          stratify: bool = True) -> SplitIndices:
-    """Deterministic (optionally label-stratified) train/calibration/test split."""
+def _ratios(ratios) -> tuple:
+    """``ratios`` as three floats, when they are positive and sum to 1."""
     ratios = tuple(float(r) for r in ratios)
     if len(ratios) != 3 or any(r <= 0 for r in ratios):
         raise DataError("need three positive ratios")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios sum to {sum(ratios)}, expected 1")
+    return ratios
+
+
+def split(ds: Dataset, ratios, seed: int = 0, stratify: bool = True) -> SplitIndices:
+    """Deterministic (optionally label-stratified) train/calibration/test split."""
+    ratios = _ratios(ratios)
     rng = np.random.default_rng(seed)
 
     def carve(idx):

@@ -9,7 +9,6 @@ clusters by embedding and applies the resolved per-cluster calibrator.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,13 +65,6 @@ class ClusteredCalibrator:
             {int(c): m for c, m in d.get("cluster_meta", {}).items()},
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ClusteredCalibrator":
-        return cls.from_dict(json.loads(s))
-
 
 def _warm_start_opts(method: str, fallback: Calibrator) -> dict:
     if method == "platt":
@@ -80,8 +72,8 @@ def _warm_start_opts(method: str, fallback: Calibrator) -> dict:
     return {}
 
 
-def train_clustered(data: FitData, labels, cm: ClusterModel, method: str,
-                    fallback: Calibrator, opts: dict | None = None) -> ClusteredCalibrator:
+def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallback: Calibrator,
+                    min_fit_size: int = DEFAULT_MIN_FIT_SIZE) -> ClusteredCalibrator:
     """Fit the per-cluster calibration ensemble on the calibration split.
 
     ``labels`` are the cluster ids of ``data``'s rows under ``cm``, and
@@ -92,7 +84,6 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str,
     is kept, so the ensemble can never do worse than the global calibrator
     on the data it was fitted on.
     """
-    opts = opts or {}
     if method not in PARAMETRIC_METHODS:
         raise ValueError(
             f"clustered calibration requires a parametric base method, got {method!r}")
@@ -105,7 +96,6 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str,
     expected = "constant" if (y == y[0]).all() else method  # what fit(method, data) returns
     if fallback.method != expected:
         raise ValueError(f"fallback is a {fallback.method!r} calibrator, expected {expected!r}")
-    min_fit_size = int(opts.get("min_fit_size", DEFAULT_MIN_FIT_SIZE))
 
     calibrators: dict[int, Calibrator] = {}
     meta: dict[int, dict] = {}
@@ -125,8 +115,7 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str,
             calibrators[c] = fallback
         else:
             sub = FitData(data.margins[mask], data.probabilities[mask], y[mask])
-            cal = cal_mod.fit(method, sub, {**(opts.get("fit_opts") or {}),
-                                            **_warm_start_opts(method, fallback)})
+            cal = cal_mod.fit(method, sub, _warm_start_opts(method, fallback))
             if fallback.nll(sub) < cal.nll(sub):
                 cal = Calibrator(fallback.method, dict(fallback.params),
                                  dict(fallback.diagnostics, refit="kept_global"))

@@ -8,7 +8,6 @@ live in :mod:`clustercal.treeshap`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -39,13 +38,6 @@ class Tree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    def depth(self) -> int:
-        def rec(j):
-            if self.feature[j] < 0:
-                return 0
-            return 1 + max(rec(self.left[j]), rec(self.right[j]))
-        return rec(0)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id reached by each row."""
@@ -140,13 +132,6 @@ class TreeEnsemble:
         )
         return cls(trees, float(d["base_score"]), int(d["n_features"]),
                    GBTParams(**d["params"]), tuple(d.get("train_loss", ())))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, s: str) -> "TreeEnsemble":
-        return cls.from_dict(json.loads(s))
 
 
 def _best_split(X, order, g, h, G, H, lam, min_child_weight):

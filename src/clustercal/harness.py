@@ -4,11 +4,14 @@ model selection, rejection sweeps, and deterministic artifact output."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 from scipy.stats import t as student_t
@@ -16,16 +19,19 @@ from scipy.stats import t as student_t
 from . import calibrators as cal_mod
 from .calibrators import FitData, PARAMETRIC_METHODS
 from .data import (
-    DataError, Dataset, SplitIndices, SyntheticSpec, gen_synthetic_full, load_csv, split,
+    CsvSpec, DataError, Dataset, SplitIndices, SyntheticSpec, _ratios, gen_synthetic_full,
+    load_csv, split,
 )
-from .ensemble import improved_sample_fraction, train_clustered
+from .ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction, train_clustered
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict
 from .metrics import (
-    _labels, _probabilities, ada_ece, auc, cece, ece, mce, rejection_curve, scalar_metrics,
+    BASES, SCHEMES, _labels, _probabilities, ada_ece, auc, cece, ece, mce, rejection_curve,
+    scalar_metrics,
 )
 from .representation import (
-    ClusterDiagnostics, ClusterModel, EmbeddingMatrix, build_embedding, assign, diagnostics,
-    fit_agglomerative, fit_kmeans, select_k_elbow,
+    EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel, EmbeddingMatrix,
+    EmbeddingOpts, _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative,
+    fit_kmeans, select_k_elbow,
 )
 from .scores import ScoreSet, load_external_scores
 
@@ -53,84 +59,204 @@ class StageError(RuntimeError):
     """A pipeline stage failed; the message names the stage."""
 
 
-@dataclass
+# config sections: one frozen dataclass per JSON object, whose fields are the
+# keys it accepts. A field whose default is None is absent unless given; only
+# an annotation that admits None accepts a JSON null.
+
+@dataclass(frozen=True)
+class DataSpec:                             # exactly one source
+    csv: CsvSpec = None
+    synthetic: SyntheticSpec = None
+
+
+@dataclass(frozen=True)
+class SyntheticScores:                      # the synthetic generator's margins; no keys
+    pass
+
+
+@dataclass(frozen=True)
+class ModelSpec:                            # exactly one source of scores
+    gbt: GBTParams = None
+    external_scores: str = None             # a score CSV
+    synthetic_scores: SyntheticScores = None
+
+
+@dataclass(frozen=True)
+class EmbeddingSpec:
+    kind: Literal[EMBEDDING_KINDS] = "shap"
+    opts: EmbeddingOpts = EmbeddingOpts()
+    path: str | None = None                 # the CSV of an "external" embedding
+
+
+@dataclass(frozen=True)
+class ClusteringSpec:
+    method: Literal["kmeans", "agglomerative"] = "kmeans"
+    k: int | None = None                    # None: pick k on the elbow grid
+    elbow: tuple[int, ...] = (5, 100, 5)
+    min_cluster_size: int = 0
+
+
+@dataclass(frozen=True)
+class MetricSpec:
+    n_bins: int = 10
+    scheme: Literal[SCHEMES] = "equal_width"
+    cece_base: Literal[BASES] = "ece"
+
+
+@dataclass(frozen=True)
+class CclSpec:
+    min_fit_size: int = DEFAULT_MIN_FIT_SIZE
+
+
+# The top-level keys a config may leave out, as JSON; config_hash covers them.
+DEFAULTS = {
+    "model": {"gbt": {}},
+    "split_ratios": (0.6, 0.2, 0.2),
+    "stratify": True,
+    "embedding": {"kind": EmbeddingSpec.kind, "opts": {}},
+    "clustering": {"method": ClusteringSpec.method, "k": 10},
+    "methods": PARAMETRIC_METHODS,
+    "metric_opts": {},
+    "ccl_opts": {},
+    "rejection_thresholds": tuple(round(0.1 * i, 1) for i in range(10)),
+    "seed": 0,
+    "out": None,
+}
+
+_NOUNS = {bool: "a boolean", int: "an int", float: "a number", str: "a string",
+          dict: "a JSON object"}
+_type_hints = functools.cache(get_type_hints)      # evaluating annotations is slow
+
+
+def _object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {type(value).__name__}")
+    return value
+
+
+def _is(tp, v) -> bool:
+    """Whether JSON value ``v`` has scalar type ``tp``; a bool is no number."""
+    return isinstance(v, bool) == (tp is bool) and isinstance(v, (int, float) if tp is float else tp)
+
+
+def _value(key: str, tp, v, meta):
+    """``v`` as a value of annotation ``tp``; a list becomes a tuple."""
+    origin, args = get_origin(tp), get_args(tp)
+    if is_dataclass(tp):
+        return _section(tp, key, v)
+    if origin is UnionType:                 # `X | None`
+        return None if v is None else _value(key, args[0], v, meta)
+    if origin is Literal:
+        if v in args:
+            return v
+        raise ConfigError(f"{key} must be one of {list(args)}, not {v!r}")
+    if origin is tuple:
+        if isinstance(v, (list, tuple)) and all(_is(args[0], x) for x in v):
+            return tuple(v)
+        raise ConfigError(f"{key} must be a list of {meta.get('items', args[0].__name__ + 's')}")
+    if not _is(origin or tp, v):            # dict[str, ...] is a dict
+        raise ConfigError(f"{key} must be {_NOUNS[origin or tp]}, not {v!r}")
+    return v
+
+
+def _section(cls, key: str, value):
+    """The JSON object ``value`` at dotted ``key`` ("" at the top) as a ``cls``,
+    whose fields are its keys and types. A ValueError (a DataError too) from
+    ``cls`` itself becomes a ConfigError naming the section."""
+    name = key or "config"
+    value, hints = _object(name, value), _type_hints(cls)
+    known = {f.name: f for f in fields(cls) if f.init}
+    unknown = set(value) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    missing = [k for k, f in known.items() if f.default is MISSING and k not in value]
+    if missing:
+        raise ConfigError(f"{name} needs keys: {missing}")
+    kwargs = {k: _value(f"{key}.{k}" if key else k, hints[k], v, known[k].metadata)
+              for k, v in value.items()}
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    data: dict                      # {"csv": {...}} or {"synthetic": {...}}
-    model: dict = field(default_factory=lambda: {"gbt": {}})
-    split_ratios: tuple = (0.6, 0.2, 0.2)
-    stratify: bool = True
-    embedding: dict = field(default_factory=lambda: {"kind": "shap", "opts": {}})
-    clustering: dict = field(default_factory=lambda: {"method": "kmeans", "k": 10})
-    methods: tuple = PARAMETRIC_METHODS
-    metric_opts: dict = field(default_factory=dict)   # n_bins, scheme, cece_base
-    ccl_opts: dict = field(default_factory=dict)      # min_fit_size, fit_opts
-    rejection_thresholds: tuple = tuple(round(0.1 * i, 1) for i in range(10))
-    seed: int = 0
-    out: str | None = None
+    """An experiment config, checked whole by ``from_dict`` before any stage runs."""
+
+    data: DataSpec
+    model: ModelSpec
+    split_ratios: tuple[float, ...]
+    stratify: bool
+    embedding: EmbeddingSpec
+    clustering: ClusteringSpec
+    methods: tuple[str, ...] = field(metadata={"items": "method names"})
+    metric_opts: MetricSpec
+    ccl_opts: CclSpec
+    rejection_thresholds: tuple[float, ...]
+    seed: int
+    out: str | None
+    # the config as given, with DEFAULTS for absent keys: what config_hash covers
+    payload: dict = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg = cls(**d)
+    def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
+        """Parse and check ``d`` with ``overrides`` (such as ``seed`` or ``out``) applied."""
+        payload = {**DEFAULTS, **_object("config", d), **overrides}
+        cfg = _section(cls, "", payload)
+        object.__setattr__(cfg, "payload", payload)
         cfg.validate()
         return cfg
 
     @classmethod
-    def from_json_file(cls, path: str) -> "ExperimentConfig":
+    def from_json_file(cls, path: str, **overrides) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), **overrides)
 
     def validate(self) -> None:
-        for name, section, allowed in (
-                ("data", self.data, None),
-                ("model", self.model, None),
-                ("metric_opts", self.metric_opts, {"n_bins", "scheme", "cece_base"}),
-                ("ccl_opts", self.ccl_opts, {"min_fit_size", "fit_opts"}),
-                ("clustering", self.clustering, {"method", "k", "elbow", "min_cluster_size"}),
-                ("embedding", self.embedding, {"kind", "opts", "path"})):
-            _check_section(name, section, allowed)
-        _check_section("embedding.opts", self.embedding.get("opts", {}),
-                       {"standardize", "topk_fraction"})
-        if sum(k in self.data for k in ("csv", "synthetic")) != 1:
+        """The range rules and the rules between sections; the types hold already."""
+        data, model, emb, clu = self.data, self.model, self.embedding, self.clustering
+        if (data.csv is None) == (data.synthetic is None):
             raise ConfigError("config needs exactly one data source: csv or synthetic")
-        if "csv" in self.data and not os.path.exists(self.data["csv"]["path"]):
-            raise ConfigError(f"data file not found: {self.data['csv']['path']}")
-        if not (isinstance(self.methods, (list, tuple))
-                and all(isinstance(m, str) for m in self.methods)):
-            raise ConfigError("methods must be a list of method names")
+        if data.csv is not None and not os.path.exists(data.csv.path):
+            raise ConfigError(f"data file not found: {data.csv.path}")
+        for key, path in (("model.external_scores", model.external_scores),
+                          ("embedding.path", emb.path)):
+            if path is not None and not os.path.exists(path):
+                raise ConfigError(f"{key}: file not found: {path}")
+        if sum(v is not None for v in vars(model).values()) != 1:
+            raise ConfigError("model needs exactly one of gbt / external_scores / synthetic_scores")
+        if model.synthetic_scores is not None and data.synthetic is None:
+            raise ConfigError("synthetic_scores requires a synthetic data source")
+        if emb.kind in ENSEMBLE_KINDS and model.gbt is None:
+            raise ConfigError(f"embedding.kind {emb.kind!r} needs a gbt model")
+        if emb.kind == "external" and emb.path is None:
+            raise ConfigError("embedding.kind 'external' needs embedding.path")
+        for key, value in (("clustering.k", clu.k), ("metric_opts.n_bins", self.metric_opts.n_bins)):
+            if value is not None and value < 1:
+                raise ConfigError(f"{key} must be positive, not {value}")
+        # the rules the library applies to these values when it uses them
+        for key, rule in (("split_ratios", lambda: _ratios(self.split_ratios)),
+                          ("clustering.elbow", lambda: _elbow_grid(clu.elbow)),
+                          ("rejection_thresholds",
+                           lambda: _probabilities(self.rejection_thresholds, "values"))):
+            try:
+                rule()
+            except ValueError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         if not self.methods:
             raise ConfigError("methods list must be non-empty")
         bad = [m for m in self.methods if m not in cal_mod.ALL_METHODS]
         if bad:
             raise ConfigError(f"unknown calibration methods: {bad}")
-        src = sum(k in self.model for k in ("gbt", "external_scores", "synthetic_scores"))
-        if src != 1:
-            raise ConfigError("model needs exactly one of gbt / external_scores / synthetic_scores")
-        if "synthetic_scores" in self.model and "synthetic" not in self.data:
-            raise ConfigError("synthetic_scores requires a synthetic data source")
-        if self.clustering.get("method", "kmeans") not in ("kmeans", "agglomerative"):
-            raise ConfigError(f"unknown clustering method {self.clustering.get('method')!r}")
-
-    def canonical(self) -> dict:
-        """Every field but ``out``, the part of the config that shapes the results."""
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out"}
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods repeat: {repeated}")
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-
-def _check_section(name: str, section, allowed) -> None:
-    """``section`` must be a dict whose keys lie in ``allowed`` (any keys when None)."""
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, not {type(section).__name__}")
-    unknown = set() if allowed is None else set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+        """SHA-256 of every top-level key but ``out``, the part that shapes the results."""
+        payload = {k: v for k, v in self.payload.items() if k != "out"}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -188,51 +314,42 @@ class RunState:
 
 def _data(r: RunState):
     cfg = r.cfg
-    if "csv" in cfg.data:
-        spec = dict(cfg.data["csv"])
-        r.ds = load_csv(spec.pop("path"), **spec)
+    if cfg.data.csv is not None:
+        r.ds = load_csv(cfg.data.csv)
     else:
-        r.ds, r.synth_margins, _ = gen_synthetic_full(SyntheticSpec(**cfg.data["synthetic"]))
+        r.ds, r.synth_margins, _ = gen_synthetic_full(cfg.data.synthetic)
     r.splits = split(r.ds, cfg.split_ratios, cfg.seed, cfg.stratify)
 
 
 def _model(r: RunState):
-    cfg, ds, tr_idx = r.cfg, r.ds, r.splits.train
-    if "gbt" in cfg.model:
+    model, ds, tr_idx = r.cfg.model, r.ds, r.splits.train
+    if model.gbt is not None:
         r.ens = fit_gbt(Dataset(ds.features[tr_idx], ds.labels[tr_idx], ds.feature_names,
-                                tuple(ds.sample_ids[i] for i in tr_idx)),
-                        GBTParams(**cfg.model["gbt"]))
+                                tuple(ds.sample_ids[i] for i in tr_idx)), model.gbt)
         r.scores = predict(r.ens, ds.features)
-    elif "external_scores" in cfg.model:
-        r.scores = load_external_scores(cfg.model["external_scores"],
-                                        expected_ids=ds.sample_ids)
+    elif model.external_scores is not None:
+        r.scores = load_external_scores(model.external_scores, expected_ids=ds.sample_ids)
     else:
         r.scores = ScoreSet.from_margins(r.synth_margins)
 
 
 def _embedding(r: RunState):
-    cfg = r.cfg
-    kind = cfg.embedding.get("kind", "shap" if r.ens is not None else "raw")
-    opts = dict(cfg.embedding.get("opts", {}))
-    if kind == "external":
-        opts["vectors"] = np.loadtxt(cfg.embedding["path"], delimiter=",", ndmin=2)
-    r.E = build_embedding(kind, r.ens, r.ds, opts)
+    emb = r.cfg.embedding
+    vectors = np.loadtxt(emb.path, delimiter=",", ndmin=2) if emb.kind == "external" else None
+    r.E = build_embedding(emb.kind, r.ens, r.ds, emb.opts, vectors)
 
 
 def _clustering(r: RunState):
-    cfg = r.cfg
+    clu, seed = r.cfg.clustering, r.cfg.seed
     fit_idx = np.sort(np.concatenate([r.splits.train, r.splits.calibration]))
     sub = EmbeddingMatrix(r.E.kind, r.E.vectors[fit_idx])
-    method = cfg.clustering.get("method", "kmeans")
-    k = cfg.clustering.get("k")
-    if k is None:
-        grid = tuple(cfg.clustering.get("elbow", (5, 100, 5)))
-        r.cm, r.elbow_curve = select_k_elbow(
-            sub, grid, cfg.seed, cfg.clustering.get("min_cluster_size", 0), method)
-    elif method == "kmeans":
-        r.cm = fit_kmeans(sub, int(k), cfg.seed)
+    if clu.k is None:
+        r.cm, r.elbow_curve = select_k_elbow(sub, clu.elbow, seed, clu.min_cluster_size,
+                                             clu.method)
+    elif clu.method == "kmeans":
+        r.cm = fit_kmeans(sub, clu.k, seed)
     else:
-        r.cm = fit_agglomerative(sub, int(k))
+        r.cm = fit_agglomerative(sub, clu.k)
     r.diag = diagnostics(r.cm, assign(r.cm, sub), r.ds.labels[fit_idx])
 
 
@@ -246,35 +363,32 @@ def _calibrate(r: RunState):
     cal_data = FitData.from_scores(r.scores.take(cal_idx), y[cal_idx])
     r.calibrated["base"] = r.scores.probabilities[te_idx]
     for method in cfg.methods:
-        uni = r.unified[method] = cal_mod.fit(method, cal_data, cfg.ccl_opts.get("fit_opts"))
+        uni = r.unified[method] = cal_mod.fit(method, cal_data)
         r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
         if method in PARAMETRIC_METHODS:
             ccl = r.ccl[method] = train_clustered(cal_data, cal_clusters, r.cm, method, uni,
-                                                  cfg.ccl_opts)
+                                                  cfg.ccl_opts.min_fit_size)
             r.calibrated[f"{method}_ccl"] = ccl.infer(te_scores, te_E)[0]
 
 
-def _eval_variant(p, y, cluster_labels, n_bins, scheme, base):
+def _eval_variant(p, y, cluster_labels, met: MetricSpec):
     """One report row's metrics, and the ECE bins they were computed from."""
     out = {}
-    out["CECE"] = cece(p, y, cluster_labels, base)[0]
-    out["ECE"], bins = ece(p, y, n_bins, scheme)
-    out["MCE"] = mce(p, y, n_bins, scheme)[0]
-    out["AdaECE"] = ada_ece(p, y, min(n_bins, len(p)))[0]
-    out["AUC"] = auc(p, y)[0]
+    out["CECE"] = cece(p, y, cluster_labels, met.cece_base)[0]
+    out["ECE"], bins = ece(p, y, met.n_bins, met.scheme)
+    out["MCE"] = mce(p, y, met.n_bins, met.scheme)[0]
+    out["AdaECE"] = ada_ece(p, y, min(met.n_bins, len(p)))[0]
+    out["AUC"] = auc(p, y)
     out.update(scalar_metrics(p, y))
     return out, bins
 
 
 def _evaluate(r: RunState):
-    cfg, y_te = r.cfg, r.ds.labels[r.splits.test]
+    cfg, met, y_te = r.cfg, r.cfg.metric_opts, r.ds.labels[r.splits.test]
     thresholds = np.asarray(cfg.rejection_thresholds)
-    n_bins = int(cfg.metric_opts.get("n_bins", 10))
-    scheme = cfg.metric_opts.get("scheme", "equal_width")
-    base = cfg.metric_opts.get("cece_base", "ece")
     rows = []
     for variant, p in r.calibrated.items():
-        metrics, r.bins[variant] = _eval_variant(p, y_te, r.te_clusters, n_bins, scheme, base)
+        metrics, r.bins[variant] = _eval_variant(p, y_te, r.te_clusters, met)
         # variants are "base", "<method>_unified" and "<method>_ccl"
         rows.append(dict(method=variant.rsplit("_", 1)[0], variant=variant, **metrics))
         r.rejection[variant] = rejection_curve(p, y_te, thresholds)
@@ -289,7 +403,7 @@ def _evaluate(r: RunState):
         },
         improved_fractions={
             m: improved_sample_fraction(r.calibrated[f"{m}_ccl"], r.calibrated[f"{m}_unified"],
-                                        r.te_clusters, y_te, n_bins, scheme)
+                                        r.te_clusters, y_te, met.n_bins, met.scheme)
             for m in r.ccl},
         provenance={"config_hash": cfg.config_hash(), "seed": cfg.seed},
     )
@@ -308,17 +422,16 @@ STAGES = (
 def run_stages(cfg: ExperimentConfig, last: str = "evaluate") -> RunState:
     """Run the stages in order up to and including ``last``; write nothing.
 
-    A ``ConfigError`` or ``DataError`` passes through unchanged; any other
-    exception becomes a ``StageError`` that names the failing stage.
+    A ``DataError`` passes through unchanged; any other exception becomes a
+    ``StageError`` that names the failing stage.
     """
     if last not in dict(STAGES):
         raise ValueError(f"unknown stage {last!r}")
-    cfg.validate()
     r = RunState(cfg)
     for name, stage in STAGES:
         try:
             stage(r)
-        except (ConfigError, DataError):
+        except DataError:
             raise
         except Exception as exc:
             raise StageError(f"stage {name!r} failed: {exc}") from exc
@@ -418,7 +531,7 @@ def _persist(r: RunState):
 _TEST_METRICS = {
     "ece": lambda p, y, m: ece(p, y, m)[0],
     "adaece": lambda p, y, m: ada_ece(p, y, min(m, len(p)))[0],
-    "auc": lambda p, y, m: auc(p, y)[0],
+    "auc": lambda p, y, m: auc(p, y),
     "brier": lambda p, y, m: scalar_metrics(p, y)["MSE_brier"],
 }
 

@@ -1,5 +1,5 @@
 """Calibration and discrimination metrics: binned calibration errors
-(equal-width, equal-mass, and cluster-binned), ROC-AUC, scalar scores,
+(equal-width, equal-mass, and cluster-binned), AUC, scalar scores,
 reliability-diagram data and rejection curves."""
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from scipy.stats import rankdata
 
 __all__ = [
     "BinStats",
-    "RocCurve",
     "RejectionCurve",
     "ece",
     "mce",
@@ -26,6 +25,8 @@ __all__ = [
 CE_EPS = 1e-12
 # ACC and the rejection error count a sample as predicted positive at p >= this.
 DECISION_THRESHOLD = 0.5
+SCHEMES = ("equal_width", "equal_mass")     # probability binnings of ece and mce
+BASES = ("ece", "mce", "adaece")            # the error arithmetics of _gap and cece
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,6 @@ class BinStats:
             {"bin": int(i), "count": int(c), "obs_rate": float(a), "mean_pred": float(p)}
             for i, (c, a, p) in enumerate(zip(self.counts, self.obs_rate, self.mean_pred))
         ]
-
-
-@dataclass(frozen=True)
-class RocCurve:
-    """ROC points over all thresholds; ties share a single diagonal segment."""
-
-    fpr: np.ndarray
-    tpr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,7 @@ def cece(p, y, cluster_labels, base: str = "ece"):
     return _gap(stats, len(p), base), stats
 
 
-def auc(scores, y):
+def auc(scores, y) -> float:
     """ROC-AUC via the Mann-Whitney statistic (ties count half)."""
     s, y = _check_lengths(scores, y)
     pos = y == 1
@@ -177,17 +170,7 @@ def auc(scores, y):
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
     ranks = rankdata(s, method="average")
-    val = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
-
-    order = np.argsort(-s, kind="stable")
-    sorted_s = s[order]
-    tp = np.cumsum(y[order] == 1)
-    fp = np.cumsum(y[order] == 0)
-    # keep only the last point of each tie block
-    last = np.r_[sorted_s[1:] != sorted_s[:-1], True]
-    tpr = np.r_[0.0, tp[last] / n_pos]
-    fpr = np.r_[0.0, fp[last] / n_neg]
-    return float(val), RocCurve(fpr, tpr)
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 
 def scalar_metrics(p, y):

@@ -15,6 +15,7 @@ from .treeshap import shap_values
 
 __all__ = [
     "EmbeddingMatrix",
+    "EmbeddingOpts",
     "ClusterModel",
     "ClusterDiagnostics",
     "build_embedding",
@@ -26,6 +27,7 @@ __all__ = [
 ]
 
 EMBEDDING_KINDS = ("shap", "leaf", "raw", "topk", "external")
+ENSEMBLE_KINDS = ("shap", "leaf", "topk")    # the kinds built from a fitted ensemble
 KMEANS_MAX_ITER = 300
 
 
@@ -75,21 +77,29 @@ def topk_feature_indices(ens: TreeEnsemble, fraction: float) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
-                    opts: dict | None = None) -> EmbeddingMatrix:
-    """Build the requested per-sample representation.
+@dataclass(frozen=True)
+class EmbeddingOpts:
+    """``standardize`` (None: raw and top-k features yes, SHAP vectors, which
+    share the margin's scale, no) and the share of features by split gain
+    that a top-k embedding keeps."""
 
-    SHAP vectors are left unstandardized (they share the margin's scale);
-    raw and top-k features are standardized by default.
-    """
-    opts = opts or {}
-    if kind in ("shap", "leaf", "topk") and ens is None:
+    standardize: bool | None = None
+    topk_fraction: float = 0.15
+
+    def __post_init__(self):
+        if not 0 < self.topk_fraction <= 1:
+            raise ValueError(f"topk_fraction must be in (0, 1], not {self.topk_fraction!r}")
+
+
+def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
+                    opts: EmbeddingOpts = EmbeddingOpts(), vectors=None) -> EmbeddingMatrix:
+    """Build the requested per-sample representation; ``vectors`` are the
+    rows of an ``"external"`` one."""
+    if kind in ENSEMBLE_KINDS and ens is None:
         raise ValueError(f"{kind} embedding requires a fitted ensemble")
     if kind == "shap":
         phi, _ = shap_values(ens, ds.features)
-        if opts.get("standardize", False):
-            phi = _standardize(phi)
-        return EmbeddingMatrix(kind, phi)
+        return EmbeddingMatrix(kind, _standardize(phi) if opts.standardize else phi)
     if kind == "leaf":
         leaves = leaf_indices(ens, ds.features)
         blocks = []
@@ -101,18 +111,14 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
         return EmbeddingMatrix(kind, V)
     if kind in ("raw", "topk"):
         if kind == "topk":
-            fraction = opts.get("topk_fraction", 0.15)
-            if not 0 < fraction <= 1:
-                raise ValueError("topk_fraction must be in (0, 1]")
-            cols = topk_feature_indices(ens, fraction)
-            V = ds.features[:, cols]
+            V = ds.features[:, topk_feature_indices(ens, opts.topk_fraction)]
         else:
             V = ds.features
-        if opts.get("standardize", True):
+        if opts.standardize is not False:
             return EmbeddingMatrix(kind, _standardize(V))
         return EmbeddingMatrix(kind, np.array(V))
     if kind == "external":
-        V = np.asarray(opts["vectors"], dtype=np.float64)
+        V = np.asarray(vectors, dtype=np.float64)
         if len(V) != ds.n:
             raise ValueError("external embedding row count mismatch")
         return EmbeddingMatrix(kind, V)
@@ -278,17 +284,23 @@ def _cut_ward(E: EmbeddingMatrix, k: int, Z) -> ClusterModel:
                         np.zeros(k_eff, dtype=np.int64), 0, _inertia(V, C, labels))
 
 
-def select_k_elbow(E: EmbeddingMatrix, k_range=(5, 100, 5), seed: int = 0,
+def _elbow_grid(k_range) -> tuple:
+    """``k_range`` as (k_min, k_max, step), when k_min >= 2 and step >= 1."""
+    if len(k_range) != 3 or k_range[0] < 2 or k_range[2] < 1:
+        raise ValueError(f"elbow grid must be (k_min >= 2, k_max, step >= 1), not {k_range!r}")
+    return tuple(k_range)
+
+
+def select_k_elbow(E: EmbeddingMatrix, k_range, seed: int = 0,
                    min_cluster_size: int = 0, method: str = "kmeans"):
-    """Pick k at the largest discrete curvature of the inertia curve.
+    """Pick k on the grid ``k_range`` = (k_min, k_max, step) at the largest
+    discrete curvature of the inertia curve.
 
     Returns (model, curve): the model fitted at the chosen k, and a list of
     (k, inertia) pairs. With ``min_cluster_size`` set, grid points whose
     smallest cluster violates the floor are dropped before the curvature scan.
     """
-    k_min, k_max, step = k_range
-    if k_min < 2:
-        raise ValueError("k_min must be >= 2")
+    k_min, k_max, step = _elbow_grid(k_range)
     ks = [k for k in range(k_min, min(k_max, len(E.vectors)) + 1, step)]
     # the grid shares its start: k-means++ draws centroid j from the same
     # generator state whatever k is, and Ward's hierarchy does not depend on k

@@ -67,7 +67,7 @@ def test_criterion_01_metric_oracles():
     y = np.array([0, 1, 1, 1])
     vals = (ece(p, y, 2)[0], mce(p, y, 2)[0], ada_ece(p, y, 2)[0],
             cece(p, y, np.array([0, 0, 1, 1]))[0],
-            auc(p, np.array([0, 1, 0, 1]))[0])  # AUC fixture: alternating labels
+            auc(p, np.array([0, 1, 0, 1])))  # AUC fixture: alternating labels
     # the AdaECE reference 0.226385 is the closed form rounded to 6 places
     exact = (0.225, 0.25, float(np.sqrt((2 * 0.25**2 + 2 * 0.2**2) / 4)), 0.225, 0.75)
     rounded = (0.225, 0.25, 0.226385, 0.225, 0.75)
@@ -82,7 +82,7 @@ def test_criterion_01_metric_oracles():
         yy = rng.integers(0, 2, size=n)
         if yy.min() == yy.max():
             yy[0] = 1 - yy[0]
-        auc_err = max(auc_err, abs(auc(s, yy)[0] - brute_auc(s, yy)))
+        auc_err = max(auc_err, abs(auc(s, yy) - brute_auc(s, yy)))
     dt = time.perf_counter() - t0
     ok = exact_err <= 1e-9 and rounded_err <= 5e-7 and auc_err <= 1e-12 and dt < 1.0
     verdict(1, ok, f"hand-fixture err {exact_err:.2e} (vs rounded refs {rounded_err:.2e}), "

@@ -2,10 +2,15 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
+from clustercal import harness
 from clustercal.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_CONFIG = GOLDEN / "report_config.json"
 
 CONFIG = {
     "data": {"synthetic": {
@@ -18,6 +23,41 @@ CONFIG = {
     "methods": ["platt"],
     "seed": 0,
 }
+
+
+def _without_embedding(cfg):
+    cfg = dict(cfg, model={"synthetic_scores": {}})
+    del cfg["embedding"]    # the default embedding, SHAP, needs a GBT model
+    return cfg
+
+
+# change to the golden config (a dict to merge, or a function of the config)
+# -> the key its error names. Each is rejected before any stage runs.
+BAD_CONFIGS = [
+    ({"data": {"synthetic": None}}, "data.synthetic"),
+    ({"data": {"csv": {"path": str(GOLDEN / "train" / "scores.csv"), "label_column": "y",
+                       "sep": ";"}}}, "data.csv keys: ['sep']"),
+    ({"data": {"csv": {"path": str(GOLDEN / "train" / "scores.csv")}}}, "label_column"),
+    ({"model": {"gbt": None}}, "model.gbt"),
+    ({"model": {"external_scores": None}}, "model.external_scores"),
+    ({"model": {"gbt": {"bogus": 1}}}, "model.gbt keys: ['bogus']"),
+    ({"model": {"gbt": {"n_trees": "2"}}}, "model.gbt.n_trees"),
+    ({"clustering": {"k": "eight"}}, "clustering.k"),
+    ({"clustering": {"elbow": [2, 6]}}, "clustering.elbow"),
+    ({"embedding": {"kind": "bogus"}}, "embedding.kind"),
+    ({"embedding": {"kind": "topk", "opts": {"topk_fraction": 2}}}, "topk_fraction"),
+    (_without_embedding, "embedding.kind"),
+    ({"ccl_opts": {"min_fit_size": "ten"}}, "ccl_opts.min_fit_size"),
+    ({"ccl_opts": {"fit_opts": {"bogus": 1}}}, "ccl_opts keys: ['fit_opts']"),
+    ({"metric_opts": {"n_bins": 0}}, "metric_opts.n_bins"),
+    ({"metric_opts": {"scheme": "bogus"}}, "metric_opts.scheme"),
+    ({"metric_opts": {"cece_base": "bogus"}}, "metric_opts.cece_base"),
+    ({"rejection_thresholds": [1.5]}, "rejection_thresholds"),
+    ({"seed": "x"}, "seed"),
+    ({"stratify": "no"}, "stratify"),
+    ({"methods": ["platt", "platt"]}, "methods repeat: ['platt']"),
+    (lambda cfg: [1], "config must be a JSON object"),
+]
 
 
 def write_config(tmp_path, extra=None, name="cfg.json"):
@@ -76,11 +116,35 @@ class TestExitCodes:
         assert "runtime error:" in capsys.readouterr().err
 
     def test_failed_run_writes_nothing(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"rejection_thresholds": [1.5]})
+        # data, model and embedding run before the clustering stage fails
+        cfg = write_config(tmp_path, {"clustering": {"method": "kmeans", "k": 100000}})
         out = tmp_path / "out"
         assert main(["report", "--config", cfg, "--out", str(out)]) == 2
-        assert "stage 'evaluate' failed" in capsys.readouterr().err
+        assert "stage 'clustering' failed" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("change, key", BAD_CONFIGS,
+                             ids=[key for _, key in BAD_CONFIGS])
+    def test_bad_value_exits_1_before_any_stage(self, tmp_path, capsys, monkeypatch,
+                                                change, key):
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran")
+        monkeypatch.setattr(harness, "gen_synthetic_full", stage_ran)
+        monkeypatch.setattr(harness, "load_csv", stage_ran)
+        golden = json.loads(GOLDEN_CONFIG.read_text())
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(change(golden) if callable(change) else {**golden, **change}))
+        out = tmp_path / "out"
+        assert main(["report", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err, err
+        assert not out.exists()
+
+    def test_seed_override_replaces_the_config_seed_before_the_check(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**CONFIG, "seed": "x"}))
+        assert main(["report", "--config", str(path), "--seed", "2",
+                     "--out", str(tmp_path / "out")]) == 0
 
     def test_csv_without_label_column_is_data_error(self, tmp_path, capsys):
         data = tmp_path / "data.csv"

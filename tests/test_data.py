@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercal.data import (
-    DataError, Dataset, SplitIndices, SyntheticSpec,
+    CsvSpec, DataError, Dataset, SplitIndices, SyntheticSpec,
     gen_synthetic_full, load_csv, split,
 )
 
@@ -51,61 +51,61 @@ class TestLoadCsv:
 
     def test_basic(self, tmp_path):
         path = self.write(tmp_path, "a,b,y\n1,2,0\n3,4,1\n")
-        ds = load_csv(path, "y")
+        ds = load_csv(CsvSpec(path, "y"))
         assert ds.feature_names == ("a", "b")
         assert ds.labels.tolist() == [0, 1]
         np.testing.assert_allclose(ds.features, [[1, 2], [3, 4]])
 
     def test_id_column_and_label_map(self, tmp_path):
         path = self.write(tmp_path, "id,a,y\nr1,1,no\nr2,2,yes\n")
-        ds = load_csv(path, "y", id_column="id", label_map={"no": 0, "yes": 1})
+        ds = load_csv(CsvSpec(path, "y", id_column="id", label_map={"no": 0, "yes": 1}))
         assert ds.sample_ids == ("r1", "r2")
         assert ds.feature_names == ("a",)
         assert ds.labels.tolist() == [0, 1]
 
     def test_category_maps(self, tmp_path):
         path = self.write(tmp_path, "col,y\nred,0\nblue,1\n")
-        ds = load_csv(path, "y", category_maps={"col": {"red": 0, "blue": 5}})
+        ds = load_csv(CsvSpec(path, "y", category_maps={"col": {"red": 0, "blue": 5}}))
         assert ds.features[:, 0].tolist() == [0.0, 5.0]
 
     def test_impute_reject_drops_rows(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0\n,1\n3,1\n")
-        ds = load_csv(path, "y")
+        ds = load_csv(CsvSpec(path, "y"))
         assert ds.n == 2
         assert ds.features[:, 0].tolist() == [1.0, 3.0]
 
     def test_impute_mean_fills(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0\n,1\n3,1\n")
-        ds = load_csv(path, "y", impute="mean")
+        ds = load_csv(CsvSpec(path, "y", impute="mean"))
         assert ds.n == 3
         assert ds.features[1, 0] == pytest.approx(2.0)
 
     def test_error_messages_name_row_and_column(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0\nbogus,1\n")
         with pytest.raises(DataError, match="row 3.*'a'"):
-            load_csv(path, "y")
+            load_csv(CsvSpec(path, "y"))
         path = self.write(tmp_path, "a,y\n1,maybe\n")
         with pytest.raises(DataError, match="row 2.*'y'"):
-            load_csv(path, "y")
+            load_csv(CsvSpec(path, "y"))
 
     def test_missing_label_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="missing label column"):
-            load_csv(path, "y")
+            load_csv(CsvSpec(path, "y"))
 
     def test_ragged_row(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0,9\n")
         with pytest.raises(DataError, match="row 2 has 3 cells"):
-            load_csv(path, "y")
+            load_csv(CsvSpec(path, "y"))
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(DataError, match="empty"):
-            load_csv(self.write(tmp_path, ""), "y")
+            load_csv(CsvSpec(self.write(tmp_path, ""), "y"))
 
     def test_bad_impute_mode(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0\n")
         with pytest.raises(DataError, match="impute"):
-            load_csv(path, "y", impute="zero")
+            load_csv(CsvSpec(path, "y", impute="zero"))
 
 
 class TestSplit:

@@ -1,5 +1,7 @@
 """Per-cluster calibration ensemble behavior."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,11 +23,10 @@ def synth_setup(seed=0, offsets=(2.0, -2.0, 1.0), rates=(0.2, 0.5, 0.8), n=500):
     return ds, sp, scores, E, cm
 
 
-def train(scores, V, cm, method, y, opts=None):
+def train(scores, V, cm, method, y, **kwargs):
     """Assign the rows, fit the global calibrator and train the ensemble on them."""
     data = FitData.from_scores(scores, y)
-    fallback = fit(method, data, (opts or {}).get("fit_opts"))
-    return train_clustered(data, assign(cm, V), cm, method, fallback, opts)
+    return train_clustered(data, assign(cm, V), cm, method, fit(method, data), **kwargs)
 
 
 class TestTrainClustered:
@@ -101,7 +102,7 @@ class TestTrainClustered:
         cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
                           np.array([60, 5]), np.array([0, 0]))
         ccl = train(ScoreSet.from_margins(rng.normal(size=65)), V, cm,
-                    "platt", y, {"min_fit_size": 4})
+                    "platt", y, min_fit_size=4)
         assert not ccl.cluster_meta[1]["used_fallback"]
 
     @pytest.mark.parametrize("method", ["platt", "temperature", "beta", "dirichlet2"])
@@ -122,7 +123,7 @@ class TestTrainClustered:
         ds, sp, scores, E, cm = synth_setup(seed=5)
         ccl = train(scores.take(sp.calibration), E.vectors[sp.calibration],
                     cm, "beta", ds.labels[sp.calibration])
-        back = ClusteredCalibrator.from_json(ccl.to_json())
+        back = ClusteredCalibrator.from_dict(json.loads(json.dumps(ccl.to_dict(), sort_keys=True)))
         p_a, l_a = ccl.infer(scores.take(sp.test), E.vectors[sp.test])
         p_b, l_b = back.infer(scores.take(sp.test), E.vectors[sp.test])
         np.testing.assert_allclose(p_a, p_b, atol=1e-12)

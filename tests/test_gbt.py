@@ -1,5 +1,6 @@
 """Boosted-tree training, splitting rules and serialization."""
 
+import json
 import math
 from pathlib import Path
 
@@ -51,12 +52,12 @@ class TestFit:
         ds = toy_dataset()
         a = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
         b = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
-        assert a.to_json() == b.to_json()
+        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_max_depth_respected(self):
         ds = toy_dataset()
         ens = fit_gbt(ds, GBTParams(n_trees=5, max_depth=2))
-        assert max(t.depth() for t in ens.trees) <= 2
+        assert max(_node_depth(t, j) for t in ens.trees for j in range(t.n_nodes)) <= 2
 
     def test_single_class_error(self):
         X = np.random.default_rng(0).normal(size=(10, 2))
@@ -140,7 +141,7 @@ class TestPredictAndSerialize:
     def test_serialization_roundtrip(self):
         ds = toy_dataset()
         ens = fit_gbt(ds, GBTParams(n_trees=4, max_depth=3))
-        back = TreeEnsemble.from_json(ens.to_json())
+        back = TreeEnsemble.from_dict(json.loads(json.dumps(ens.to_dict(), sort_keys=True)))
         np.testing.assert_allclose(back.margins(ds.features), ens.margins(ds.features))
         assert back.params == ens.params
 

@@ -1,8 +1,10 @@
 """Experiment orchestration, significance testing and model selection."""
 
 import dataclasses
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +14,19 @@ from clustercal.harness import (
     ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError,
     paired_resample_test, rejection_selection, run_experiment, run_stages, select_model,
 )
-from clustercal.ensemble import improved_sample_fraction
+from clustercal.ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction
+from clustercal.gbt import GBTParams
 from clustercal.metrics import auc, cece, ece
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CONFIG = ROOT / "tests" / "golden" / "report_config.json"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
-def synth_config(out=None, seed=0, methods=("platt", "temperature"), **overrides):
+
+def synth_dict(seed=0, methods=("platt", "temperature"), **overrides):
     d = {
         "data": {"synthetic": {
             "n_subpops": 3, "samples_per_subpop": 300, "d": 2,
@@ -27,10 +37,31 @@ def synth_config(out=None, seed=0, methods=("platt", "temperature"), **overrides
         "clustering": {"method": "kmeans", "k": 3},
         "methods": list(methods),
         "seed": seed,
-        "out": out,
     }
     d.update(overrides)
-    return ExperimentConfig.from_dict(d)
+    return d
+
+
+def synth_config(out=None, seed=0, methods=("platt", "temperature"), **overrides):
+    return ExperimentConfig.from_dict(synth_dict(seed, methods, out=out, **overrides))
+
+
+# top-level key -> a valid value other than synth_dict's (or the default)
+OTHER_VALUES = {
+    "data": {"synthetic": {"n_subpops": 1, "samples_per_subpop": 50, "base_rates": [0.5],
+                           "miscal_offsets": [0.0]}},
+    "model": {"gbt": {"n_trees": 2}},
+    "split_ratios": [0.5, 0.25, 0.25],
+    "stratify": False,
+    "embedding": {"kind": "raw", "opts": {"standardize": False}},
+    "clustering": {"method": "agglomerative", "k": 3},
+    "methods": ["platt"],
+    "metric_opts": {"n_bins": 5},
+    "ccl_opts": {"min_fit_size": 5},
+    "rejection_thresholds": [0.5],
+    "seed": 1,
+    "out": "/tmp/x",
+}
 
 
 class TestConfig:
@@ -38,13 +69,18 @@ class TestConfig:
                                          "clustering", "metric_opts", "ccl_opts"])
     @pytest.mark.parametrize("value", [None, [], "kmeans", 3])
     def test_section_that_is_not_an_object_rejected(self, section, value):
-        d = dataclasses.asdict(synth_config())
+        d = synth_dict()
         if section == "embedding.opts":
             d["embedding"]["opts"] = value
         else:
             d[section] = value
         with pytest.raises(ConfigError, match=rf"^{section} must be a JSON object"):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("value", [None, [1], "x"])
+    def test_config_that_is_not_an_object_rejected(self, value):
+        with pytest.raises(ConfigError, match="^config must be a JSON object"):
+            ExperimentConfig.from_dict(value)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
@@ -58,12 +94,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown calibration methods"):
             synth_config(methods=("platt", "venn_abers"))
 
+    def test_repeated_methods_rejected(self):
+        with pytest.raises(ConfigError, match=r"^methods repeat: \['platt'\]$"):
+            synth_config(methods=("platt", "beta", "platt"))
+
     def test_methods_string_rejected(self):
         # a string is not iterated letter by letter
-        cfg = synth_config()
-        cfg.methods = "platt"
         with pytest.raises(ConfigError, match="methods must be a list of method names"):
-            cfg.validate()
+            ExperimentConfig.from_dict({**synth_dict(), "methods": "platt"})
 
     def test_unknown_clustering_rejected(self):
         with pytest.raises(ConfigError, match="clustering"):
@@ -95,6 +133,56 @@ class TestConfig:
             ExperimentConfig.from_dict(
                 {"data": {"csv": {"path": "/nonexistent.csv", "label_column": "y"}}})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("clustering", {"k": "eight"}, "clustering.k must be an int, not 'eight'"),
+        ("clustering", {"k": 0}, "clustering.k must be positive, not 0"),
+        ("clustering", {"k": True}, "clustering.k must be an int, not True"),
+        ("clustering", {"method": "dbscan"}, "clustering.method must be one of "
+                                             "['kmeans', 'agglomerative'], not 'dbscan'"),
+        ("clustering", {"elbow": [1, 6, 1]}, "clustering.elbow: elbow grid must be"),
+        ("model", {"gbt": {"learning_rate": -1.0}}, "model.gbt: learning_rate must be positive"),
+        ("model", {"external_scores": 3}, "model.external_scores must be a string, not 3"),
+        ("data", {"synthetic": {"n_subpops": 1}}, "data.synthetic needs keys: "
+                                                  "['samples_per_subpop']"),
+        ("data", {"synthetic": {"n_subpops": 1, "samples_per_subpop": 9, "base_rates": [1.5],
+                                "miscal_offsets": [0.0]}},
+         "data.synthetic: base rates must be in (0, 1)"),
+        ("data", {"synthetic": {"n_subpops": 1, "samples_per_subpop": 9,
+                                "base_rates": ["a"]}},
+         "data.synthetic.base_rates must be a list of floats"),
+        ("split_ratios", [0.5, 0.5, 0.5], "split_ratios: ratios sum to 1.5, expected 1"),
+        ("embedding", {"kind": "external"}, "embedding.kind 'external' needs embedding.path"),
+        ("embedding", {"kind": "external", "path": "/nonexistent.csv"},
+         "embedding.path: file not found: /nonexistent.csv"),
+        ("model", {"external_scores": "/nonexistent.csv"},
+         "model.external_scores: file not found: /nonexistent.csv"),
+        ("embedding", {"opts": {"standardize": 1}}, "embedding.opts.standardize must be a "
+                                                    "boolean, not 1"),
+        ("rejection_thresholds", [0.5, float("nan")], "rejection_thresholds: values must be "
+                                                      "finite"),
+        ("model", {"synthetic_scores": {"x": 1}}, "unknown model.synthetic_scores keys: ['x']"),
+        ("out", 3, "out must be a string, not 3"),
+    ])
+    def test_bad_value_names_its_key(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(synth_dict(**{key: value}))
+        assert str(info.value).startswith(message)
+
+    def test_absent_sections_take_their_defaults(self):
+        cfg = ExperimentConfig.from_dict({"data": synth_dict()["data"]})
+        assert (cfg.model.gbt, cfg.embedding.kind) == (GBTParams(), "shap")
+        assert (cfg.clustering.method, cfg.clustering.k) == ("kmeans", 10)
+        assert cfg.ccl_opts.min_fit_size == DEFAULT_MIN_FIT_SIZE
+        # a given clustering section without k picks k on the elbow grid
+        assert synth_config(clustering={"method": "kmeans"}).clustering.elbow == (5, 100, 5)
+
+    def test_sections_are_frozen(self):
+        cfg = synth_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.clustering.k = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 1
+
     def test_config_hash_stable_and_seed_sensitive(self):
         a, b = synth_config(seed=1), synth_config(seed=1)
         assert a.config_hash() == b.config_hash()
@@ -103,18 +191,54 @@ class TestConfig:
         assert a.config_hash() == synth_config(seed=1, out="/tmp/x").config_hash()
 
     def test_config_hash_covers_every_field_but_out(self):
-        cfg = synth_config()
-        for f in dataclasses.fields(cfg):
-            changed = dataclasses.replace(cfg, **{f.name: "changed"})
-            assert (changed.config_hash() == cfg.config_hash()) == (f.name == "out"), f.name
+        d = synth_dict()
+        base = ExperimentConfig.from_dict(d).config_hash()
+        assert sorted(OTHER_VALUES) == sorted(f.name for f in dataclasses.fields(ExperimentConfig)
+                                              if f.init)
+        for key, value in OTHER_VALUES.items():
+            changed = ExperimentConfig.from_dict({**d, key: value}).config_hash()
+            assert (changed == base) == (key == "out"), key
+
+    def test_config_hash_pins(self):
+        # the hashed payload is the config as given plus the absent keys' defaults
+        golden = ExperimentConfig.from_json_file(str(GOLDEN_CONFIG))
+        assert golden.config_hash() == (
+            "56ca7f8b9053a3a738d3d95ee6bbdf83109c1a09349446d8f19fff6e5d95f36b")
+        for name, digest in HASHES.items():
+            assert ExperimentConfig.from_dict(workloads.config(name, 0)).config_hash() == digest
+        # a config that gives only its data hashes every top-level default
+        minimal = {"data": {"synthetic": {"n_subpops": 2, "samples_per_subpop": 50}}}
+        assert ExperimentConfig.from_dict(minimal).config_hash() == (
+            "0526a658c7c359c329f4dba66dc92c2d91e3be6b1c696731e26017e33f25d632")
 
 
-# stage -> config overrides that make it fail
+# config_hash of each perfbench workload's input 0
+HASHES = {
+    "shap_d4": "4d980a99f329f3182a0ef008189f73536fd1e463af6b274903030cfd4c33027f",
+    "shap_d8": "6262614da8c51a177de9c3ee1110b34319b321ae9c400a4b97a60534d1c363c8",
+    "gbt_raw": "6509e9ecbf3a192b68cb20b4cbcec549a2eb51388ffe2b8d2af4012f6fdbfcc9",
+    "elbow_k": "e5cf56a72951314edec5c8cd670217db7acf04e264190b94f3ce48ae8f574bd1",
+}
+
+
+def _vectors_file(tmp_path):
+    path = tmp_path / "vectors.csv"
+    path.write_text("0.0,1.0\n1.0,0.0\n")
+    return {"embedding": {"kind": "external", "path": str(path)}}
+
+
+def _scores_file(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("sample_id,margin\na,0.5\nb,-0.5\n")
+    return {"model": {"external_scores": str(path)}}
+
+
+# stage -> config overrides, given a scratch directory, that pass the config
+# checks and make the stage fail
 STAGE_FAILURES = {
-    "clustering": {"clustering": {"method": "kmeans", "k": 10_000}},
-    "embedding": {"embedding": {"kind": "bogus"}},
-    "model": {"model": {"gbt": {"bogus": 1}}},
-    "evaluate": {"metric_opts": {"n_bins": 0}},
+    "clustering": lambda tmp_path: {"clustering": {"method": "kmeans", "k": 10_000}},
+    "embedding": _vectors_file,
+    "model": _scores_file,
 }
 
 
@@ -161,7 +285,7 @@ class TestRunExperiment:
                               usecols=(1, 2), ndmin=2)
             p, y = rows[:, 0], rows[:, 1].astype(int)
             assert ece(p, y, 10)[0] == pytest.approx(row["ECE"], abs=1e-12)
-            assert auc(p, y)[0] == pytest.approx(row["AUC"], abs=1e-12)
+            assert auc(p, y) == pytest.approx(row["AUC"], abs=1e-12)
 
     def test_improved_fractions_use_the_report_bins(self):
         r = run_stages(synth_config(methods=("platt", "beta"), metric_opts={"n_bins": 5}))
@@ -211,8 +335,8 @@ class TestRunExperiment:
         assert report.cluster_diagnostics["k"] >= 2
 
     @pytest.mark.parametrize("stage", STAGE_FAILURES)
-    def test_stage_error_names_stage(self, stage):
-        cfg = synth_config(**STAGE_FAILURES[stage])
+    def test_stage_error_names_stage(self, stage, tmp_path):
+        cfg = synth_config(**STAGE_FAILURES[stage](tmp_path))
         with pytest.raises(StageError, match=f"stage '{stage}' failed"):
             run_experiment(cfg)
 

@@ -57,7 +57,7 @@ class TestHandFixture:
         assert cece(HAND_P, HAND_Y, labels)[0] == pytest.approx(0.225, abs=1e-9)
 
     def test_auc(self):
-        assert auc(HAND_P, HAND_Y)[0] == pytest.approx(brute_auc(HAND_P, HAND_Y), abs=1e-12)
+        assert auc(HAND_P, HAND_Y) == pytest.approx(brute_auc(HAND_P, HAND_Y), abs=1e-12)
 
 
 class TestEce:
@@ -126,7 +126,7 @@ class TestInputBoundary:
             metric([bad, 0.5], [0, 1])
 
     def test_auc_accepts_arbitrary_scores(self):
-        assert auc([-3.0, 7.5], [0, 1])[0] == 1.0
+        assert auc([-3.0, 7.5], [0, 1]) == 1.0
 
 
 class TestSharedInputRules:
@@ -244,11 +244,11 @@ class TestAuc:
             y = rng.integers(0, 2, size=n)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
-            assert auc(s, y)[0] == pytest.approx(brute_auc(s, y), abs=1e-12)
+            assert auc(s, y) == pytest.approx(brute_auc(s, y), abs=1e-12)
 
     def test_perfect_and_random(self):
-        assert auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])[0] == 1.0
-        assert auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1])[0] == 0.5
+        assert auc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
+        assert auc([0.5, 0.5, 0.5, 0.5], [0, 1, 0, 1]) == 0.5
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=40),
@@ -259,15 +259,9 @@ class TestAuc:
         y = np.random.default_rng(seed).integers(0, 2, size=len(s))
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        a = auc(s, y)[0]
-        b = auc(2.0 * s + 7.0, y)[0]  # strictly increasing map
+        a = auc(s, y)
+        b = auc(2.0 * s + 7.0, y)  # strictly increasing map
         assert a == pytest.approx(b, abs=1e-12)
-
-    def test_roc_curve_endpoints(self):
-        _, curve = auc([0.1, 0.4, 0.6, 0.9], [0, 1, 0, 1])
-        assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
-        assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
-        assert (np.diff(curve.fpr) >= 0).all() and (np.diff(curve.tpr) >= 0).all()
 
     def test_single_class_error(self):
         with pytest.raises(ValueError, match="both classes"):

@@ -5,7 +5,8 @@ its `PATCHES` table with recording wrappers. A hook whose attribute leaves
 the call path records nothing, and its layer then reads zero without an
 error. These tests run `report` under the tracer and check that every hook
 records at least one call, and that the golden run does each piece of work
-once.
+once. The set-up probe, which loads and checks a config through the
+package's API, must run on the golden config.
 """
 
 import importlib.util
@@ -63,3 +64,13 @@ def test_golden_run_assigns_and_fits_once(tmp_path):
     assert tracer.calls("gbt.fit") == 1
     assert tracer.calls("gbt.predict") == 1
     assert tracer.calls("harness.persist") == 1
+
+
+def test_setup_probe_measures_the_golden_config(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))   # setup_probe imports `speed`
+    spec = importlib.util.spec_from_file_location("perfbench_setup_probe",
+                                                  ROOT / "perfbench" / "setup_probe.py")
+    setup_probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(setup_probe)
+    wall, scaled = setup_probe.measure(str(GOLDEN_CONFIG))
+    assert wall > 0 and scaled > 0

@@ -9,6 +9,7 @@ the golden file has ``1.0``, so it cannot see a cell change its type; this
 test compares bytes, on one `RunState` of the golden config.
 """
 
+import dataclasses
 import json
 import math
 import os
@@ -115,8 +116,7 @@ def oracle_report(out, r):
 
 def write_report(out, r):
     """What `clustercal report` writes: `_persist` plus `selection.json`."""
-    r.cfg.out = str(out)
-    harness._persist(r)
+    harness._persist(dataclasses.replace(r, cfg=dataclasses.replace(r.cfg, out=str(out))))
     harness._write_json(os.path.join(out, "selection.json"), select_model(r.report, "CECE"))
 
 

@@ -7,7 +7,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from clustercal.data import Dataset, SyntheticSpec, gen_synthetic_full
 from clustercal.gbt import GBTParams, fit_gbt
 from clustercal.representation import (
-    ClusterModel, EmbeddingMatrix, _dists, _kmeans_pp_init, assign, build_embedding,
+    ClusterModel, EmbeddingMatrix, EmbeddingOpts, _dists, _kmeans_pp_init, assign, build_embedding,
     diagnostics, fit_agglomerative, fit_kmeans, select_k_elbow, topk_feature_indices,
 )
 
@@ -63,16 +63,16 @@ class TestEmbeddings:
         cols = topk_feature_indices(ens, 0.5)
         assert len(cols) == 2
         assert 0 in cols or 1 in cols  # labels depend only on features 0 and 1
-        E = build_embedding("topk", ens, ds, {"topk_fraction": 0.5})
+        E = build_embedding("topk", ens, ds, EmbeddingOpts(topk_fraction=0.5))
         assert E.vectors.shape == (ds.n, 2)
 
     def test_external_embedding(self):
         ds, _ = fitted_model()
         V = np.ones((ds.n, 3))
-        E = build_embedding("external", None, ds, {"vectors": V})
+        E = build_embedding("external", None, ds, vectors=V)
         assert E.vectors.shape == (ds.n, 3)
         with pytest.raises(ValueError, match="row count"):
-            build_embedding("external", None, ds, {"vectors": V[:-1]})
+            build_embedding("external", None, ds, vectors=V[:-1])
 
     def test_validation(self):
         ds, _ = fitted_model()
