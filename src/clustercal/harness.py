@@ -14,7 +14,6 @@ from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from . import calibrators as cal_mod
 from .calibrators import FitData, PARAMETRIC_METHODS
@@ -550,6 +549,9 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
 
     ``scores_a`` and ``scores_b`` must be finite probabilities in [0, 1] and
     ``y`` 0/1 labels; anything else raises ``ValueError``.
+
+    The first call that computes a p-value imports ``scipy.stats``, which
+    takes about 1.3 s.
     """
     a = _probabilities(scores_a, "scores_a")
     b = _probabilities(scores_b, "scores_b")
@@ -583,6 +585,8 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
         t_stat = 0.0
         p_one, p_two = (1.0, 1.0)
     else:
+        from scipy.stats import t as student_t   # ~1.3 s to import; only this test needs it
+
         t_stat = float(np.mean(diffs) / (sd / math.sqrt(iterations)))
         p_one = float(student_t.cdf(t_stat, dof))       # H1: mean(a - b) < 0
         p_two = float(2 * student_t.sf(abs(t_stat), dof))

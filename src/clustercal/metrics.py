@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 __all__ = [
     "BinStats",
@@ -162,14 +161,35 @@ def cece(p, y, cluster_labels, base: str = "ece"):
     return _gap(stats, len(p), base), stats
 
 
+def _average_ranks(s: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``s``, tied values sharing their group's mean rank.
+
+    The ranks are half-integers, so they are exact and equal
+    ``scipy.stats.rankdata(s, method="average")``.
+    """
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(s))
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def auc(scores, y) -> float:
-    """ROC-AUC via the Mann-Whitney statistic (ties count half)."""
+    """ROC-AUC via the Mann-Whitney statistic (ties count half).
+
+    Scores may be any real numbers, ±inf included; a NaN score raises
+    ``ValueError``.
+    """
     s, y = _check_lengths(scores, y)
+    if np.isnan(s).any():
+        raise ValueError("scores must not be NaN")
     pos = y == 1
     n_pos, n_neg = int(pos.sum()), int((~pos).sum())
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
-    ranks = rankdata(s, method="average")
+    ranks = _average_ranks(s)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg))
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
 
 from .data import Dataset
 from .gbt import TreeEnsemble, leaf_indices
@@ -254,6 +253,8 @@ def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0, init=None) -> ClusterM
 
 def _ward(V):
     """The Ward linkage of V's rows, or None for a single row."""
+    from scipy.cluster.hierarchy import linkage   # ~0.6 s to import; only Ward needs it
+
     return linkage(V, method="ward") if len(V) > 1 else None
 
 
@@ -271,6 +272,8 @@ def _cut_ward(E: EmbeddingMatrix, k: int, Z) -> ClusterModel:
     if Z is None:
         labels = np.zeros(1, dtype=np.int64)
     else:
+        from scipy.cluster.hierarchy import fcluster
+
         raw = fcluster(Z, t=k, criterion="maxclust")
         # relabel clusters by first appearance for determinism
         labels = np.empty(len(V), dtype=np.int64)

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import rankdata
 
 from clustercal.calibrators import FitData
 from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
-    _bin_ids, ada_ece, auc, cece, ece, mce, reliability_data, rejection_curve, scalar_metrics,
+    _average_ranks, _bin_ids, ada_ece, auc, cece, ece, mce, reliability_data, rejection_curve,
+    scalar_metrics,
 )
 from clustercal.scores import load_external_scores
 
@@ -128,6 +130,12 @@ class TestInputBoundary:
     def test_auc_accepts_arbitrary_scores(self):
         assert auc([-3.0, 7.5], [0, 1]) == 1.0
 
+    @pytest.mark.parametrize("scores", [[np.nan, 0.5], [0.2, np.nan, np.inf, 0.4]])
+    def test_auc_rejects_nan_scores(self, scores):
+        y = [0, 1, 0, 1][:len(scores)]
+        with pytest.raises(ValueError, match="NaN"):
+            auc(scores, y)
+
 
 class TestSharedInputRules:
     """Every boundary applies the one label rule and the one probability rule;
@@ -240,7 +248,7 @@ class TestAuc:
         rng = np.random.default_rng(4)
         for _ in range(30):
             n = int(rng.integers(5, 60))
-            s = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=n)  # force ties
+            s = rng.choice([-np.inf, 0.1, 0.3, 0.5, 0.7, 0.9, np.inf], size=n)  # force ties
             y = rng.integers(0, 2, size=n)
             if y.min() == y.max():
                 y[0] = 1 - y[0]
@@ -266,6 +274,41 @@ class TestAuc:
     def test_single_class_error(self):
         with pytest.raises(ValueError, match="both classes"):
             auc([0.1, 0.9], [1, 1])
+
+
+class TestAverageRanks:
+    """The numpy ranks behind ``auc`` equal scipy's ``rankdata(method="average")``."""
+
+    @staticmethod
+    def assert_same_bytes(s):
+        s = np.asarray(s, dtype=np.float64)
+        got, want = _average_ranks(s), rankdata(s, method="average")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("decimals", [0, 1, 2])
+    def test_heavy_ties(self, decimals):
+        rng = np.random.default_rng(decimals)
+        for _ in range(200):
+            self.assert_same_bytes(np.round(rng.normal(size=int(rng.integers(2, 120))), decimals))
+
+    def test_infinities(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            s = np.round(rng.normal(size=int(rng.integers(2, 60))), 1)
+            s[rng.random(len(s)) < 0.2] = np.inf
+            s[rng.random(len(s)) < 0.2] = -np.inf
+            self.assert_same_bytes(s)
+        self.assert_same_bytes([np.inf, -np.inf, np.inf, 0.0, -np.inf])
+
+    @pytest.mark.parametrize("s", [[0.3], [-np.inf], [2.0] * 7, [np.inf] * 3, [0.0, -0.0, 0.0]])
+    def test_single_and_all_equal(self, s):
+        self.assert_same_bytes(s)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+    def test_any_finite_or_infinite_floats(self, s):
+        self.assert_same_bytes(s)
 
 
 class TestScalarMetrics:
