@@ -72,6 +72,8 @@ class GBTParams:
     def __post_init__(self):
         if self.n_trees < 0 or self.max_depth < 1:
             raise ValueError("n_trees must be >= 0 and max_depth >= 1")
+        if not all(map(math.isfinite, (self.learning_rate, self.min_child_weight, self.lambda_l2))):
+            raise ValueError("learning_rate and regularizers must be finite")
         if self.learning_rate <= 0 or self.min_child_weight < 0 or self.lambda_l2 < 0:
             raise ValueError("learning_rate must be positive, regularizers non-negative")
 
@@ -83,6 +85,9 @@ class TreeEnsemble:
     n_features: int
     params: GBTParams = field(default_factory=GBTParams)
     train_loss: tuple[float, ...] = ()
+    # the training rows' margins as the fit left them; None after from_dict.
+    # Not part of the model: to_dict, repr and == leave it out
+    train_margins: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
         X = self._check(X)
@@ -95,6 +100,9 @@ class TreeEnsemble:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features:
             raise ValueError(f"expected {self.n_features} feature columns, got {X.shape}")
+        # a NaN fails every `<=` and would silently go right at each split
+        if not np.isfinite(X).all():
+            raise ValueError("features must be finite")
         return X
 
     # serialization -------------------------------------------------------
@@ -134,13 +142,16 @@ class TreeEnsemble:
                    GBTParams(**d["params"]), tuple(d.get("train_loss", ())))
 
 
-def _best_split(X, order, g, h, G, H, lam, min_child_weight):
+def _best_split(X, order, gh, G, H, lam, min_child_weight):
     """Exact greedy split of one node; midpoint thresholds.
 
     ``order`` is the node's (d, n) presorted block: row j lists the node's
-    rows sorted by feature j. Features are scanned in blocks of at most
-    about ``SCAN_BLOCK_CELLS`` (features x rows) cells. Ties resolve to the
-    lowest feature index, then the lowest threshold.
+    rows sorted by feature j. ``gh`` packs each row's gradient and hessian as
+    ``g + 1j * h``, so one gather and one cumsum give both prefix sums; complex
+    addition adds the parts separately, so each sum is the float the two real
+    cumsums give. Features are scanned in blocks of at most about
+    ``SCAN_BLOCK_CELLS`` (features x rows) cells. Ties resolve to the lowest
+    feature index, then the lowest threshold.
     Returns (gain, feature, threshold) or None.
     """
     d, n = order.shape
@@ -151,8 +162,10 @@ def _best_split(X, order, g, h, G, H, lam, min_child_weight):
         rows = order[j0:j0 + step]
         feats = np.arange(j0, j0 + len(rows))
         xs = X[rows, feats[:, None]]
-        gc = np.cumsum(g[rows], axis=1)[:, :-1]
-        hc = np.cumsum(h[rows], axis=1)[:, :-1]
+        ghc = np.cumsum(gh[rows], axis=1)[:, :-1]
+        # contiguous copies: the arithmetic below is slower on strided views
+        gc, hc = ghc.real.copy(), ghc.imag.copy()
+        del ghc
         valid = xs[:, :-1] < xs[:, 1:]
         valid &= hc >= min_child_weight
         # in place, in the operation order of
@@ -170,8 +183,8 @@ def _best_split(X, order, g, h, G, H, lam, min_child_weight):
         gains += right_g
         gains -= parent
         gains *= 0.5
-        np.logical_not(valid, out=valid)
-        gains[valid] = -np.inf
+        invalid = np.logical_not(valid, out=valid)
+        np.copyto(gains, -np.inf, where=invalid)
         pos = gains.argmax(axis=1)  # first max = lowest threshold
         top = gains[np.arange(len(rows)), pos]
         top[~(top > GAIN_EPS)] = -np.inf  # also drops NaN
@@ -186,8 +199,9 @@ def _partition(order, keep):
     return np.compress(keep[order].ravel(), order).reshape(len(order), -1)
 
 
-def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
-    """Grow one tree; ``order`` is the fit's (d, N) presorted row order.
+def _build_tree(X, order, g, h, gh, params: GBTParams, margin) -> Tree:
+    """Grow one tree; ``order`` is the fit's (d, N) presorted row order and
+    ``gh`` the packed ``g + 1j * h`` that the split scan reads.
 
     Each node is built from its rows and their presorted order, which is
     None for a node that cannot split (at ``max_depth`` or with fewer than
@@ -213,7 +227,7 @@ def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
         G, H = g[idx].sum(), h[idx].sum()
         split = None
         if order is not None:
-            split = _best_split(X, order, g, h, G, H, params.lambda_l2,
+            split = _best_split(X, order, gh, G, H, params.lambda_l2,
                                 params.min_child_weight)
         if split is None:
             value[j] = float(-G / (H + params.lambda_l2) * params.learning_rate)
@@ -235,6 +249,9 @@ def _build_tree(X, order, g, h, params: GBTParams, margin) -> Tree:
         return j
 
     build(np.arange(len(X)), order, 0)  # fit_gbt's checks let the root split: 2+ rows
+    # `build` refers to itself through its closure; drop that cycle so the
+    # node lists and `child` are freed now, not at the next cyclic collection
+    del build
     return Tree(np.asarray(feature, dtype=np.int64), np.asarray(threshold),
                 np.asarray(left, dtype=np.int64), np.asarray(right, dtype=np.int64),
                 np.asarray(value), np.asarray(cover))
@@ -245,7 +262,8 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
 
     Training is deterministic: exact greedy boosting draws no random numbers.
     Each feature is sorted once per fit; every node scans the presorted
-    order of its rows, so no node sorts.
+    order of its rows, so no node sorts. The returned ensemble carries the
+    training rows' margins, which equal ``margins(train.features)`` bit for bit.
     """
     X, y = train.features, train.labels.astype(np.float64)
     if (y == y[0]).all():
@@ -256,6 +274,7 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
     rate = float(y.mean())
     base = math.log(rate / (1 - rate))
     margin = np.full(len(y), base)
+    gh = np.empty(len(y), dtype=np.complex128)  # per fit: each tree refills it
     trees, losses = [], []
     losses.append(_logloss(margin, y))
     for _ in range(params.n_trees):
@@ -263,9 +282,10 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
             p = sigmoid(margin)
         g = p - y
         h = p * (1 - p)
-        trees.append(_build_tree(X, order, g, h, params, margin))
+        gh.real, gh.imag = g, h
+        trees.append(_build_tree(X, order, g, h, gh, params, margin))
         losses.append(_logloss(margin, y))
-    return TreeEnsemble(tuple(trees), base, X.shape[1], params, tuple(losses))
+    return TreeEnsemble(tuple(trees), base, X.shape[1], params, tuple(losses), margin)
 
 
 def _logloss(margin, y) -> float:

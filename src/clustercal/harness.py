@@ -138,6 +138,11 @@ def _is(tp, v) -> bool:
     return isinstance(v, bool) == (tp is bool) and isinstance(v, (int, float) if tp is float else tp)
 
 
+def _finite(v) -> bool:
+    """False for the NaN and +-Infinity that json.load parses."""
+    return not isinstance(v, float) or math.isfinite(v)
+
+
 def _value(key: str, tp, v, meta):
     """``v`` as a value of annotation ``tp``; a list becomes a tuple."""
     origin, args = get_origin(tp), get_args(tp)
@@ -151,10 +156,14 @@ def _value(key: str, tp, v, meta):
         raise ConfigError(f"{key} must be one of {list(args)}, not {v!r}")
     if origin is tuple:
         if isinstance(v, (list, tuple)) and all(_is(args[0], x) for x in v):
+            if not all(map(_finite, v)):
+                raise ConfigError(f"{key}: values must be finite")
             return tuple(v)
         raise ConfigError(f"{key} must be a list of {meta.get('items', args[0].__name__ + 's')}")
     if not _is(origin or tp, v):            # dict[str, ...] is a dict
         raise ConfigError(f"{key} must be {_NOUNS[origin or tp]}, not {v!r}")
+    if not _finite(v):
+        raise ConfigError(f"{key} must be finite, not {v!r}")
     return v
 
 
@@ -325,7 +334,12 @@ def _model(r: RunState):
     if model.gbt is not None:
         r.ens = fit_gbt(Dataset(ds.features[tr_idx], ds.labels[tr_idx], ds.feature_names,
                                 tuple(ds.sample_ids[i] for i in tr_idx)), model.gbt)
-        r.scores = predict(r.ens, ds.features)
+        # the fit's margins score the training rows; predict scores the others
+        held_out = np.concatenate([r.splits.calibration, r.splits.test])
+        margins = np.empty(len(ds.labels))
+        margins[tr_idx] = r.ens.train_margins
+        margins[held_out] = predict(r.ens, ds.features[held_out]).margins
+        r.scores = ScoreSet.from_margins(margins)
     elif model.external_scores is not None:
         r.scores = load_external_scores(model.external_scores, expected_ids=ds.sample_ids)
     else:

@@ -1,6 +1,7 @@
 """Command-line interface behavior and exit codes."""
 
 import json
+import math
 import os
 from pathlib import Path
 
@@ -31,6 +32,10 @@ def _without_embedding(cfg):
     return cfg
 
 
+def _synthetic_with(**change):
+    return lambda cfg: {**cfg, "data": {"synthetic": {**cfg["data"]["synthetic"], **change}}}
+
+
 # change to the golden config (a dict to merge, or a function of the config)
 # -> the key its error names. Each is rejected before any stage runs.
 BAD_CONFIGS = [
@@ -42,6 +47,13 @@ BAD_CONFIGS = [
     ({"model": {"external_scores": None}}, "model.external_scores"),
     ({"model": {"gbt": {"bogus": 1}}}, "model.gbt keys: ['bogus']"),
     ({"model": {"gbt": {"n_trees": "2"}}}, "model.gbt.n_trees"),
+    # json.load parses NaN and +-Infinity into floats
+    ({"model": {"gbt": {"min_child_weight": math.nan}}}, "model.gbt.min_child_weight"),
+    ({"model": {"gbt": {"learning_rate": math.nan}}}, "model.gbt.learning_rate"),
+    ({"model": {"gbt": {"lambda_l2": math.inf}}}, "model.gbt.lambda_l2"),
+    ({"split_ratios": [math.nan, 0.2, 0.2]}, "split_ratios"),
+    (_synthetic_with(noise=math.nan), "data.synthetic.noise"),
+    (_synthetic_with(miscal_offsets=[math.nan, -1.0, 0.5, -1.5]), "data.synthetic.miscal_offsets"),
     ({"clustering": {"k": "eight"}}, "clustering.k"),
     ({"clustering": {"elbow": [2, 6]}}, "clustering.elbow"),
     ({"embedding": {"kind": "bogus"}}, "embedding.kind"),

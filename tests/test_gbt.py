@@ -1,13 +1,16 @@
 """Boosted-tree training, splitting rules and serialization."""
 
+import dataclasses
+import gc
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from clustercal import gbt
+from clustercal import gbt, harness
 from clustercal.data import Dataset
 from clustercal.gbt import (
     GAIN_EPS, SCAN_BLOCK_CELLS, GBTParams, Tree, TreeEnsemble, _logloss, fit_gbt,
@@ -15,6 +18,7 @@ from clustercal.gbt import (
 )
 from clustercal.harness import ExperimentConfig, run_stages
 from clustercal.scores import logit, sigmoid
+from clustercal.treeshap import shap_values
 
 GOLDEN_CONFIG = Path(__file__).parent / "golden" / "report_config.json"
 
@@ -71,6 +75,12 @@ class TestFit:
             GBTParams(n_trees=-1)
         with pytest.raises(ValueError):
             GBTParams(learning_rate=0.0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "min_child_weight", "lambda_l2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_params_must_be_finite(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            GBTParams(**{name: value})
 
 
 class TestTreeStructure:
@@ -150,6 +160,22 @@ class TestPredictAndSerialize:
         ens = fit_gbt(ds, GBTParams(n_trees=1, max_depth=1))
         with pytest.raises(ValueError, match="feature columns"):
             ens.margins(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("entry", [
+        lambda ens, X: predict(ens, X),
+        lambda ens, X: ens.margins(X),
+        lambda ens, X: leaf_indices(ens, X),
+        lambda ens, X: shap_values(ens, X),
+    ], ids=["predict", "margins", "leaf_indices", "shap_values"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, entry, value):
+        ds = toy_dataset(d=3)
+        ens = fit_gbt(ds, GBTParams(n_trees=2, max_depth=2))
+        X = ds.features[:5].copy()
+        entry(ens, X)
+        X[3, 1] = value
+        with pytest.raises(ValueError, match="features must be finite"):
+            entry(ens, X)
 
 
 # Reference split search: every node argsorts every feature of its rows. It
@@ -267,6 +293,16 @@ class TestPresortedSplitSearch:
         assert ens.trees[0].feature[0] in (0, 1)
         self.assert_same_fit(ds, GBTParams(n_trees=2, max_depth=3, min_child_weight=0.0))
 
+    @pytest.mark.parametrize("cells", [1, 64])
+    def test_matches_with_small_scan_blocks(self, monkeypatch, cells):
+        # 1: one feature per block; 64: nodes of up to 32 rows scan several
+        # features per block, larger ones one
+        monkeypatch.setattr(gbt, "SCAN_BLOCK_CELLS", cells)
+        for seed in (0, 1):
+            ds = tied_dataset(200, 5, seed)
+            self.assert_same_fit(ds, GBTParams(n_trees=3, max_depth=5, learning_rate=0.5,
+                                               min_child_weight=0.0, lambda_l2=seed))
+
     @pytest.mark.parametrize("max_depth", [1, 2, 4])
     def test_partitions_only_nodes_that_scan(self, monkeypatch, max_depth):
         ds = tied_dataset(200, 4, 3)
@@ -338,3 +374,62 @@ class TestFitMargins:
         r = run_stages(ExperimentConfig.from_json_file(str(GOLDEN_CONFIG)), "model")
         tr = r.splits.train
         self.assert_matches_apply_path(r.ens, seen, r.ds.features[tr], r.ds.labels[tr])
+
+
+class TestTrainMargins:
+    """The fit carries its training rows' margins; the model stage scores only
+    the other rows with `predict`."""
+
+    def test_fit_carries_the_apply_path_margins(self):
+        ds = tied_dataset(300, 4, 5)
+        ens = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
+        assert ens.train_margins.tobytes() == ens.margins(ds.features).tobytes()
+        back = TreeEnsemble.from_dict(ens.to_dict())
+        assert back.train_margins is None
+        assert "train_margins" not in ens.to_dict() and "train_margins" not in repr(ens)
+        assert dataclasses.replace(ens, train_margins=None) == ens
+
+    def test_model_stage_scores_match_predict_on_every_row(self, monkeypatch):
+        calls = []
+        real = gbt.predict
+
+        def counted(ens, X):
+            calls.append(len(X))
+            return real(ens, X)
+        monkeypatch.setattr(harness, "predict", counted)
+        r = run_stages(ExperimentConfig.from_json_file(str(GOLDEN_CONFIG)), "model")
+        assert calls == [len(r.splits.calibration) + len(r.splits.test)]
+        want = real(r.ens, r.ds.features)
+        assert r.scores.margins.tobytes() == want.margins.tobytes()
+        assert r.scores.probabilities.tobytes() == want.probabilities.tobytes()
+
+
+class TestFitMemory:
+    """The memory a tree's build allocates is freed when the build returns."""
+
+    @pytest.fixture
+    def gc_off(self):
+        gc.collect()
+        gc.disable()
+        yield
+        gc.enable()
+
+    def test_fit_leaves_no_reference_cycles(self, gc_off):
+        fit_gbt(toy_dataset(n=1000, d=4), GBTParams(n_trees=30, max_depth=4))
+        assert gc.collect() == 0
+
+    def test_peak_memory_does_not_grow_with_trees(self, gc_off):
+        # stumps: every tree scans the same root, so each tree's own peak is
+        # the same and only memory a tree leaves behind can add to it
+        ds = toy_dataset(n=4000, d=4)
+
+        def peak(n_trees):
+            tracemalloc.start()
+            try:
+                fit_gbt(ds, GBTParams(n_trees=n_trees, max_depth=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # 30 more 3-node trees hold about 25 KiB; one (4000,) array left per
+        # tree would add 30 x 4000 bytes or more
+        assert peak(40) - peak(10) < 64 * 1024
