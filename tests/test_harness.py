@@ -141,11 +141,6 @@ class TestConfig:
                                              "['kmeans', 'agglomerative'], not 'dbscan'"),
         ("clustering", {"elbow": [1, 6, 1]}, "clustering.elbow: elbow grid must be"),
         ("model", {"gbt": {"learning_rate": -1.0}}, "model.gbt: learning_rate must be positive"),
-        ("model", {"gbt": {"min_child_weight": float("nan")}},
-         "model.gbt.min_child_weight must be finite, not nan"),
-        ("model", {"gbt": {"learning_rate": float("-inf")}},
-         "model.gbt.learning_rate must be finite, not -inf"),
-        ("split_ratios", [0.6, float("nan"), 0.2], "split_ratios: values must be finite"),
         ("model", {"external_scores": 3}, "model.external_scores must be a string, not 3"),
         ("data", {"synthetic": {"n_subpops": 1}}, "data.synthetic needs keys: "
                                                   "['samples_per_subpop']"),
@@ -167,6 +162,11 @@ class TestConfig:
                                                       "finite"),
         ("model", {"synthetic_scores": {"x": 1}}, "unknown model.synthetic_scores keys: ['x']"),
         ("out", 3, "out must be a string, not 3"),
+        ("model", {"gbt": {"min_child_weight": float("nan")}},
+         "model.gbt.min_child_weight must be finite, not nan"),
+        ("model", {"gbt": {"learning_rate": float("-inf")}},
+         "model.gbt.learning_rate must be finite, not -inf"),
+        ("split_ratios", [0.6, float("nan"), 0.2], "split_ratios: values must be finite"),
     ])
     def test_bad_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as info:
