@@ -13,7 +13,7 @@ from clustercal.calibrators import FitData, fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import improved_sample_fraction, train_clustered
 from clustercal.metrics import auc, cece, ece
-from clustercal.representation import EmbeddingMatrix, diagnostics, fit_kmeans, assign
+from clustercal.representation import diagnostics, fit_kmeans, assign
 from clustercal.scores import ScoreSet
 
 
@@ -25,7 +25,7 @@ def main():
     scores = ScoreSet.from_margins(margins)
 
     fit_idx = np.sort(np.concatenate([sp.train, sp.calibration]))
-    cm = fit_kmeans(EmbeddingMatrix("raw", ds.features[fit_idx]), 3, 0)
+    cm = fit_kmeans(ds.features[fit_idx], 3, 0)
     diag = diagnostics(cm, assign(cm, ds.features[fit_idx]), ds.labels[fit_idx])
     print("clusters:", [(r["cluster"], r["size"], round(r["positive_rate"], 2))
                         for r in diag.table])

@@ -13,7 +13,7 @@ from clustercal.calibrators import FitData, fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import train_clustered
 from clustercal.harness import paired_resample_test, rejection_selection
-from clustercal.representation import EmbeddingMatrix, assign, fit_kmeans
+from clustercal.representation import assign, fit_kmeans
 from clustercal.scores import ScoreSet
 
 
@@ -24,7 +24,7 @@ def main():
     sp = split(ds, (0.6, 0.2, 0.2), 3)
     scores = ScoreSet.from_margins(margins)
     fit_idx = np.sort(np.concatenate([sp.train, sp.calibration]))
-    cm = fit_kmeans(EmbeddingMatrix("raw", ds.features[fit_idx]), 3, 3)
+    cm = fit_kmeans(ds.features[fit_idx], 3, 3)
 
     cal_s, te_s = scores.take(sp.calibration), scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]

@@ -8,7 +8,7 @@ from .data import (
 from .scores import ScoreSet, load_external_scores
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict, leaf_indices
 from .treeshap import shap_values
-from .representation import EmbeddingMatrix, assign, fit_kmeans
+from .representation import assign, fit_kmeans
 from .ensemble import train_clustered
 from .calibrators import Calibrator, FitData, fit
 from .metrics import (
@@ -20,7 +20,7 @@ __all__ = [
     "gen_synthetic_full",
     "ScoreSet", "load_external_scores",
     "GBTParams", "TreeEnsemble", "fit_gbt", "predict", "leaf_indices",
-    "shap_values", "EmbeddingMatrix", "assign", "fit_kmeans", "train_clustered",
+    "shap_values", "assign", "fit_kmeans", "train_clustered",
     "Calibrator", "FitData", "fit",
     "ece", "mce", "ada_ece", "cece", "auc", "scalar_metrics",
     "reliability_data", "rejection_curve",

@@ -37,6 +37,7 @@ PARAMETRIC_METHODS = ("platt", "temperature", "beta", "dirichlet2")
 ALL_METHODS = PARAMETRIC_METHODS + ("histogram", "isotonic", "platt_bin", "constant")
 
 MARGIN_METHODS = {"platt", "temperature"}
+N_BINS = 10     # the equal-mass bins of histogram and platt_bin fits
 
 
 @dataclass(frozen=True)
@@ -74,22 +75,6 @@ class Calibrator:
     method: str
     params: dict
     diagnostics: dict = field(default_factory=dict)
-
-    @property
-    def monotone(self) -> bool:
-        """True when apply is strictly increasing in its input."""
-        m, q = self.method, self.params
-        if m == "platt":
-            return q["A"] < 0
-        if m == "temperature":
-            return True
-        if m in ("beta", "dirichlet2"):
-            a, b, _ = self._beta_coefs()
-            return a > 0 and b > 0
-        if m in ("isotonic", "histogram"):
-            v = np.asarray(q["values" if m == "isotonic" else "outputs"])
-            return bool(len(v) > 1 and (np.diff(v) > 0).all())
-        return False
 
     def _beta_coefs(self) -> tuple:
         """(a, b, c) of sigmoid(a ln p - b ln(1 - p) + c); dirichlet2's is (w1, -w2, c)."""
@@ -199,32 +184,35 @@ def _nll(p, y, y1, eps: float = APPLY_EPS) -> float:
 
 # fitting ----------------------------------------------------------------
 
-def fit(method: str, data: FitData, opts: dict | None = None) -> Calibrator:
-    """Fit a calibrator of the given method on held-out scores and labels."""
-    opts = opts or {}
+def fit(method: str, data: FitData, init=None) -> Calibrator:
+    """Fit a calibrator of the given method on held-out scores and labels.
+
+    ``init``, Platt's (A, B), warm-starts a platt fit; other methods take none.
+    """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown calibration method {method!r}")
+    if init is not None and method != "platt":
+        raise ValueError(f"init warm-starts platt fits only, not {method!r}")
     y = data.labels
     if method == "constant":
-        return _constant(opts.get("p0", _laplace_rate(y)))
+        return _constant(_laplace_rate(y))
     single_class = (y == y[0]).all()
     if single_class and method != "isotonic":
         # degenerate fit data: fall back to a smoothed constant
         return _constant(_laplace_rate(y), note="single_class_fallback")
     with np.errstate(over="ignore"):
         if method == "platt":
-            return _fit_platt(data.margins, y, opts)
+            return _fit_platt(data.margins, y, init)
         if method == "temperature":
             return _fit_temperature(data.margins, y)
         if method in ("beta", "dirichlet2"):
             return _fit_dirichlet2(data.probabilities, y, constrained=(method == "beta"))
         if method == "histogram":
-            return _fit_histogram(data.probabilities, y,
-                                  opts.get("n_bins", 10), opts.get("laplace", True))
+            return _fit_histogram(data.probabilities, y, N_BINS, laplace=True)
         if method == "isotonic":
             return _fit_isotonic(data.probabilities, y)
         if method == "platt_bin":
-            return _fit_platt_bin(data, opts.get("n_bins", 10))
+            return _fit_platt_bin(data, N_BINS)
     raise AssertionError(method)
 
 
@@ -289,9 +277,8 @@ def _newton_logistic(Z, y, w0, frozen=None):
     return w, {"final_nll": obj, "iterations": it, "grad_norm": gnorm}
 
 
-def _fit_platt(margins, y, opts) -> Calibrator:
+def _fit_platt(margins, y, init=None) -> Calibrator:
     Z = np.column_stack([margins, np.ones_like(margins)])
-    init = opts.get("init")
     w0 = np.array([1.0, 0.0]) if init is None else np.array([-init[0], -init[1]])
     w, diag = _newton_logistic(Z, y, w0)
     return Calibrator("platt", {"A": float(-w[0]), "B": float(-w[1])}, diag)
@@ -431,5 +418,5 @@ def _fit_platt_bin(data: FitData, m: int) -> Calibrator:
         if (yb == yb[0]).all():
             bins.append(_constant(_laplace_rate(yb)))
         else:
-            bins.append(_fit_platt(data.margins[mask], yb, {}))
+            bins.append(_fit_platt(data.margins[mask], yb))
     return Calibrator("platt_bin", {"edges": edges, "bins": bins}, {"n_bins": m})

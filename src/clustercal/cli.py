@@ -51,8 +51,8 @@ def _write_train(out, r):
 
 def _write_embed(out, r):
     _write_csv(os.path.join(out, "embedding.csv"),
-               ("sample_id",) + tuple(f"e{j}" for j in range(r.E.m)),
-               [r.ds.sample_ids] + r.E.vectors.T.tolist())
+               ("sample_id",) + tuple(f"e{j}" for j in range(r.E.shape[1])),
+               [r.ds.sample_ids] + r.E.T.tolist())
 
 
 def _write_cluster(out, r):

@@ -16,7 +16,7 @@ import numpy as np
 from . import calibrators as cal_mod
 from .calibrators import Calibrator, FitData, PARAMETRIC_METHODS, _constant, _laplace_rate
 from .metrics import ece
-from .representation import ClusterModel, EmbeddingMatrix, assign
+from .representation import ClusterModel, assign
 from .scores import ScoreSet
 
 __all__ = ["ClusteredCalibrator", "train_clustered", "improved_sample_fraction"]
@@ -38,9 +38,9 @@ class ClusteredCalibrator:
     def resolve(self, cluster_id: int) -> Calibrator:
         return self.calibrators.get(int(cluster_id), self.fallback)
 
-    def infer(self, scores: ScoreSet, E: EmbeddingMatrix | np.ndarray):
-        """Calibrated probabilities plus the cluster labels used."""
-        labels = assign(self.cluster_model, E)
+    def infer(self, scores: ScoreSet, V):
+        """Calibrated probabilities plus the cluster labels of the embedding rows V."""
+        labels = assign(self.cluster_model, V)
         return cal_mod._apply_by_group(labels, self.resolve, scores), labels
 
     # serialization -------------------------------------------------------
@@ -64,12 +64,6 @@ class ClusteredCalibrator:
             int(d["min_fit_size"]),
             {int(c): m for c, m in d.get("cluster_meta", {}).items()},
         )
-
-
-def _warm_start_opts(method: str, fallback: Calibrator) -> dict:
-    if method == "platt":
-        return {"init": (fallback.params["A"], fallback.params["B"])}
-    return {}
 
 
 def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallback: Calibrator,
@@ -115,7 +109,8 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallba
             calibrators[c] = fallback
         else:
             sub = FitData(data.margins[mask], data.probabilities[mask], y[mask])
-            cal = cal_mod.fit(method, sub, _warm_start_opts(method, fallback))
+            init = (fallback.params["A"], fallback.params["B"]) if method == "platt" else None
+            cal = cal_mod.fit(method, sub, init)
             if fallback.nll(sub) < cal.nll(sub):
                 cal = Calibrator(fallback.method, dict(fallback.params),
                                  dict(fallback.diagnostics, refit="kept_global"))

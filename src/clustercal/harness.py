@@ -24,13 +24,13 @@ from .data import (
 from .ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction, train_clustered
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict
 from .metrics import (
-    BASES, SCHEMES, _labels, _probabilities, ada_ece, auc, cece, ece, mce, rejection_curve,
-    scalar_metrics,
+    BASES, REJECTION_THRESHOLDS, SCHEMES, _labels, _probabilities, ada_ece, auc, cece, ece, mce,
+    rejection_curve, scalar_metrics,
 )
 from .representation import (
-    EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel, EmbeddingMatrix,
-    EmbeddingOpts, _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative,
-    fit_kmeans, select_k_elbow,
+    EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel, EmbeddingOpts,
+    _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative, fit_kmeans,
+    select_k_elbow,
 )
 from .scores import ScoreSet, load_external_scores
 
@@ -117,7 +117,7 @@ DEFAULTS = {
     "methods": PARAMETRIC_METHODS,
     "metric_opts": {},
     "ccl_opts": {},
-    "rejection_thresholds": tuple(round(0.1 * i, 1) for i in range(10)),
+    "rejection_thresholds": REJECTION_THRESHOLDS,
     "seed": 0,
     "out": None,
 }
@@ -277,12 +277,6 @@ class EvalReport:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    def row(self, variant: str) -> dict:
-        for r in self.rows:
-            if r["variant"] == variant:
-                return r
-        raise KeyError(variant)
-
 
 @dataclass
 class PairedTestResult:
@@ -307,7 +301,7 @@ class RunState:
     splits: SplitIndices | None = None
     ens: TreeEnsemble | None = None               # GBT model only
     scores: ScoreSet | None = None
-    E: EmbeddingMatrix | None = None
+    E: np.ndarray | None = None                   # (N, m) embedding of every row
     cm: ClusterModel | None = None
     elbow_curve: list | None = None
     diag: ClusterDiagnostics | None = None
@@ -355,7 +349,7 @@ def _embedding(r: RunState):
 def _clustering(r: RunState):
     clu, seed = r.cfg.clustering, r.cfg.seed
     fit_idx = np.sort(np.concatenate([r.splits.train, r.splits.calibration]))
-    sub = EmbeddingMatrix(r.E.kind, r.E.vectors[fit_idx])
+    sub = r.E[fit_idx]
     if clu.k is None:
         r.cm, r.elbow_curve = select_k_elbow(sub, clu.elbow, seed, clu.min_cluster_size,
                                              clu.method)
@@ -370,8 +364,8 @@ def _calibrate(r: RunState):
     cfg, y = r.cfg, r.ds.labels
     cal_idx, te_idx = r.splits.calibration, r.splits.test
     te_scores = r.scores.take(te_idx)
-    te_E = EmbeddingMatrix(r.E.kind, r.E.vectors[te_idx])
-    cal_clusters = assign(r.cm, r.E.vectors[cal_idx])
+    te_E = r.E[te_idx]
+    cal_clusters = assign(r.cm, r.E[cal_idx])
     r.te_clusters = assign(r.cm, te_E)
     cal_data = FitData.from_scores(r.scores.take(cal_idx), y[cal_idx])
     r.calibrated["base"] = r.scores.probabilities[te_idx]

@@ -26,6 +26,7 @@ CE_EPS = 1e-12
 DECISION_THRESHOLD = 0.5
 SCHEMES = ("equal_width", "equal_mass")     # probability binnings of ece and mce
 BASES = ("ece", "mce", "adaece")            # the error arithmetics of _gap and cece
+REJECTION_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(10))   # 0.0, 0.1, ..., 0.9
 
 
 @dataclass(frozen=True)
@@ -214,17 +215,14 @@ def reliability_data(p, y, m: int = 10, scheme: str = "equal_width"):
 
 
 def rejection_curve(p, y, thresholds=None) -> RejectionCurve:
-    """Accept samples whose uncertainty ``2*min(p, 1-p)`` is at most ``t``.
+    """Accept samples whose uncertainty ``2*min(p, 1-p)`` is at most ``t``, for
+    each ``t`` of ``thresholds`` (default ``REJECTION_THRESHOLDS``).
 
     Error is the misclassification rate at ``DECISION_THRESHOLD`` among
     accepted samples; an empty accepted set reports error 0 with count 0.
     """
     p, y = _check_probs(p, y)
-    if thresholds is None:
-        thresholds = np.arange(0.0, 0.91, 0.1)
-    t = np.asarray(thresholds, dtype=np.float64)
-    if ((t < 0) | (t > 1)).any():
-        raise ValueError("thresholds must lie in [0, 1]")
+    t = _probabilities(REJECTION_THRESHOLDS if thresholds is None else thresholds, "thresholds")
     u = 2.0 * np.minimum(p, 1.0 - p)
     wrong = (p >= DECISION_THRESHOLD).astype(np.int64) != y
     accepted = np.empty(len(t), dtype=np.int64)

@@ -13,7 +13,6 @@ from .gbt import TreeEnsemble, leaf_indices
 from .treeshap import shap_values
 
 __all__ = [
-    "EmbeddingMatrix",
     "EmbeddingOpts",
     "ClusterModel",
     "ClusterDiagnostics",
@@ -30,24 +29,15 @@ ENSEMBLE_KINDS = ("shap", "leaf", "topk")    # the kinds built from a fitted ens
 KMEANS_MAX_ITER = 300
 
 
-@dataclass(frozen=True)
-class EmbeddingMatrix:
-    kind: str
-    vectors: np.ndarray                   # (N, m)
-
-    def __post_init__(self):
-        V = np.asarray(self.vectors, dtype=np.float64)
-        object.__setattr__(self, "vectors", V)
-        if V.ndim != 2:
-            raise ValueError("embedding must be 2-D")
-        if not np.isfinite(V).all():
-            raise ValueError("non-finite embedding values")
-        if self.kind not in EMBEDDING_KINDS:
-            raise ValueError(f"unknown embedding kind {self.kind!r}")
-
-    @property
-    def m(self) -> int:
-        return self.vectors.shape[1]
+def _embedding(V) -> np.ndarray:
+    """The embedding rule of every boundary: ``V`` is a 2-D (N, m) array of
+    finite values, returned as float64."""
+    V = np.asarray(V, dtype=np.float64)
+    if V.ndim != 2:
+        raise ValueError("embedding must be 2-D")
+    if not np.isfinite(V).all():
+        raise ValueError("non-finite embedding values")
+    return V
 
 
 def _standardize(V):
@@ -91,15 +81,15 @@ class EmbeddingOpts:
 
 
 def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
-                    opts: EmbeddingOpts = EmbeddingOpts(), vectors=None) -> EmbeddingMatrix:
-    """Build the requested per-sample representation; ``vectors`` are the
-    rows of an ``"external"`` one."""
+                    opts: EmbeddingOpts = EmbeddingOpts(), vectors=None) -> np.ndarray:
+    """Build the requested per-sample representation, an (N, m) array that
+    obeys ``_embedding``; ``vectors`` are the rows of an ``"external"`` one."""
     if kind in ENSEMBLE_KINDS and ens is None:
         raise ValueError(f"{kind} embedding requires a fitted ensemble")
     if kind == "shap":
         phi, _ = shap_values(ens, ds.features)
-        return EmbeddingMatrix(kind, _standardize(phi) if opts.standardize else phi)
-    if kind == "leaf":
+        V = _standardize(phi) if opts.standardize else phi
+    elif kind == "leaf":
         leaves = leaf_indices(ens, ds.features)
         blocks = []
         for t, tree in enumerate(ens.trees):
@@ -107,21 +97,20 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
             onehot = (leaves[:, t][:, None] == leaf_ids[None, :]).astype(np.float64)
             blocks.append(onehot)
         V = np.hstack(blocks) if blocks else np.zeros((ds.n, 0))
-        return EmbeddingMatrix(kind, V)
-    if kind in ("raw", "topk"):
+    elif kind in ("raw", "topk"):
         if kind == "topk":
             V = ds.features[:, topk_feature_indices(ens, opts.topk_fraction)]
         else:
             V = ds.features
-        if opts.standardize is not False:
-            return EmbeddingMatrix(kind, _standardize(V))
-        return EmbeddingMatrix(kind, np.array(V))
-    if kind == "external":
-        V = np.asarray(vectors, dtype=np.float64)
-        if len(V) != ds.n:
-            raise ValueError("external embedding row count mismatch")
-        return EmbeddingMatrix(kind, V)
-    raise ValueError(f"unknown embedding kind {kind!r}")
+        V = _standardize(V) if opts.standardize is not False else np.array(V)
+    elif kind == "external":
+        V = vectors
+    else:
+        raise ValueError(f"unknown embedding kind {kind!r}")
+    V = _embedding(V)
+    if kind == "external" and len(V) != ds.n:
+        raise ValueError("external embedding row count mismatch")
+    return V
 
 
 @dataclass(frozen=True)
@@ -211,7 +200,7 @@ def _kmeans_pp_init(V, k, rng):
     return centroids
 
 
-def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0, init=None) -> ClusterModel:
+def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
     """Lloyd's algorithm from a k-means++ start, at most ``KMEANS_MAX_ITER``
     steps; deterministic given seed.
 
@@ -222,7 +211,7 @@ def fit_kmeans(E: EmbeddingMatrix, k: int, seed: int = 0, init=None) -> ClusterM
     among points whose cluster keeps at least one member, so every returned
     size is at least 1.
     """
-    V = E.vectors
+    V = _embedding(V)
     if k < 1 or k > len(V):
         raise ValueError(f"k={k} out of range for {len(V)} samples")
     if init is None:
@@ -258,15 +247,15 @@ def _ward(V):
     return linkage(V, method="ward") if len(V) > 1 else None
 
 
-def fit_agglomerative(E: EmbeddingMatrix, k: int) -> ClusterModel:
+def fit_agglomerative(V, k: int) -> ClusterModel:
     """Ward-linkage hierarchy cut at k clusters; centroids summarize each
     cluster so new points assign by nearest centroid."""
-    return _cut_ward(E, k, _ward(E.vectors))
+    V = _embedding(V)
+    return _cut_ward(V, k, _ward(V))
 
 
-def _cut_ward(E: EmbeddingMatrix, k: int, Z) -> ClusterModel:
-    """The agglomerative model of E from its Ward linkage ``Z`` cut at k clusters."""
-    V = E.vectors
+def _cut_ward(V, k: int, Z) -> ClusterModel:
+    """The agglomerative model of V from its Ward linkage ``Z`` cut at k clusters."""
     if k < 1 or k > len(V):
         raise ValueError(f"k={k} out of range for {len(V)} samples")
     if Z is None:
@@ -294,7 +283,7 @@ def _elbow_grid(k_range) -> tuple:
     return tuple(k_range)
 
 
-def select_k_elbow(E: EmbeddingMatrix, k_range, seed: int = 0,
+def select_k_elbow(V, k_range, seed: int = 0,
                    min_cluster_size: int = 0, method: str = "kmeans"):
     """Pick k on the grid ``k_range`` = (k_min, k_max, step) at the largest
     discrete curvature of the inertia curve.
@@ -303,16 +292,17 @@ def select_k_elbow(E: EmbeddingMatrix, k_range, seed: int = 0,
     (k, inertia) pairs. With ``min_cluster_size`` set, grid points whose
     smallest cluster violates the floor are dropped before the curvature scan.
     """
+    V = _embedding(V)
     k_min, k_max, step = _elbow_grid(k_range)
-    ks = [k for k in range(k_min, min(k_max, len(E.vectors)) + 1, step)]
+    ks = [k for k in range(k_min, min(k_max, len(V)) + 1, step)]
     # the grid shares its start: k-means++ draws centroid j from the same
     # generator state whatever k is, and Ward's hierarchy does not depend on k
     if method == "kmeans":
-        init = _kmeans_pp_init(E.vectors, ks[-1], np.random.default_rng(seed)) if ks else None
-        models = {k: fit_kmeans(E, k, seed, init[:k]) for k in ks}
+        init = _kmeans_pp_init(V, ks[-1], np.random.default_rng(seed)) if ks else None
+        models = {k: fit_kmeans(V, k, seed, init[:k]) for k in ks}
     else:
-        Z = _ward(E.vectors)
-        models = {k: _cut_ward(E, k, Z) for k in ks}
+        Z = _ward(V)
+        models = {k: _cut_ward(V, k, Z) for k in ks}
     if min_cluster_size > 0:
         ks = [k for k in ks if models[k].sizes.min() >= min_cluster_size] or ks
     if len(ks) < 3:
@@ -324,13 +314,11 @@ def select_k_elbow(E: EmbeddingMatrix, k_range, seed: int = 0,
     return models[ks[best]], curve
 
 
-def assign(cm: ClusterModel, E: EmbeddingMatrix | np.ndarray) -> np.ndarray:
-    """Nearest-centroid cluster ids; ties break to the lowest cluster id."""
-    V = E.vectors if isinstance(E, EmbeddingMatrix) else np.asarray(E, dtype=np.float64)
+def assign(cm: ClusterModel, V) -> np.ndarray:
+    """Nearest-centroid cluster ids of V's rows; ties break to the lowest cluster id."""
+    V = _embedding(V)
     if V.shape[1] != cm.centroids.shape[1]:
         raise ValueError("embedding dimension does not match cluster model")
-    if not np.isfinite(V).all():
-        raise ValueError("embedding rows must be finite")
     labels, _ = _assign_nearest(V, cm.centroids)
     return labels
 

@@ -75,34 +75,36 @@ class ScoreSet:
 def load_external_scores(path, expected_ids=None) -> ScoreSet:
     """Read a score CSV with columns sample_id and margin and/or probability.
 
-    Probabilities must lie in [0, 1] and are clipped by ``PROB_CLIP_EPS``. When
-    only they are present, margins are recovered via the clipped logit.
+    Every score column present holds a value on every row. Probabilities
+    must lie in [0, 1] and are clipped by ``PROB_CLIP_EPS``. When only they
+    are present, margins are recovered via the clipped logit.
     ``expected_ids`` cross-checks row identity and order.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValueError(f"{path}: empty file")
-        cols = set(reader.fieldnames)
-        if "margin" not in cols and "probability" not in cols:
+        cols = [c for c in ("margin", "probability") if c in reader.fieldnames]
+        if not cols:
             raise ValueError(f"{path}: need a margin or probability column")
-        ids, margins, probs = [], [], []
+        ids, values = [], {c: [] for c in cols}
         for row in reader:
             ids.append(row.get("sample_id", str(len(ids))))
-            if "margin" in cols and row["margin"] != "":
-                margins.append(float(row["margin"]))
-            if "probability" in cols and row["probability"] != "":
-                probs.append(float(row["probability"]))
+            for c in cols:
+                try:
+                    values[c].append(float(row[c]))
+                except (TypeError, ValueError):  # a blank cell, a word, None for a short row
+                    raise ValueError(f"{path}: line {reader.line_num} has no {c} number: "
+                                     f"{row[c]!r}") from None
     if expected_ids is not None:
         if list(expected_ids) != ids:
             raise ValueError(f"{path}: sample ids do not match the dataset")
-    if margins and probs and len(margins) != len(probs):
-        raise ValueError(f"{path}: ragged margin/probability columns")
-    if not np.isfinite(margins).all():
+    margins = values.get("margin")
+    if margins is not None and not np.isfinite(margins).all():
         raise ValueError(f"{path}: margins must be finite")
-    if not probs:
+    if "probability" not in values:
         return ScoreSet.from_margins(np.asarray(margins))
-    p = _probabilities(probs, f"{path}: probabilities")
-    if not margins:
+    p = _probabilities(values["probability"], f"{path}: probabilities")
+    if margins is None:
         return ScoreSet.from_probabilities(p)
     return ScoreSet(np.asarray(margins), np.clip(p, PROB_CLIP_EPS, 1 - PROB_CLIP_EPS))

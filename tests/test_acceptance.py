@@ -24,7 +24,7 @@ from clustercal.ensemble import improved_sample_fraction, train_clustered
 from clustercal.gbt import GBTParams, fit_gbt
 from clustercal.harness import ExperimentConfig, paired_resample_test, run_experiment
 from clustercal.metrics import ada_ece, auc, cece, ece, mce, rejection_curve
-from clustercal.representation import EmbeddingMatrix, assign, fit_kmeans
+from clustercal.representation import assign, fit_kmeans
 from clustercal.scores import ScoreSet
 from clustercal.treeshap import shap_values
 
@@ -48,7 +48,7 @@ def het_pipeline(seed, method, spec_kwargs=None, k=3):
     scores = ScoreSet.from_margins(margins)
     E = ds.features
     fit_idx = np.sort(np.concatenate([sp.train, sp.calibration]))
-    cm = fit_kmeans(EmbeddingMatrix("raw", E[fit_idx]), k, seed)
+    cm = fit_kmeans(E[fit_idx], k, seed)
     cal_s, te_s = scores.take(sp.calibration), scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
     cal_data = FitData.from_scores(cal_s, y_cal)
@@ -287,7 +287,8 @@ def _end_to_end_assertions(cfg_dict, n_label, n_expected):
     t0 = time.perf_counter()
     report = run_experiment(ExperimentConfig.from_dict(cfg_dict))
     dt = time.perf_counter() - t0
-    wins = {m: report.row(f"{m}_ccl")["CECE"] < report.row(f"{m}_unified")["CECE"]
+    row_cece = {row["variant"]: row["CECE"] for row in report.rows}
+    wins = {m: row_cece[f"{m}_ccl"] < row_cece[f"{m}_unified"]
             for m in ("platt", "temperature", "beta", "dirichlet2")}
     ok = dt < 300.0 and any(wins.values())
     verdict(10, ok, f"{n_label} ({n_expected} rows) pipeline {dt:.0f}s (need < 300); "

@@ -137,8 +137,7 @@ class TestBinnedFits:
         rng = np.random.default_rng(0)
         p = rng.uniform(size=40)
         y = rng.integers(0, 2, size=40)
-        data = FitData(np.zeros(40), p, y)
-        cal = fit("histogram", data, {"n_bins": 4})
+        cal = cal_mod._fit_histogram(p, y, 4, laplace=True)
         assert len(cal.params["outputs"]) == 4
         out = cal.apply(ScoreSet(None, p))
         # every output is a Laplace-smoothed rate of a 10-sample bin
@@ -147,7 +146,7 @@ class TestBinnedFits:
     def test_histogram_apply_on_train_matches_bin_rates(self):
         p = np.array([0.1, 0.2, 0.6, 0.9])
         y = np.array([0, 1, 1, 1])
-        cal = fit("histogram", FitData(np.zeros(4), p, y), {"n_bins": 2, "laplace": False})
+        cal = cal_mod._fit_histogram(p, y, 2, laplace=False)
         out = cal.apply(ScoreSet(None, p))
         np.testing.assert_allclose(out, [0.5, 0.5, 1 - 1e-6, 1 - 1e-6])
 
@@ -163,7 +162,7 @@ class TestBinnedFits:
 
     def test_platt_bin_structure(self):
         data = logistic_data(n=100)
-        cal = fit("platt_bin", data, {"n_bins": 5})
+        cal = cal_mod._fit_platt_bin(data, 5)
         assert len(cal.params["bins"]) == 5
         out = cal.apply(ScoreSet(data.margins, data.probabilities))
         assert ((out > 0) & (out < 1)).all()
@@ -243,7 +242,7 @@ class TestBinningOracle:
         data = logistic_data(n=120, seed=3)
         rng = np.random.default_rng(4)
         for m in (1, 4, 10):
-            cal = fit("platt_bin", data, {"n_bins": m})
+            cal = cal_mod._fit_platt_bin(data, m)
             # the first 20 draws fall in one bin, so the other bins get no rows
             for margins in (data.margins, rng.normal(size=300) * 3, np.full(20, -4.0)):
                 scores = ScoreSet.from_margins(margins)
@@ -259,12 +258,25 @@ class TestDegenerateFits:
             assert cal.params["p0"] == pytest.approx(6 / 7)
 
     def test_constant_method(self):
-        cal = fit("constant", FitData([0.0], [0.5], [1]), {"p0": 0.25})
-        np.testing.assert_allclose(cal.apply(ScoreSet(None, np.array([0.9]))), [0.25])
+        cal = fit("constant", FitData(np.zeros(3), np.full(3, 0.5), [1, 0, 1]))
+        assert cal.params["p0"] == 3 / 5    # Laplace: (2 + 1) / (3 + 2)
+        np.testing.assert_allclose(cal.apply(ScoreSet(None, np.array([0.9]))), [0.6])
+
+    def test_default_bins(self):
+        # histogram and platt_bin fit N_BINS equal-mass bins; histogram smooths them
+        data = logistic_data(n=100)
+        hist, pbin = fit("histogram", data), fit("platt_bin", data)
+        assert hist.diagnostics == {"n_bins": cal_mod.N_BINS, "laplace": True}
+        assert len(pbin.params["bins"]) == cal_mod.N_BINS == 10
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
             fit("bayes", FitData([0.0], [0.5], [1]))
+
+    @pytest.mark.parametrize("method", sorted(set(ALL_METHODS) - {"platt"}))
+    def test_init_is_for_platt_only(self, method):
+        with pytest.raises(ValueError, match="init warm-starts platt fits only"):
+            fit(method, logistic_data(n=40), (-1.0, 0.0))
 
 
 class TestCalibratorSurface:
@@ -284,34 +296,13 @@ class TestCalibratorSurface:
         out = cal.apply(ScoreSet(np.array([800.0, 0.0, -800.0]), np.array([0.9, 0.5, 0.1])))
         np.testing.assert_array_equal(out, [1 - 1e-6, 0.5, 1e-6])
 
-    def test_monotone_flags(self):
-        assert Calibrator("platt", {"A": -1.0, "B": 0.0}).monotone
-        assert not Calibrator("platt", {"A": 1.0, "B": 0.0}).monotone
-        assert Calibrator("temperature", {"T": 2.0}).monotone
-        assert Calibrator("beta", {"a": 1.0, "b": 1.0, "c": 0.0}).monotone
-        assert Calibrator("isotonic", {"breakpoints": np.array([0.1, 0.9]),
-                                       "values": np.array([0.2, 0.8])}).monotone
-        assert not Calibrator("isotonic", {"breakpoints": np.array([0.1, 0.9]),
-                                           "values": np.array([0.5, 0.5])}).monotone
-
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (-1.0, 2.0),
                                       (2.0, -1.0), (-0.0, -0.0)])
     def test_beta_is_dirichlet2_with_negated_w2(self, a, b):
         beta = Calibrator("beta", {"a": a, "b": b, "c": 0.3})
         dirichlet2 = Calibrator("dirichlet2", {"w1": a, "w2": -b, "c": 0.3})
-        assert beta.monotone == dirichlet2.monotone == (a > 0 and b > 0)
         scores = ScoreSet(None, np.linspace(1e-3, 1 - 1e-3, 9))
         np.testing.assert_array_equal(beta.apply(scores), dirichlet2.apply(scores))
-
-    @pytest.mark.parametrize("steps", [[0.2, 0.8], [0.1, 0.4, 0.9], [0.5, 0.5], [0.6, 0.3],
-                                       [0.1, 0.4, 0.4], [0.5]])
-    def test_histogram_and_isotonic_monotone_on_the_same_steps(self, steps):
-        v = np.array(steps)
-        edges = np.linspace(0.0, 1.0, len(v) + 1)
-        histogram = Calibrator("histogram", {"edges": edges, "outputs": v})
-        isotonic = Calibrator("isotonic", {"breakpoints": edges[:-1], "values": v})
-        expected = len(v) > 1 and bool((np.diff(v) > 0).all())
-        assert histogram.monotone == isotonic.monotone == expected
 
     def test_nll_of_probs_hand_value(self):
         assert nll_of_probs([0.8, 0.4], [1, 0]) == pytest.approx(
@@ -436,18 +427,18 @@ def _ref_fit_temperature(margins, y):
                       {"final_nll": objective(math.log(t)), "iterations": 220})
 
 
-def _reference_fit(method, data, opts=None):
+def _reference_fit(method, data, init=None):
     with mock.patch.object(cal_mod, "_newton_logistic", _ref_newton_logistic), \
             mock.patch.object(cal_mod, "_fit_temperature", _ref_fit_temperature):
-        return fit(method, data, opts)
+        return fit(method, data, init)
 
 
 ORACLE_METHODS = ("platt", "temperature", "beta", "dirichlet2", "platt_bin")
 
 
-def _assert_fits_match_reference(data, methods=ORACLE_METHODS, opts=None):
+def _assert_fits_match_reference(data, methods=ORACLE_METHODS, init=None):
     for method in methods:
-        got, want = fit(method, data, opts), _reference_fit(method, data, opts)
+        got, want = fit(method, data, init), _reference_fit(method, data, init)
         assert (json.dumps(got.to_dict(), sort_keys=True)
                 == json.dumps(want.to_dict(), sort_keys=True)), method
 
@@ -514,7 +505,7 @@ class TestKernelOracle:
         data = logistic_data(n=150, seed=5)
         for _ in range(10):
             init = (rng.uniform(-5, 1), rng.uniform(-3, 3))
-            _assert_fits_match_reference(data, ("platt",), {"init": init})
+            _assert_fits_match_reference(data, ("platt",), init)
 
     @pytest.mark.parametrize("seed, first", [(4, 1), (5, 0)])
     def test_beta_freezes_one_coordinate_then_the_other(self, seed, first):

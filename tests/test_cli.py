@@ -135,6 +135,38 @@ class TestExitCodes:
         assert "stage 'clustering' failed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("column", ["margin", "probability"])
+    def test_blank_external_score_exits_2_at_the_model_stage(self, tmp_path, capsys, column):
+        cfg = write_config(tmp_path)
+        assert main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+        lines = (tmp_path / "train" / "scores.csv").read_text().splitlines()
+        cells = lines[100].split(",")
+        cells[lines[0].split(",").index(column)] = ""
+        lines[100] = ",".join(cells)
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, {"model": {"external_scores": str(scores)}}, "ext.json")
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'model' failed" in err, err
+        assert f"line 101 has no {column} number: ''" in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_external_embedding_exits_2_at_the_embedding_stage(self, tmp_path,
+                                                                          capsys, bad):
+        vectors = tmp_path / "vectors.csv"
+        rows = [f"{i % 7}.0,{i % 5}.0" for i in range(600)]
+        rows[250] = f"1.0,{bad}"
+        vectors.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {"embedding": {"kind": "external", "path": str(vectors)}})
+        out = tmp_path / "out"
+        assert main(["embed", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'embedding' failed: non-finite embedding values" in err, err
+        assert not out.exists()
+
     @pytest.mark.parametrize("change, key", BAD_CONFIGS,
                              ids=[key for _, key in BAD_CONFIGS])
     def test_bad_value_exits_1_before_any_stage(self, tmp_path, capsys, monkeypatch,

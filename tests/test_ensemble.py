@@ -8,7 +8,7 @@ import pytest
 from clustercal.calibrators import FitData, fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
-from clustercal.representation import ClusterModel, EmbeddingMatrix, assign, fit_kmeans
+from clustercal.representation import ClusterModel, assign, fit_kmeans
 from clustercal.scores import ScoreSet
 
 
@@ -17,9 +17,9 @@ def synth_setup(seed=0, offsets=(2.0, -2.0, 1.0), rates=(0.2, 0.5, 0.8), n=500):
     ds, margins, _ = gen_synthetic_full(spec)
     sp = split(ds, (0.6, 0.2, 0.2), seed)
     scores = ScoreSet.from_margins(margins)
-    E = EmbeddingMatrix("raw", ds.features)
+    E = ds.features
     fit_idx = np.sort(np.concatenate([sp.train, sp.calibration]))
-    cm = fit_kmeans(EmbeddingMatrix("raw", E.vectors[fit_idx]), 3, seed)
+    cm = fit_kmeans(E[fit_idx], 3, seed)
     return ds, sp, scores, E, cm
 
 
@@ -33,20 +33,20 @@ class TestTrainClustered:
     def test_requires_parametric_method(self):
         ds, sp, scores, E, cm = synth_setup()
         with pytest.raises(ValueError, match="parametric"):
-            train(scores.take(sp.calibration), E.vectors[sp.calibration],
+            train(scores.take(sp.calibration), E[sp.calibration],
                   cm, "isotonic", ds.labels[sp.calibration])
 
     def test_alignment_checked(self):
         ds, sp, scores, E, cm = synth_setup()
         data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
-        labels = assign(cm, E.vectors[sp.calibration])
+        labels = assign(cm, E[sp.calibration])
         with pytest.raises(ValueError, match="aligned"):
             train_clustered(data, labels[:3], cm, "platt", fit("platt", data))
 
     def test_cluster_ids_must_belong_to_the_model(self):
         ds, sp, scores, E, cm = synth_setup()
         data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
-        labels = assign(cm, E.vectors[sp.calibration])
+        labels = assign(cm, E[sp.calibration])
         labels[0] = cm.k
         with pytest.raises(ValueError, match="cluster ids"):
             train_clustered(data, labels, cm, "platt", fit("platt", data))
@@ -54,19 +54,19 @@ class TestTrainClustered:
     def test_fallback_must_be_the_base_method(self):
         ds, sp, scores, E, cm = synth_setup()
         data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
-        labels = assign(cm, E.vectors[sp.calibration])
+        labels = assign(cm, E[sp.calibration])
         with pytest.raises(ValueError, match="fallback is a 'beta' calibrator, expected 'platt'"):
             train_clustered(data, labels, cm, "platt", fit("beta", data))
 
     def test_single_cluster_equals_unified(self):
         ds, sp, scores, E, _ = synth_setup()
-        V = E.vectors[sp.calibration]
+        V = E[sp.calibration]
         cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
                            np.array([len(V)]), np.array([0]))
         ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
         uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
                                                ds.labels[sp.calibration]))
-        p_ccl, _ = ccl.infer(scores.take(sp.test), E.vectors[sp.test])
+        p_ccl, _ = ccl.infer(scores.take(sp.test), E[sp.test])
         p_uni = uni.apply(scores.take(sp.test))
         np.testing.assert_allclose(p_ccl, p_uni, atol=1e-6)
 
@@ -110,8 +110,8 @@ class TestTrainClustered:
         ds, sp, scores, E, cm = synth_setup(seed=4)
         cal_s = scores.take(sp.calibration)
         y_cal = ds.labels[sp.calibration]
-        ccl = train(cal_s, E.vectors[sp.calibration], cm, method, y_cal)
-        labels = assign(cm, E.vectors[sp.calibration])
+        ccl = train(cal_s, E[sp.calibration], cm, method, y_cal)
+        labels = assign(cm, E[sp.calibration])
         for c in range(cm.k):
             mask = labels == c
             if not mask.any() or ccl.cluster_meta[c]["used_constant"]:
@@ -121,11 +121,11 @@ class TestTrainClustered:
 
     def test_serialization_roundtrip(self):
         ds, sp, scores, E, cm = synth_setup(seed=5)
-        ccl = train(scores.take(sp.calibration), E.vectors[sp.calibration],
+        ccl = train(scores.take(sp.calibration), E[sp.calibration],
                     cm, "beta", ds.labels[sp.calibration])
         back = ClusteredCalibrator.from_dict(json.loads(json.dumps(ccl.to_dict(), sort_keys=True)))
-        p_a, l_a = ccl.infer(scores.take(sp.test), E.vectors[sp.test])
-        p_b, l_b = back.infer(scores.take(sp.test), E.vectors[sp.test])
+        p_a, l_a = ccl.infer(scores.take(sp.test), E[sp.test])
+        p_b, l_b = back.infer(scores.take(sp.test), E[sp.test])
         np.testing.assert_allclose(p_a, p_b, atol=1e-12)
         np.testing.assert_array_equal(l_a, l_b)
         assert back.cluster_meta == ccl.cluster_meta
@@ -143,23 +143,23 @@ class TestImprovedFraction:
 
     def test_bounded_and_zero_for_identical_models(self):
         ds, sp, scores, E, _ = synth_setup(seed=6)
-        V = E.vectors[sp.calibration]
+        V = E[sp.calibration]
         cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
                            np.array([len(V)]), np.array([0]))
         ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
         uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
                                                ds.labels[sp.calibration]))
         te_s = scores.take(sp.test)
-        p_ccl, labels = ccl.infer(te_s, E.vectors[sp.test])
+        p_ccl, labels = ccl.infer(te_s, E[sp.test])
         frac = improved_sample_fraction(p_ccl, uni.apply(te_s), labels, ds.labels[sp.test])
         assert frac == 0.0  # strict inequality never holds when models coincide
 
     def test_high_on_oppositely_miscalibrated_subpops(self):
         ds, sp, scores, E, cm = synth_setup(seed=7)
-        ccl = train(scores.take(sp.calibration), E.vectors[sp.calibration],
+        ccl = train(scores.take(sp.calibration), E[sp.calibration],
                     cm, "platt", ds.labels[sp.calibration])
         te_s = scores.take(sp.test)
-        p_ccl, labels = ccl.infer(te_s, E.vectors[sp.test])
+        p_ccl, labels = ccl.infer(te_s, E[sp.test])
         frac = improved_sample_fraction(p_ccl, ccl.fallback.apply(te_s), labels,
                                         ds.labels[sp.test])
         assert 0.0 <= frac <= 1.0

@@ -25,10 +25,10 @@ def lazy_results():
     import numpy as np
 
     from clustercal.harness import paired_resample_test
-    from clustercal.representation import EmbeddingMatrix, fit_agglomerative
+    from clustercal.representation import fit_agglomerative
 
     rng = np.random.default_rng(17)
-    cm = fit_agglomerative(EmbeddingMatrix("raw", rng.normal(size=(60, 3))), 4)
+    cm = fit_agglomerative(rng.normal(size=(60, 3)), 4)
     y = rng.integers(0, 2, size=200)
     a, b = rng.uniform(size=200), rng.uniform(size=200)
     r = paired_resample_test(a, b, y, metric="ece", iterations=8)

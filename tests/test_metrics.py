@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
+from clustercal import harness
 from clustercal.calibrators import FitData
 from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
-    _average_ranks, _bin_ids, ada_ece, auc, cece, ece, mce, reliability_data, rejection_curve,
-    scalar_metrics,
+    REJECTION_THRESHOLDS, _average_ranks, _bin_ids, ada_ece, auc, cece, ece, mce,
+    reliability_data, rejection_curve, scalar_metrics,
 )
 from clustercal.scores import load_external_scores
 
@@ -360,3 +361,14 @@ class TestRejection:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             rejection_curve(np.array([0.5]), np.array([1]), [-0.1])
+
+    @pytest.mark.parametrize("t", [-0.1, 1.5, np.nan, np.inf, -np.inf])
+    def test_thresholds_follow_the_probability_rule(self, t):
+        with pytest.raises(ValueError, match="^thresholds must be finite, with no value outside"):
+            rejection_curve(np.array([0.5]), np.array([1]), [0.5, t])
+
+    def test_default_thresholds_are_the_config_default(self):
+        curve = rejection_curve(np.array([0.3, 0.8]), np.array([0, 1]))
+        assert curve.thresholds.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        assert tuple(curve.thresholds) == REJECTION_THRESHOLDS == harness.DEFAULTS[
+            "rejection_thresholds"]

@@ -65,8 +65,8 @@ def oracle_train(out, r):
 
 def oracle_embed(out, r):
     oracle_csv(os.path.join(out, "embedding.csv"),
-               ("sample_id",) + tuple(f"e{j}" for j in range(r.E.m)),
-               [[sid] + list(row) for sid, row in zip(r.ds.sample_ids, r.E.vectors)])
+               ("sample_id",) + tuple(f"e{j}" for j in range(r.E.shape[1])),
+               [[sid] + list(row) for sid, row in zip(r.ds.sample_ids, r.E)])
 
 
 def oracle_cluster(out, r):

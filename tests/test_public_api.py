@@ -1,0 +1,20 @@
+"""Every name a module exports through ``__all__`` exists in it."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import clustercal
+
+MODULES = ["clustercal"] + [f"clustercal.{m.name}" for m in pkgutil.iter_modules(clustercal.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert len(set(exported)) == len(exported), f"{name}.__all__ repeats a name"
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ names what it does not define: {missing}"
+

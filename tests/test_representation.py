@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
 
+from clustercal.calibrators import Calibrator
 from clustercal.data import Dataset, SyntheticSpec, gen_synthetic_full
+from clustercal.ensemble import ClusteredCalibrator
 from clustercal.gbt import GBTParams, fit_gbt
 from clustercal.representation import (
-    ClusterModel, EmbeddingMatrix, EmbeddingOpts, _dists, _kmeans_pp_init, assign, build_embedding,
+    ClusterModel, EmbeddingOpts, _dists, _kmeans_pp_init, assign, build_embedding,
     diagnostics, fit_agglomerative, fit_kmeans, select_k_elbow, topk_feature_indices,
 )
+from clustercal.scores import ScoreSet
 
 
 def fitted_model(n=200, d=4, seed=0):
@@ -25,7 +28,7 @@ def blobs(k=3, n_per=60, d=2, seed=0, spread=1.0, sep=12.0):
     centers = rng.normal(scale=sep, size=(k, d))
     V = np.concatenate([c + rng.normal(scale=spread, size=(n_per, d)) for c in centers])
     truth = np.repeat(np.arange(k), n_per)
-    return EmbeddingMatrix("raw", V), truth
+    return V, truth
 
 
 def cluster_agreement(a, b):
@@ -39,24 +42,24 @@ class TestEmbeddings:
     def test_shap_embedding(self):
         ds, ens = fitted_model()
         E = build_embedding("shap", ens, ds)
-        assert E.vectors.shape == (ds.n, ds.d)
+        assert E.shape == (ds.n, ds.d)
         # attributions reconstruct the margin around the base value
         from clustercal.treeshap import expected_value
-        np.testing.assert_allclose(E.vectors.sum(axis=1) + expected_value(ens),
+        np.testing.assert_allclose(E.sum(axis=1) + expected_value(ens),
                                    ens.margins(ds.features), atol=1e-9)
 
     def test_leaf_embedding_is_one_hot(self):
         ds, ens = fitted_model()
         E = build_embedding("leaf", ens, ds)
-        assert set(np.unique(E.vectors)) <= {0.0, 1.0}
+        assert set(np.unique(E)) <= {0.0, 1.0}
         # exactly one active leaf per tree per sample
-        np.testing.assert_array_equal(E.vectors.sum(axis=1), len(ens.trees))
+        np.testing.assert_array_equal(E.sum(axis=1), len(ens.trees))
 
     def test_raw_standardized(self):
         ds, ens = fitted_model()
         E = build_embedding("raw", None, ds)
-        np.testing.assert_allclose(E.vectors.mean(axis=0), 0.0, atol=1e-9)
-        np.testing.assert_allclose(E.vectors.std(axis=0), 1.0, atol=1e-9)
+        np.testing.assert_allclose(E.mean(axis=0), 0.0, atol=1e-9)
+        np.testing.assert_allclose(E.std(axis=0), 1.0, atol=1e-9)
 
     def test_topk_selects_informative_features(self):
         ds, ens = fitted_model()
@@ -64,13 +67,13 @@ class TestEmbeddings:
         assert len(cols) == 2
         assert 0 in cols or 1 in cols  # labels depend only on features 0 and 1
         E = build_embedding("topk", ens, ds, EmbeddingOpts(topk_fraction=0.5))
-        assert E.vectors.shape == (ds.n, 2)
+        assert E.shape == (ds.n, 2)
 
     def test_external_embedding(self):
         ds, _ = fitted_model()
         V = np.ones((ds.n, 3))
         E = build_embedding("external", None, ds, vectors=V)
-        assert E.vectors.shape == (ds.n, 3)
+        assert E.shape == (ds.n, 3)
         with pytest.raises(ValueError, match="row count"):
             build_embedding("external", None, ds, vectors=V[:-1])
 
@@ -82,13 +85,64 @@ class TestEmbeddings:
             build_embedding("pca", None, ds)
 
 
+# every boundary that takes an embedding applies one rule: 2-D and finite
+_CM2 = ClusterModel("kmeans", 2, np.array([[0.0, 0.0], [1.0, 1.0]]),
+                    np.array([2, 2]), np.array([0, 0]))
+
+
+def _infer(V):
+    ccl = ClusteredCalibrator(_CM2, "platt", {}, Calibrator("constant", {"p0": 0.5}), 30)
+    return ccl.infer(ScoreSet.from_margins(np.zeros(len(V))), V)
+
+
+EMBEDDING_BOUNDARIES = {
+    "fit_kmeans": lambda V: fit_kmeans(V, 2),
+    "fit_agglomerative": lambda V: fit_agglomerative(V, 2),
+    "select_k_elbow": lambda V: select_k_elbow(V, (2, 4, 1)),
+    "assign": lambda V: assign(_CM2, V),
+    "infer": _infer,
+    "build_embedding": lambda V: build_embedding(
+        "external", None, Dataset(np.zeros((len(V), 1)), np.zeros(len(V), dtype=int), ("x",),
+                                  tuple(map(str, range(len(V))))), vectors=V),
+}
+BAD_EMBEDDINGS = {
+    "nan": (np.nan, "non-finite embedding values"),
+    "inf": (np.inf, "non-finite embedding values"),
+    "-inf": (-np.inf, "non-finite embedding values"),
+    "1-D": (None, "embedding must be 2-D"),
+}
+
+
+class TestEmbeddingRule:
+    @pytest.mark.parametrize("case", BAD_EMBEDDINGS)
+    @pytest.mark.parametrize("boundary", EMBEDDING_BOUNDARIES)
+    def test_rejects_bad_embedding(self, boundary, case):
+        bad, message = BAD_EMBEDDINGS[case]
+        V = np.arange(8.0).reshape(4, 2)
+        if bad is None:
+            V = V[:, 0]
+        else:
+            V[2, 1] = bad
+        with pytest.raises(ValueError, match=message):
+            EMBEDDING_BOUNDARIES[boundary](V)
+
+    @pytest.mark.parametrize("boundary", EMBEDDING_BOUNDARIES)
+    def test_accepts_a_finite_2d_list(self, boundary):
+        EMBEDDING_BOUNDARIES[boundary]([[0.0, 0.0], [0.0, 1.0], [5.0, 5.0], [5.0, 6.0]])
+
+    def test_build_embedding_returns_float64(self):
+        ds, _ = fitted_model()
+        E = build_embedding("external", None, ds, vectors=np.ones((ds.n, 2), dtype=np.int64))
+        assert type(E) is np.ndarray and E.dtype == np.float64
+
+
 class TestKmeans:
     def test_recovers_separated_blobs(self):
         E, truth = blobs(3)
         cm = fit_kmeans(E, 3, 0)
         labels = assign(cm, E)
         assert cluster_agreement(labels, truth) == 1.0
-        assert cm.sizes.sum() == len(E.vectors)
+        assert cm.sizes.sum() == len(E)
 
     def test_deterministic(self):
         E, _ = blobs(4, seed=1)
@@ -194,7 +248,7 @@ class TestKmeansOracle:
         V = ORACLE_EMBEDDINGS["narrow"][:40] if name == "narrow40" else ORACLE_EMBEDDINGS[name]
         C, sizes, inertia, emptied = _ref_fit_kmeans(V, k, seed)
         assert not emptied
-        cm = fit_kmeans(EmbeddingMatrix("raw", V), k, seed)
+        cm = fit_kmeans(V, k, seed)
         np.testing.assert_array_equal(cm.centroids, C)
         np.testing.assert_array_equal(cm.sizes, sizes)
         assert cm.inertia == inertia
@@ -208,7 +262,7 @@ class TestKmeansOracle:
         rank[np.argsort(first)] = np.arange(len(values))  # ids by first appearance
         labels = rank[np.searchsorted(values, raw)]
         C = np.vstack([V[labels == j].mean(axis=0) for j in range(len(values))])
-        cm = fit_agglomerative(EmbeddingMatrix("raw", V), 6)
+        cm = fit_agglomerative(V, 6)
         np.testing.assert_array_equal(cm.centroids, C)
         assert cm.inertia == float(((V - C[labels]) ** 2).sum())
 
@@ -231,14 +285,14 @@ class TestKmeansEmptyClusters:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_every_cluster_keeps_a_member(self, k, seed):
         V = self.duplicates()
-        cm = fit_kmeans(EmbeddingMatrix("raw", V), k, seed)
+        cm = fit_kmeans(V, k, seed)
         assert cm.sizes.min() >= 1
         assert cm.sizes.sum() == len(V)
         assert np.isfinite(cm.centroids).all()
         # centroids are the means of clusters of these sizes: sum ||v||^2 - sum n_j ||c_j||^2
         explained = cm.sizes @ (cm.centroids ** 2).sum(axis=1)
         assert (V ** 2).sum() - explained == pytest.approx(cm.inertia, abs=1e-9)
-        again = fit_kmeans(EmbeddingMatrix("raw", V), k, seed)
+        again = fit_kmeans(V, k, seed)
         np.testing.assert_array_equal(again.centroids, cm.centroids)
         np.testing.assert_array_equal(again.sizes, cm.sizes)
         assert again.inertia == cm.inertia
@@ -257,7 +311,7 @@ class TestAgglomerative:
         assert labels[0] == 0  # the first sample's cluster is always id 0
 
     def test_single_point(self):
-        cm = fit_agglomerative(EmbeddingMatrix("raw", np.zeros((1, 2))), 1)
+        cm = fit_agglomerative(np.zeros((1, 2)), 1)
         assert cm.k == 1
 
 
@@ -273,10 +327,10 @@ class TestElbow:
         # centroid j comes from the same generator state whatever k is, so
         # the elbow can draw once for its largest k
         E, _ = blobs(4, n_per=30, seed=8)
-        init = _kmeans_pp_init(E.vectors, 20, np.random.default_rng(3))
+        init = _kmeans_pp_init(E, 20, np.random.default_rng(3))
         for k in (2, 7, 20):
             np.testing.assert_array_equal(
-                init[:k], _kmeans_pp_init(E.vectors, k, np.random.default_rng(3)))
+                init[:k], _kmeans_pp_init(E, k, np.random.default_rng(3)))
             a, b = fit_kmeans(E, k, 3), fit_kmeans(E, k, 3, init[:k])
             np.testing.assert_array_equal(a.centroids, b.centroids)
             np.testing.assert_array_equal(a.sizes, b.sizes)

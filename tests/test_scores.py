@@ -124,6 +124,23 @@ class TestLoadExternal:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: margins must be finite$"):
             load_external_scores(path)
 
+    @pytest.mark.parametrize("text, line, column, cell", [
+        ("sample_id,margin\na,0.5\nb,\nc,1.0\n", 3, "margin", "''"),
+        ("sample_id,probability\na,\nb,0.5\n", 2, "probability", "''"),
+        ("sample_id,margin,probability\na,0.5,0.6\nb,,0.7\nc,1.0,0.8\n", 3, "margin", "''"),
+        ("sample_id,margin,probability\na,0.5,0.6\nb,0.7,0.8\nc,1.0,\n", 4, "probability",
+         "''"),
+        ("sample_id,margin,probability\na,0.5,0.6\nb,0.7\n", 3, "probability", "None"),
+        ("sample_id,margin\na,0.5\nb,abc\n", 3, "margin", "'abc'"),
+    ])
+    def test_cell_without_a_number_names_file_line_and_column(self, tmp_path, text, line,
+                                                               column, cell):
+        # a skipped cell would shift every later value onto the wrong row
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {line} has no {column} "
+                                             f"number: {re.escape(cell)}$"):
+            load_external_scores(path)
+
     @pytest.mark.parametrize("text", ["sample_id,margin\na,nan\n",
                                       "sample_id,probability\na,nan\n"])
     def test_rejects_nan_scores(self, tmp_path, text):
