@@ -35,9 +35,7 @@ T_BOUNDS = (0.01, 100.0)
 GOLDEN_ITER = 220
 PARAMETRIC_METHODS = ("platt", "temperature", "beta", "dirichlet2")
 ALL_METHODS = PARAMETRIC_METHODS + ("histogram", "isotonic", "platt_bin", "constant")
-
-MARGIN_METHODS = {"platt", "temperature"}
-N_BINS = 10     # the equal-mass bins of histogram and platt_bin fits
+N_BINS = 10     # the equal-mass bins of histogram and platt_bin fits, at most one per row
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,6 @@ class FitData:
 
     @classmethod
     def from_scores(cls, scores: ScoreSet, y) -> "FitData":
-        if scores.margins is None:
-            raise ValueError("score set has no margins")
         return cls(scores.margins, scores.probabilities, y)
 
     def __len__(self) -> int:
@@ -84,9 +80,6 @@ class Calibrator:
         return q["w1"], -q["w2"], q["c"]
 
     def apply(self, scores: ScoreSet) -> np.ndarray:
-        if self.method in MARGIN_METHODS or self.method == "platt_bin":
-            if scores.margins is None:
-                raise ValueError(f"{self.method} calibration requires margins")
         with np.errstate(over="ignore"):
             raw = self._transform(scores)
         return np.clip(raw, APPLY_EPS, 1 - APPLY_EPS)
@@ -120,18 +113,7 @@ class Calibrator:
         p = self.apply(ScoreSet(data.margins, np.clip(data.probabilities, APPLY_EPS, 1 - APPLY_EPS)))
         return nll_of_probs(p, data.labels)
 
-    # serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        params = {}
-        for k, v in self.params.items():
-            if k == "bins":
-                params[k] = [c.to_dict() for c in v]
-            elif isinstance(v, np.ndarray):
-                params[k] = v.tolist()
-            else:
-                params[k] = v
-        return {"method": self.method, "params": params, "diagnostics": self.diagnostics}
-
+    # serialization: harness._jsonable writes the fields == compares
     @classmethod
     def from_dict(cls, d: dict) -> "Calibrator":
         return cls(**_decode(d))
@@ -208,11 +190,11 @@ def fit(method: str, data: FitData, init=None) -> Calibrator:
         if method in ("beta", "dirichlet2"):
             return _fit_dirichlet2(data.probabilities, y, constrained=(method == "beta"))
         if method == "histogram":
-            return _fit_histogram(data.probabilities, y, N_BINS, laplace=True)
+            return _fit_histogram(data.probabilities, y)
         if method == "isotonic":
             return _fit_isotonic(data.probabilities, y)
         if method == "platt_bin":
-            return _fit_platt_bin(data, N_BINS)
+            return _fit_platt_bin(data)
     raise AssertionError(method)
 
 
@@ -370,14 +352,13 @@ def _bin_lookup(edges, probs) -> np.ndarray:
     return np.clip(np.searchsorted(edges[1:m], probs, side="right"), 0, m - 1)
 
 
-def _fit_histogram(probs, y, m: int, laplace: bool) -> Calibrator:
-    m = min(m, len(probs))
+def _fit_histogram(probs, y) -> Calibrator:
+    m = min(N_BINS, len(probs))
     ids, edges = _equal_mass_edges(probs, m)
     n_b = np.bincount(ids, minlength=m)
     k_b = np.bincount(ids, weights=y, minlength=m)
-    outputs = (k_b + 1) / (n_b + 2) if laplace else k_b / n_b
-    return Calibrator("histogram", {"edges": edges, "outputs": outputs},
-                      {"n_bins": m, "laplace": laplace})
+    return Calibrator("histogram", {"edges": edges, "outputs": (k_b + 1) / (n_b + 2)},
+                      {"n_bins": m, "laplace": True})
 
 
 def pav(values, weights=None) -> np.ndarray:
@@ -408,8 +389,8 @@ def _fit_isotonic(probs, y) -> Calibrator:
                       {"n_blocks": int(len(np.unique(fitted)))})
 
 
-def _fit_platt_bin(data: FitData, m: int) -> Calibrator:
-    m = min(m, len(data))
+def _fit_platt_bin(data: FitData) -> Calibrator:
+    m = min(N_BINS, len(data))
     ids, edges = _equal_mass_edges(data.probabilities, m)
     bins = []
     for b in range(m):

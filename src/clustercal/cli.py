@@ -27,7 +27,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 
 from .data import DataError
 from .harness import (
@@ -39,11 +38,8 @@ from .harness import (
 
 def _write_train(out, r):
     if r.ens is not None:
-        _write_json(os.path.join(out, "ensemble.json"), r.ens.to_dict())
-    _write_json(os.path.join(out, "splits.json"),
-                {"train": r.splits.train.tolist(),
-                 "calibration": r.splits.calibration.tolist(),
-                 "test": r.splits.test.tolist(), "seed": r.splits.seed})
+        _write_json(os.path.join(out, "ensemble.json"), r.ens)
+    _write_json(os.path.join(out, "splits.json"), r.splits)
     _write_csv(os.path.join(out, "scores.csv"),
                ("sample_id", "margin", "probability"),
                [r.ds.sample_ids, r.scores.margins.tolist(), r.scores.probabilities.tolist()])
@@ -58,7 +54,7 @@ def _write_embed(out, r):
 def _write_cluster(out, r):
     _write_clusters(out, r)
     _write_json(os.path.join(out, "diagnostics.json"),
-                {**asdict(r.diag), "elbow_curve": r.elbow_curve})
+                {**vars(r.diag), "elbow_curve": r.elbow_curve})
 
 
 # command -> (last stage it runs, writer of its files)
@@ -114,7 +110,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig.from_json_file(args.config, **overrides)
         if cfg.out is None:
             raise ConfigError("an output directory is required (--out or config 'out')")
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:     # a bad config, or a file it cannot read
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +24,9 @@ __all__ = [
 
 class DataError(ValueError):
     """Raised for malformed input data or invalid ingestion config."""
+
+
+_UNWRITABLE_ID = re.compile('[,"\r\n]')     # what harness._write_csv cannot write raw
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,8 @@ class CsvSpec:
 
 def load_csv(spec: CsvSpec) -> Dataset:
     """Read the CSV that ``spec`` describes into a Dataset; feature columns
-    keep file order, excluding the label and id columns."""
+    keep file order, excluding the label and id columns. A sample id may not
+    hold a comma, quote or line break, which the artifact CSVs write raw."""
     path, label_column, label_map = spec.path, spec.label_column, spec.label_map
     category_maps = spec.category_maps or {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -169,6 +174,9 @@ def load_csv(spec: CsvSpec) -> Dataset:
             raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
         y[i] = parse_label(row[label_j], i)
         ids.append(row[id_j] if id_j is not None else str(i))
+        if _UNWRITABLE_ID.search(ids[-1]):
+            raise DataError(f"{path}: row {i + 2}, column {spec.id_column!r}: sample id "
+                            f"{ids[-1]!r} holds a comma, quote or line break")
         for k, j in enumerate(feat_js):
             cell = row[j].strip()
             cmap = category_maps.get(header[j])

@@ -43,17 +43,7 @@ class ClusteredCalibrator:
         labels = assign(self.cluster_model, V)
         return cal_mod._apply_by_group(labels, self.resolve, scores), labels
 
-    # serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "cluster_model": self.cluster_model.to_dict(),
-            "method": self.method,
-            "calibrators": {str(c): cal.to_dict() for c, cal in self.calibrators.items()},
-            "fallback": self.fallback.to_dict(),
-            "min_fit_size": self.min_fit_size,
-            "cluster_meta": {str(c): m for c, m in self.cluster_meta.items()},
-        }
-
+    # serialization: harness._jsonable writes the fields == compares
     @classmethod
     def from_dict(cls, d: dict) -> "ClusteredCalibrator":
         return cls(

@@ -86,7 +86,7 @@ class TreeEnsemble:
     params: GBTParams = field(default_factory=GBTParams)
     train_loss: tuple[float, ...] = ()
     # the training rows' margins as the fit left them; None after from_dict.
-    # Not part of the model: to_dict, repr and == leave it out
+    # Not part of the model: repr, == and so the written JSON leave it out
     train_margins: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def margins(self, X: np.ndarray) -> np.ndarray:
@@ -105,26 +105,7 @@ class TreeEnsemble:
             raise ValueError("features must be finite")
         return X
 
-    # serialization -------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "base_score": self.base_score,
-            "n_features": self.n_features,
-            "params": vars(self.params),
-            "train_loss": list(self.train_loss),
-            "trees": [
-                {
-                    "feature": t.feature.tolist(),
-                    "threshold": t.threshold.tolist(),
-                    "left": t.left.tolist(),
-                    "right": t.right.tolist(),
-                    "value": t.value.tolist(),
-                    "cover": t.cover.tolist(),
-                }
-                for t in self.trees
-            ],
-        }
-
+    # serialization: harness._jsonable writes the fields == compares
     @classmethod
     def from_dict(cls, d: dict) -> "TreeEnsemble":
         trees = tuple(

@@ -9,7 +9,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from types import UnionType
 from typing import Literal, get_args, get_origin, get_type_hints
 
@@ -274,9 +274,6 @@ class EvalReport:
     improved_fractions: dict        # method -> fraction
     provenance: dict
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class PairedTestResult:
@@ -479,15 +476,35 @@ def _write_csv(path, header, columns):
         fh.writelines(map(row.format, *columns))
 
 
+def _jsonable(o):
+    """``o`` as JSON values: the one rule of every JSON artifact.
+
+    A dataclass becomes the fields ``==`` compares, an array, tuple or list a
+    list, and a dict keeps its values with its keys as strings, so that
+    ``sort_keys`` orders them as strings ("10" before "2"). Anything else
+    passes as it is. Each type's ``from_dict`` reads its file back.
+    """
+    if is_dataclass(o):
+        return {f.name: _jsonable(getattr(o, f.name)) for f in fields(o) if f.compare}
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    if isinstance(o, (list, tuple)):
+        return [_jsonable(v) for v in o]
+    if isinstance(o, dict):
+        return {str(k): _jsonable(v) for k, v in o.items()}
+    return o
+
+
 def _write_json(path, payload):
+    """Write ``_jsonable(payload)`` as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
+        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
 def _write_clusters(out: str, r: RunState):
     """clusters.json (the cluster model) and clusters.csv (per-cluster table)."""
-    _write_json(os.path.join(out, "clusters.json"), r.cm.to_dict())
+    _write_json(os.path.join(out, "clusters.json"), r.cm)
     table = r.diag.table
     ids = [row["cluster"] for row in table]
     _write_csv(os.path.join(out, "clusters.csv"),
@@ -499,14 +516,14 @@ def _write_clusters(out: str, r: RunState):
 def _persist(r: RunState):
     out = r.cfg.out
     os.makedirs(out, exist_ok=True)
-    _write_json(os.path.join(out, "eval_report.json"), r.report.to_dict())
+    _write_json(os.path.join(out, "eval_report.json"), r.report)
     if r.ens is not None:
-        _write_json(os.path.join(out, "ensemble.json"), r.ens.to_dict())
+        _write_json(os.path.join(out, "ensemble.json"), r.ens)
     _write_clusters(out, r)
     for method, ccl in r.ccl.items():
-        _write_json(os.path.join(out, f"ccl_{method}.json"), ccl.to_dict())
+        _write_json(os.path.join(out, f"ccl_{method}.json"), ccl)
     for method, cal in r.unified.items():
-        _write_json(os.path.join(out, f"unified_{method}.json"), cal.to_dict())
+        _write_json(os.path.join(out, f"unified_{method}.json"), cal)
     header = ("variant", "method") + METRIC_COLUMNS
     _write_csv(os.path.join(out, "metrics.csv"), header,
                [[row[c] for row in r.report.rows] for c in header])

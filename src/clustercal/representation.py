@@ -123,17 +123,6 @@ class ClusterModel:
     seed: int = 0
     inertia: float = 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "k": self.k,
-            "centroids": self.centroids.tolist(),
-            "sizes": self.sizes.tolist(),
-            "positives": self.positives.tolist(),
-            "seed": self.seed,
-            "inertia": self.inertia,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "ClusterModel":
         return cls(d["method"], int(d["k"]), np.asarray(d["centroids"], dtype=np.float64),

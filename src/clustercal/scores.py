@@ -36,18 +36,18 @@ def logit(p):
 class ScoreSet:
     """Per-sample margins (logits) and probabilities in (0, 1)."""
 
-    margins: np.ndarray | None
+    margins: np.ndarray
     probabilities: np.ndarray
 
     def __post_init__(self):
+        m = np.asarray(self.margins, dtype=np.float64)
         p = np.asarray(self.probabilities, dtype=np.float64)
+        object.__setattr__(self, "margins", m)
         object.__setattr__(self, "probabilities", p)
-        if self.margins is not None:
-            object.__setattr__(self, "margins", np.asarray(self.margins, dtype=np.float64))
-            if self.margins.shape != p.shape:
-                raise ValueError("margins/probabilities length mismatch")
-            if not np.isfinite(self.margins).all():
-                raise ValueError("margins must be finite")
+        if m.shape != p.shape:
+            raise ValueError("margins/probabilities length mismatch")
+        if not np.isfinite(m).all():
+            raise ValueError("margins must be finite")
         if not ((p > 0) & (p < 1)).all():  # also false for NaN
             raise ValueError("probabilities must lie strictly in (0, 1)")
 
@@ -68,8 +68,7 @@ class ScoreSet:
         return cls(logit(p), p)
 
     def take(self, idx) -> "ScoreSet":
-        m = None if self.margins is None else self.margins[idx]
-        return ScoreSet(m, self.probabilities[idx])
+        return ScoreSet(self.margins[idx], self.probabilities[idx])
 
 
 def load_external_scores(path, expected_ids=None) -> ScoreSet:

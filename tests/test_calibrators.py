@@ -13,9 +13,10 @@ from scipy.optimize import minimize, minimize_scalar
 
 from clustercal import calibrators as cal_mod
 from clustercal.calibrators import (
-    ALL_METHODS, GRAD_TOL, MAX_ITER, PARAMETRIC_METHODS, T_BOUNDS,
+    ALL_METHODS, GRAD_TOL, MAX_ITER, N_BINS, PARAMETRIC_METHODS, T_BOUNDS,
     Calibrator, FitData, fit, nll_of_probs, pav,
 )
+from clustercal.harness import _jsonable
 from clustercal.scores import ScoreSet, sigmoid
 
 
@@ -135,35 +136,36 @@ class TestParametricFits:
 class TestBinnedFits:
     def test_histogram_equal_mass_laplace(self):
         rng = np.random.default_rng(0)
-        p = rng.uniform(size=40)
-        y = rng.integers(0, 2, size=40)
-        cal = cal_mod._fit_histogram(p, y, 4, laplace=True)
-        assert len(cal.params["outputs"]) == 4
-        out = cal.apply(ScoreSet(None, p))
+        p = rng.uniform(size=100)
+        y = rng.integers(0, 2, size=100)
+        cal = cal_mod._fit_histogram(p, y)
+        assert len(cal.params["outputs"]) == N_BINS == 10
+        out = cal.apply(ScoreSet.from_probabilities(p))
         # every output is a Laplace-smoothed rate of a 10-sample bin
         assert set(np.round(np.unique(out) * 12, 9)) <= {float(k + 1) for k in range(11)}
 
     def test_histogram_apply_on_train_matches_bin_rates(self):
-        p = np.array([0.1, 0.2, 0.6, 0.9])
-        y = np.array([0, 1, 1, 1])
-        cal = cal_mod._fit_histogram(p, y, 2, laplace=False)
-        out = cal.apply(ScoreSet(None, p))
-        np.testing.assert_allclose(out, [0.5, 0.5, 1 - 1e-6, 1 - 1e-6])
+        # 20 rows: N_BINS bins of two rows each, in order of p
+        p = np.arange(1, 21) / 21
+        y = np.array([0, 0, 0, 1, 1, 1] * 3 + [1, 0])
+        cal = cal_mod._fit_histogram(p, y)
+        out = cal.apply(ScoreSet.from_probabilities(p))
+        np.testing.assert_allclose(out, np.repeat((y.reshape(10, 2).sum(axis=1) + 1) / 4, 2))
 
     def test_isotonic_reproduces_pav_on_train(self):
         rng = np.random.default_rng(1)
         p = rng.uniform(size=30)
         y = rng.integers(0, 2, size=30)
         cal = fit("isotonic", FitData(np.zeros(30), p, y))
-        out = cal.apply(ScoreSet(None, p))
+        out = cal.apply(ScoreSet.from_probabilities(p))
         order = np.argsort(p, kind="stable")
         np.testing.assert_allclose(out[order],
                                    np.clip(pav(y[order].astype(float)), 1e-6, 1 - 1e-6))
 
     def test_platt_bin_structure(self):
         data = logistic_data(n=100)
-        cal = cal_mod._fit_platt_bin(data, 5)
-        assert len(cal.params["bins"]) == 5
+        cal = cal_mod._fit_platt_bin(data)
+        assert len(cal.params["bins"]) == N_BINS
         out = cal.apply(ScoreSet(data.margins, data.probabilities))
         assert ((out > 0) & (out < 1)).all()
 
@@ -185,13 +187,13 @@ def ref_equal_mass_edges(probs, m):
     return ids, edges
 
 
-def ref_histogram_outputs(ids, y, m, laplace):
+def ref_histogram_outputs(ids, y, m):
     """The per-bin mask loop that ``_fit_histogram`` replaced."""
     outputs = np.empty(m)
     for b in range(m):
         mask = ids == b
         n_b, k_b = int(mask.sum()), int(y[mask].sum())
-        outputs[b] = (k_b + 1) / (n_b + 2) if laplace else (k_b / n_b if n_b else 0.5)
+        outputs[b] = (k_b + 1) / (n_b + 2)
     return outputs
 
 
@@ -211,16 +213,22 @@ class TestBinningOracle:
     loops bit for bit."""
 
     @staticmethod
-    def draws():
+    def samples():
         rng = np.random.default_rng(7)
-        for n in (1, 2, 3, 10, 41, 200):
+        # the fits use min(N_BINS, n) bins: 1, 2, 3, 7 and 10
+        for n in (1, 2, 3, 7, 10, 41, 200):
             for ties in (False, True):
                 p = rng.uniform(size=n)
                 if ties:  # few distinct values, so blocks start inside runs of ties
                     p = np.round(p * 4) / 4
-                y = rng.integers(0, 2, size=n)
-                for m in sorted({1, 2, 3, 7, n // 2, n - 1, n} & set(range(1, n + 1))):
-                    yield p, y, m
+                yield p, rng.integers(0, 2, size=n)
+
+    @classmethod
+    def draws(cls):
+        for p, y in cls.samples():
+            n = len(p)
+            for m in sorted({1, 2, 3, 7, n // 2, n - 1, n} & set(range(1, n + 1))):
+                yield p, y, m
 
     def test_ids_and_edges(self):
         for p, _, m in self.draws():
@@ -229,20 +237,20 @@ class TestBinningOracle:
             np.testing.assert_array_equal(ids, want_ids)
             assert edges.tobytes() == want_edges.tobytes()
 
-    @pytest.mark.parametrize("laplace", [True, False])
-    def test_histogram_outputs(self, laplace):
-        for p, y, m in self.draws():
-            cal = cal_mod._fit_histogram(p, y, m, laplace)
+    def test_histogram_outputs(self):
+        for p, y in self.samples():
+            m = min(N_BINS, len(p))
+            cal = cal_mod._fit_histogram(p, y)
             want_ids, want_edges = ref_equal_mass_edges(p, m)
-            want = ref_histogram_outputs(want_ids, y, m, laplace)
+            want = ref_histogram_outputs(want_ids, y, m)
             assert cal.params["outputs"].tobytes() == want.tobytes()
             assert cal.params["edges"].tobytes() == want_edges.tobytes()
 
     def test_platt_bin_apply(self):
-        data = logistic_data(n=120, seed=3)
         rng = np.random.default_rng(4)
-        for m in (1, 4, 10):
-            cal = cal_mod._fit_platt_bin(data, m)
+        for n in (1, 4, 40, 120):      # min(N_BINS, n) bins: 1, 4, 10 and 10
+            data = logistic_data(n=n, seed=3)
+            cal = cal_mod._fit_platt_bin(data)
             # the first 20 draws fall in one bin, so the other bins get no rows
             for margins in (data.margins, rng.normal(size=300) * 3, np.full(20, -4.0)):
                 scores = ScoreSet.from_margins(margins)
@@ -260,7 +268,7 @@ class TestDegenerateFits:
     def test_constant_method(self):
         cal = fit("constant", FitData(np.zeros(3), np.full(3, 0.5), [1, 0, 1]))
         assert cal.params["p0"] == 3 / 5    # Laplace: (2 + 1) / (3 + 2)
-        np.testing.assert_allclose(cal.apply(ScoreSet(None, np.array([0.9]))), [0.6])
+        np.testing.assert_allclose(cal.apply(ScoreSet.from_probabilities([0.9])), [0.6])
 
     def test_default_bins(self):
         # histogram and platt_bin fit N_BINS equal-mass bins; histogram smooths them
@@ -282,13 +290,8 @@ class TestDegenerateFits:
 class TestCalibratorSurface:
     def test_apply_clips(self):
         cal = Calibrator("constant", {"p0": 0.0})
-        out = cal.apply(ScoreSet(None, np.array([0.5])))
+        out = cal.apply(ScoreSet.from_probabilities([0.5]))
         assert out[0] == 1e-6
-
-    def test_margin_methods_require_margins(self):
-        cal = Calibrator("platt", {"A": -1.0, "B": 0.0})
-        with pytest.raises(ValueError, match="margins"):
-            cal.apply(ScoreSet(None, np.array([0.5])))
 
     @pytest.mark.filterwarnings("error")
     def test_platt_applies_to_saturated_margins(self):
@@ -301,7 +304,7 @@ class TestCalibratorSurface:
     def test_beta_is_dirichlet2_with_negated_w2(self, a, b):
         beta = Calibrator("beta", {"a": a, "b": b, "c": 0.3})
         dirichlet2 = Calibrator("dirichlet2", {"w1": a, "w2": -b, "c": 0.3})
-        scores = ScoreSet(None, np.linspace(1e-3, 1 - 1e-3, 9))
+        scores = ScoreSet.from_probabilities(np.linspace(1e-3, 1 - 1e-3, 9))
         np.testing.assert_array_equal(beta.apply(scores), dirichlet2.apply(scores))
 
     def test_nll_of_probs_hand_value(self):
@@ -312,7 +315,7 @@ class TestCalibratorSurface:
     def test_serialization_roundtrip(self, method):
         data = logistic_data(n=60, seed=7)
         cal = fit(method, data)
-        back = Calibrator.from_dict(json.loads(json.dumps(cal.to_dict(), sort_keys=True)))
+        back = Calibrator.from_dict(json.loads(json.dumps(_jsonable(cal), sort_keys=True)))
         np.testing.assert_allclose(
             back.apply(ScoreSet(data.margins, data.probabilities)),
             cal.apply(ScoreSet(data.margins, data.probabilities)), atol=1e-12)
@@ -439,8 +442,8 @@ ORACLE_METHODS = ("platt", "temperature", "beta", "dirichlet2", "platt_bin")
 def _assert_fits_match_reference(data, methods=ORACLE_METHODS, init=None):
     for method in methods:
         got, want = fit(method, data, init), _reference_fit(method, data, init)
-        assert (json.dumps(got.to_dict(), sort_keys=True)
-                == json.dumps(want.to_dict(), sort_keys=True)), method
+        assert (json.dumps(_jsonable(got), sort_keys=True)
+                == json.dumps(_jsonable(want), sort_keys=True)), method
 
 
 def _random_fit_data(rng):

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from clustercal import harness
 from clustercal.cli import main
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_CONFIG = GOLDEN / "report_config.json"
 
@@ -117,6 +120,23 @@ class TestExitCodes:
         assert main(["report", "--config", str(path),
                      "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("unreadable", ["directory", "not_utf8"])
+    def test_unreadable_config_exits_1_without_a_traceback(self, tmp_path, unreadable):
+        path = tmp_path / "cfg.json"
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b'{"seed": 0, "note": "caf\xe9"}')
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "clustercal.cli", "report",
+                               "--config", str(path), "--out", str(out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, proc.stderr
+        assert not out.exists()
+
     def test_missing_out_is_validation_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["report", "--config", cfg]) == 1
@@ -198,6 +218,21 @@ class TestExitCodes:
                                       "model": {"gbt": {}}})
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "missing label column" in capsys.readouterr().err
+
+    def test_sample_id_with_a_comma_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # scores.csv would write the id raw, so its row would have four cells
+        lines = ["id,a,b,y"] + [f"p{i},{i % 7},{i % 3},{i % 2}" for i in range(40)]
+        lines[6] = '"p5,v",5,2,1'
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, {"data": {"csv": {"path": str(data), "label_column": "y",
+                                                         "id_column": "id"}},
+                                      "model": {"gbt": {"n_trees": 2, "max_depth": 2}}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "row 7, column 'id': sample id 'p5,v'" in err, err
+        assert not out.exists()
 
 
 class TestArtifacts:

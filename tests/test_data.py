@@ -1,5 +1,7 @@
 """Dataset ingestion, splitting and synthetic generation."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,14 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,y\n1,maybe\n")
         with pytest.raises(DataError, match="row 2.*'y'"):
             load_csv(CsvSpec(path, "y"))
+
+    @pytest.mark.parametrize("sid", ["p5,v", 'p"5', "p5\rv", "p5\nv"])
+    def test_sample_id_the_artifact_csvs_cannot_write_raw(self, tmp_path, sid):
+        quoted = '"' + sid.replace('"', '""') + '"'
+        path = self.write(tmp_path, f"id,a,y\nr1,1,0\n{quoted},2,1\n")
+        msg = f"{path}: row 3, column 'id': sample id {sid!r} holds a comma, quote or line break"
+        with pytest.raises(DataError, match=re.escape(msg)):
+            load_csv(CsvSpec(path, "y", id_column="id"))
 
     def test_missing_label_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")

@@ -8,6 +8,7 @@ import pytest
 from clustercal.calibrators import FitData, fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
+from clustercal.harness import _jsonable
 from clustercal.representation import ClusterModel, assign, fit_kmeans
 from clustercal.scores import ScoreSet
 
@@ -123,7 +124,7 @@ class TestTrainClustered:
         ds, sp, scores, E, cm = synth_setup(seed=5)
         ccl = train(scores.take(sp.calibration), E[sp.calibration],
                     cm, "beta", ds.labels[sp.calibration])
-        back = ClusteredCalibrator.from_dict(json.loads(json.dumps(ccl.to_dict(), sort_keys=True)))
+        back = ClusteredCalibrator.from_dict(json.loads(json.dumps(_jsonable(ccl), sort_keys=True)))
         p_a, l_a = ccl.infer(scores.take(sp.test), E[sp.test])
         p_b, l_b = back.infer(scores.take(sp.test), E[sp.test])
         np.testing.assert_allclose(p_a, p_b, atol=1e-12)

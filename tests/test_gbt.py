@@ -16,7 +16,7 @@ from clustercal.gbt import (
     GAIN_EPS, SCAN_BLOCK_CELLS, GBTParams, Tree, TreeEnsemble, _logloss, fit_gbt,
     leaf_indices, predict,
 )
-from clustercal.harness import ExperimentConfig, run_stages
+from clustercal.harness import ExperimentConfig, _jsonable, run_stages
 from clustercal.scores import logit, sigmoid
 from clustercal.treeshap import shap_values
 
@@ -56,7 +56,7 @@ class TestFit:
         ds = toy_dataset()
         a = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
         b = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
-        assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
+        assert json.dumps(_jsonable(a), sort_keys=True) == json.dumps(_jsonable(b), sort_keys=True)
 
     def test_max_depth_respected(self):
         ds = toy_dataset()
@@ -151,7 +151,7 @@ class TestPredictAndSerialize:
     def test_serialization_roundtrip(self):
         ds = toy_dataset()
         ens = fit_gbt(ds, GBTParams(n_trees=4, max_depth=3))
-        back = TreeEnsemble.from_dict(json.loads(json.dumps(ens.to_dict(), sort_keys=True)))
+        back = TreeEnsemble.from_dict(json.loads(json.dumps(_jsonable(ens), sort_keys=True)))
         np.testing.assert_allclose(back.margins(ds.features), ens.margins(ds.features))
         assert back.params == ens.params
 
@@ -384,9 +384,9 @@ class TestTrainMargins:
         ds = tied_dataset(300, 4, 5)
         ens = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
         assert ens.train_margins.tobytes() == ens.margins(ds.features).tobytes()
-        back = TreeEnsemble.from_dict(ens.to_dict())
+        back = TreeEnsemble.from_dict(_jsonable(ens))
         assert back.train_margins is None
-        assert "train_margins" not in ens.to_dict() and "train_margins" not in repr(ens)
+        assert "train_margins" not in _jsonable(ens) and "train_margins" not in repr(ens)
         assert dataclasses.replace(ens, train_margins=None) == ens
 
     def test_model_stage_scores_match_predict_on_every_row(self, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercal.harness import (
-    ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError,
+    ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError, _jsonable,
     paired_resample_test, rejection_selection, run_experiment, run_stages, select_model,
 )
 from clustercal.ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction
@@ -283,7 +283,7 @@ class TestRunExperiment:
         clusters = {}
         with open(os.path.join(out, "eval_report.json")) as fh:
             persisted = json.load(fh)
-        assert persisted["rows"] == json.loads(json.dumps(report.to_dict()))["rows"]
+        assert persisted["rows"] == json.loads(json.dumps(_jsonable(report)))["rows"]
         for row in report.rows:
             path = os.path.join(out, f"calibrated_scores_{row['variant']}.csv")
             rows = np.loadtxt(path, delimiter=",", skiprows=1,

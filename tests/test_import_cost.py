@@ -24,7 +24,7 @@ def lazy_results():
     """A Ward clustering and a paired test, as JSON-ready values."""
     import numpy as np
 
-    from clustercal.harness import paired_resample_test
+    from clustercal.harness import _jsonable, paired_resample_test
     from clustercal.representation import fit_agglomerative
 
     rng = np.random.default_rng(17)
@@ -32,7 +32,7 @@ def lazy_results():
     y = rng.integers(0, 2, size=200)
     a, b = rng.uniform(size=200), rng.uniform(size=200)
     r = paired_resample_test(a, b, y, metric="ece", iterations=8)
-    return {"cluster": cm.to_dict(),
+    return {"cluster": _jsonable(cm),
             "paired": [r.differences.tolist(), r.t_stat, r.p_one_sided, r.p_two_sided]}
 
 

@@ -19,8 +19,13 @@ import numpy as np
 import pytest
 
 from clustercal import harness
+from clustercal.calibrators import Calibrator
 from clustercal.cli import PREFIX_COMMANDS
-from clustercal.harness import METRIC_COLUMNS, ExperimentConfig, _write_csv, run_stages, select_model
+from clustercal.ensemble import ClusteredCalibrator
+from clustercal.harness import (
+    METRIC_COLUMNS, ExperimentConfig, _jsonable, _write_csv, run_stages, select_model,
+)
+from clustercal.representation import ClusterModel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,7 +47,7 @@ def oracle_json(path, payload):
 
 
 def oracle_clusters(out, r):
-    oracle_json(os.path.join(out, "clusters.json"), r.cm.to_dict())
+    oracle_json(os.path.join(out, "clusters.json"), _jsonable(r.cm))
     oracle_csv(os.path.join(out, "clusters.csv"),
                ("cluster_id", "size", "positive_rate", "centroid_norm"),
                [[row["cluster"], row["size"], row["positive_rate"],
@@ -52,7 +57,7 @@ def oracle_clusters(out, r):
 
 def oracle_train(out, r):
     if r.ens is not None:
-        oracle_json(os.path.join(out, "ensemble.json"), r.ens.to_dict())
+        oracle_json(os.path.join(out, "ensemble.json"), _jsonable(r.ens))
     oracle_json(os.path.join(out, "splits.json"),
                 {"train": r.splits.train.tolist(),
                  "calibration": r.splits.calibration.tolist(),
@@ -80,14 +85,14 @@ def oracle_cluster(out, r):
 
 
 def oracle_report(out, r):
-    oracle_json(os.path.join(out, "eval_report.json"), r.report.to_dict())
+    oracle_json(os.path.join(out, "eval_report.json"), _jsonable(r.report))
     if r.ens is not None:
-        oracle_json(os.path.join(out, "ensemble.json"), r.ens.to_dict())
+        oracle_json(os.path.join(out, "ensemble.json"), _jsonable(r.ens))
     oracle_clusters(out, r)
     for method, ccl in r.ccl.items():
-        oracle_json(os.path.join(out, f"ccl_{method}.json"), ccl.to_dict())
+        oracle_json(os.path.join(out, f"ccl_{method}.json"), _jsonable(ccl))
     for method, cal in r.unified.items():
-        oracle_json(os.path.join(out, f"unified_{method}.json"), cal.to_dict())
+        oracle_json(os.path.join(out, f"unified_{method}.json"), _jsonable(cal))
     oracle_csv(os.path.join(out, "metrics.csv"),
                ("variant", "method") + METRIC_COLUMNS,
                [[row["variant"], row["method"]] + [row[c] for c in METRIC_COLUMNS]
@@ -179,3 +184,51 @@ def test_int_and_float_columns_keep_their_type(tmp_path):
 def test_rejects_columns_that_do_not_fit_the_header(tmp_path, columns):
     with pytest.raises(ValueError, match="columns of one length"):
         _write_csv(tmp_path / "x.csv", ("a", "b"), columns)
+
+
+# the JSON rule -----------------------------------------------------------
+
+# each artifact type -> the keys its JSON file holds: the fields `==` compares
+WRITTEN_FIELDS = {
+    "TreeEnsemble": {"trees", "base_score", "n_features", "params", "train_loss"},
+    "Tree": {"feature", "threshold", "left", "right", "value", "cover"},
+    "GBTParams": {"n_trees", "max_depth", "learning_rate", "min_child_weight", "lambda_l2"},
+    "ClusterModel": {"method", "k", "centroids", "sizes", "positives", "seed", "inertia"},
+    "Calibrator": {"method", "params", "diagnostics"},
+    "ClusteredCalibrator": {"cluster_model", "method", "calibrators", "fallback",
+                            "min_fit_size", "cluster_meta"},
+    "EvalReport": {"rows", "cluster_diagnostics", "improved_fractions", "provenance"},
+    "SplitIndices": {"train", "calibration", "test", "seed"},
+}
+
+
+def test_each_artifact_type_writes_the_fields_eq_compares(state):
+    objs = [state.ens, state.ens.trees[0], state.ens.params, state.cm, state.unified["platt"],
+            state.ccl["platt"], state.report, state.splits]
+    assert sorted(type(o).__name__ for o in objs) == sorted(WRITTEN_FIELDS)
+    for o in objs:
+        compared = {f.name for f in dataclasses.fields(o) if f.compare}
+        assert set(_jsonable(o)) == WRITTEN_FIELDS[type(o).__name__] == compared, type(o)
+    assert state.ens.train_margins is not None and "train_margins" not in _jsonable(state.ens)
+
+
+def test_json_values_are_plain_and_keys_strings(state):
+    ccl = _jsonable(state.ccl["platt"])
+    assert set(ccl["calibrators"]) <= {str(c) for c in range(state.cm.k)}
+    assert isinstance(ccl["cluster_model"]["centroids"], list)
+    assert _jsonable({2: (np.arange(2), [np.ones(1)])}) == {"2": [[0, 1], [[1.0]]]}
+
+
+def test_cluster_keys_are_written_in_string_order(tmp_path):
+    k = 12
+    cm = ClusterModel("kmeans", k, np.zeros((k, 2)), np.ones(k, dtype=np.int64),
+                      np.zeros(k, dtype=np.int64))
+    const = Calibrator("constant", {"p0": 0.5})
+    ccl = ClusteredCalibrator(cm, "platt", {c: const for c in range(k)}, const, 10,
+                              {c: {"n": 1} for c in range(k)})
+    harness._write_json(tmp_path / "ccl.json", ccl)
+    with open(tmp_path / "ccl.json", encoding="utf-8") as fh:
+        written = json.load(fh)
+    order = ["0", "1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"]
+    assert list(written["calibrators"]) == list(written["cluster_meta"]) == order
+    assert _jsonable(ClusteredCalibrator.from_dict(written)) == written

@@ -8,6 +8,7 @@ from clustercal.calibrators import Calibrator
 from clustercal.data import Dataset, SyntheticSpec, gen_synthetic_full
 from clustercal.ensemble import ClusteredCalibrator
 from clustercal.gbt import GBTParams, fit_gbt
+from clustercal.harness import _jsonable
 from clustercal.representation import (
     ClusterModel, EmbeddingOpts, _dists, _kmeans_pp_init, assign, build_embedding,
     diagnostics, fit_agglomerative, fit_kmeans, select_k_elbow, topk_feature_indices,
@@ -188,7 +189,7 @@ class TestKmeans:
     def test_serialization_roundtrip(self):
         E, _ = blobs(3, seed=3)
         cm = fit_kmeans(E, 3, 0)
-        back = ClusterModel.from_dict(cm.to_dict())
+        back = ClusterModel.from_dict(_jsonable(cm))
         np.testing.assert_array_equal(back.centroids, cm.centroids)
         np.testing.assert_array_equal(assign(back, E), assign(cm, E))
 

@@ -31,10 +31,10 @@ class TestScoreSet:
         np.testing.assert_allclose(s.margins, logit(s.probabilities))
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ScoreSet(None, np.array([0.0, 0.5]))
-        with pytest.raises(ValueError):
-            ScoreSet(None, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="strictly"):
+            ScoreSet(np.zeros(2), np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match="strictly"):
+            ScoreSet(np.zeros(2), np.array([0.5, 1.0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -60,7 +60,7 @@ class TestScoreSet:
 
     def test_rejects_nan_probabilities(self):
         with pytest.raises(ValueError, match="strictly"):
-            ScoreSet(None, np.array([np.nan, 0.5]))
+            ScoreSet(np.zeros(2), np.array([np.nan, 0.5]))
         with pytest.raises(ValueError):
             ScoreSet.from_probabilities([np.nan, 0.5])
 
