@@ -72,6 +72,15 @@ class Calibrator:
     params: dict
     diagnostics: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # params read back from JSON hold lists and dicts: make them arrays and calibrators
+        q = self.params = dict(self.params)
+        if "bins" in q:
+            q["bins"] = [Calibrator(**b) if isinstance(b, dict) else b for b in q["bins"]]
+        for k in ("edges", "outputs", "breakpoints", "values"):
+            if k in q:
+                q[k] = np.asarray(q[k], dtype=np.float64)
+
     def _beta_coefs(self) -> tuple:
         """(a, b, c) of sigmoid(a ln p - b ln(1 - p) + c); dirichlet2's is (w1, -w2, c)."""
         q = self.params
@@ -113,11 +122,6 @@ class Calibrator:
         p = self.apply(ScoreSet(data.margins, np.clip(data.probabilities, APPLY_EPS, 1 - APPLY_EPS)))
         return nll_of_probs(p, data.labels)
 
-    # serialization: harness._jsonable writes the fields == compares
-    @classmethod
-    def from_dict(cls, d: dict) -> "Calibrator":
-        return cls(**_decode(d))
-
 
 def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
     """Apply ``calibrator_of(g)`` to the rows of ``scores`` in each group ``g``."""
@@ -126,18 +130,6 @@ def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
         mask = groups == g
         out[mask] = calibrator_of(g).apply(scores.take(mask))
     return out
-
-
-def _decode(d: dict) -> dict:
-    params = dict(d["params"])
-    if "bins" in params:
-        params["bins"] = [Calibrator.from_dict(b) if isinstance(b, dict) else b
-                          for b in params["bins"]]
-    for k in ("edges", "outputs", "breakpoints", "values"):
-        if k in params:
-            params[k] = np.asarray(params[k], dtype=np.float64)
-    return {"method": d["method"], "params": params,
-            "diagnostics": d.get("diagnostics", {})}
 
 
 def nll_of_probs(p, y, eps: float = APPLY_EPS) -> float:

@@ -31,7 +31,7 @@ import sys
 from .data import DataError
 from .harness import (
     ConfigError, EvalReport, ExperimentConfig,
-    _write_clusters, _write_csv, _write_json,
+    _read_json, _write_clusters, _write_csv, _write_json,
     run_experiment, run_stages, select_model,
 )
 
@@ -92,10 +92,7 @@ def _cmd_report(cfg):
 
 def _cmd_select(cfg):
     path = os.path.join(cfg.out, "eval_report.json")
-    report = None
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            report = EvalReport(**json.load(fh))
+    report = _read_json(EvalReport, path) if os.path.exists(path) else None
     if report is None or report.provenance["config_hash"] != cfg.config_hash():
         report = run_experiment(cfg)
     selection = select_model(report)

@@ -137,13 +137,15 @@ def load_csv(spec: CsvSpec) -> Dataset:
     hold a comma, quote or line break, which the artifact CSVs write raw."""
     path, label_column, label_map = spec.path, spec.label_column, spec.label_map
     category_maps = spec.category_maps or {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(reader)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read the file: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
     if label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
     label_j = header.index(label_column)

@@ -43,18 +43,6 @@ class ClusteredCalibrator:
         labels = assign(self.cluster_model, V)
         return cal_mod._apply_by_group(labels, self.resolve, scores), labels
 
-    # serialization: harness._jsonable writes the fields == compares
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusteredCalibrator":
-        return cls(
-            ClusterModel.from_dict(d["cluster_model"]),
-            d["method"],
-            {int(c): Calibrator.from_dict(v) for c, v in d["calibrators"].items()},
-            Calibrator.from_dict(d["fallback"]),
-            int(d["min_fit_size"]),
-            {int(c): m for c, m in d.get("cluster_meta", {}).items()},
-        )
-
 
 def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallback: Calibrator,
                     min_fit_size: int = DEFAULT_MIN_FIT_SIZE) -> ClusteredCalibrator:

@@ -2,8 +2,8 @@
 
 Second-order logistic-loss boosting with exact greedy splits, L2 leaf
 regularization and midpoint thresholds. The fitted ensemble exposes
-margins, probabilities, leaf indices and serialization; SHAP attributions
-live in :mod:`clustercal.treeshap`.
+margins, probabilities and leaf indices; SHAP attributions live in
+:mod:`clustercal.treeshap`.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class TreeEnsemble:
     n_features: int
     params: GBTParams = field(default_factory=GBTParams)
     train_loss: tuple[float, ...] = ()
-    # the training rows' margins as the fit left them; None after from_dict.
+    # the training rows' margins as the fit left them; None when read back.
     # Not part of the model: repr, == and so the written JSON leave it out
     train_margins: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -104,23 +104,6 @@ class TreeEnsemble:
         if not np.isfinite(X).all():
             raise ValueError("features must be finite")
         return X
-
-    # serialization: harness._jsonable writes the fields == compares
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeEnsemble":
-        trees = tuple(
-            Tree(
-                np.asarray(t["feature"], dtype=np.int64),
-                np.asarray(t["threshold"], dtype=np.float64),
-                np.asarray(t["left"], dtype=np.int64),
-                np.asarray(t["right"], dtype=np.int64),
-                np.asarray(t["value"], dtype=np.float64),
-                np.asarray(t["cover"], dtype=np.float64),
-            )
-            for t in d["trees"]
-        )
-        return cls(trees, float(d["base_score"]), int(d["n_features"]),
-                   GBTParams(**d["params"]), tuple(d.get("train_loss", ())))
 
 
 def _best_split(X, order, gh, G, H, lam, min_child_weight):

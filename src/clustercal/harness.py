@@ -51,7 +51,8 @@ METRIC_COLUMNS = ("CECE", "ECE", "MCE", "AdaECE", "AUC", "ACC", "CE", "MSE_brier
 
 
 class ConfigError(ValueError):
-    """Invalid experiment configuration."""
+    """Invalid experiment configuration, or a JSON artifact ``_read_json``
+    cannot read back as its type."""
 
 
 class StageError(RuntimeError):
@@ -60,7 +61,8 @@ class StageError(RuntimeError):
 
 # config sections: one frozen dataclass per JSON object, whose fields are the
 # keys it accepts. A field whose default is None is absent unless given; only
-# an annotation that admits None accepts a JSON null.
+# an annotation that admits None accepts a JSON null. The same parser reads
+# the JSON artifacts back (`_read_json`).
 
 @dataclass(frozen=True)
 class DataSpec:                             # exactly one source
@@ -123,7 +125,7 @@ DEFAULTS = {
 }
 
 _NOUNS = {bool: "a boolean", int: "an int", float: "a number", str: "a string",
-          dict: "a JSON object"}
+          dict: "a JSON object", list: "a list", np.ndarray: "a list of numbers"}
 _type_hints = functools.cache(get_type_hints)      # evaluating annotations is slow
 
 
@@ -144,7 +146,8 @@ def _finite(v) -> bool:
 
 
 def _value(key: str, tp, v, meta):
-    """``v`` as a value of annotation ``tp``; a list becomes a tuple."""
+    """``v`` as a value of annotation ``tp``; a list becomes a tuple, or an
+    array whose dtype follows its JSON numbers (``1`` int64, ``1.0`` float64)."""
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
         return _section(tp, key, v)
@@ -155,12 +158,18 @@ def _value(key: str, tp, v, meta):
             return v
         raise ConfigError(f"{key} must be one of {list(args)}, not {v!r}")
     if origin is tuple:
+        if isinstance(v, (list, tuple)) and is_dataclass(args[0]):      # tuple[Tree, ...]
+            return tuple(_section(args[0], f"{key}[{i}]", x) for i, x in enumerate(v))
         if isinstance(v, (list, tuple)) and all(_is(args[0], x) for x in v):
             if not all(map(_finite, v)):
                 raise ConfigError(f"{key}: values must be finite")
             return tuple(v)
         raise ConfigError(f"{key} must be a list of {meta.get('items', args[0].__name__ + 's')}")
-    if not _is(origin or tp, v):            # dict[str, ...] is a dict
+    if origin is dict and isinstance(v, dict):      # dict[int, X]: JSON keys are strings
+        return {args[0](k): _value(f"{key}.{k}", args[1], x, meta) for k, x in v.items()}
+    if tp is np.ndarray and isinstance(v, list):
+        return np.asarray(v)
+    if not _is(origin or tp, v):
         raise ConfigError(f"{key} must be {_NOUNS[origin or tp]}, not {v!r}")
     if not _finite(v):
         raise ConfigError(f"{key} must be finite, not {v!r}")
@@ -168,16 +177,17 @@ def _value(key: str, tp, v, meta):
 
 
 def _section(cls, key: str, value):
-    """The JSON object ``value`` at dotted ``key`` ("" at the top) as a ``cls``,
-    whose fields are its keys and types. A ValueError (a DataError too) from
-    ``cls`` itself becomes a ConfigError naming the section."""
+    """The JSON object ``value`` at dotted ``key`` ("" at the top of a config)
+    as a ``cls``, whose fields are its keys and types. A ValueError (a
+    DataError too) from ``cls`` itself becomes a ConfigError naming the section."""
     name = key or "config"
     value, hints = _object(name, value), _type_hints(cls)
     known = {f.name: f for f in fields(cls) if f.init}
     unknown = set(value) - set(known)
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    missing = [k for k, f in known.items() if f.default is MISSING and k not in value]
+    missing = [k for k, f in known.items()
+               if f.default is MISSING and f.default_factory is MISSING and k not in value]
     if missing:
         raise ConfigError(f"{name} needs keys: {missing}")
     kwargs = {k: _value(f"{key}.{k}" if key else k, hints[k], v, known[k].metadata)
@@ -482,7 +492,7 @@ def _jsonable(o):
     A dataclass becomes the fields ``==`` compares, an array, tuple or list a
     list, and a dict keeps its values with its keys as strings, so that
     ``sort_keys`` orders them as strings ("10" before "2"). Anything else
-    passes as it is. Each type's ``from_dict`` reads its file back.
+    passes as it is. ``_read_json`` reads each file back.
     """
     if is_dataclass(o):
         return {f.name: _jsonable(getattr(o, f.name)) for f in fields(o) if f.compare}
@@ -500,6 +510,12 @@ def _write_json(path, payload):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def _read_json(cls, path):
+    """The JSON artifact at ``path`` as a ``cls``, read by the config's parser."""
+    with open(path, encoding="utf-8") as fh:
+        return _section(cls, str(path), json.load(fh))
 
 
 def _write_clusters(out: str, r: RunState):

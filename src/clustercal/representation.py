@@ -123,13 +123,6 @@ class ClusterModel:
     seed: int = 0
     inertia: float = 0.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ClusterModel":
-        return cls(d["method"], int(d["k"]), np.asarray(d["centroids"], dtype=np.float64),
-                   np.asarray(d["sizes"], dtype=np.int64),
-                   np.asarray(d["positives"], dtype=np.int64),
-                   int(d.get("seed", 0)), float(d.get("inertia", 0.0)))
-
 
 @dataclass(frozen=True)
 class ClusterDiagnostics:
@@ -266,9 +259,12 @@ def _cut_ward(V, k: int, Z) -> ClusterModel:
 
 
 def _elbow_grid(k_range) -> tuple:
-    """``k_range`` as (k_min, k_max, step), when k_min >= 2 and step >= 1."""
-    if len(k_range) != 3 or k_range[0] < 2 or k_range[2] < 1:
-        raise ValueError(f"elbow grid must be (k_min >= 2, k_max, step >= 1), not {k_range!r}")
+    """``k_range`` as (k_min, k_max, step), when k_min >= 2, step >= 1 and the
+    grid holds at least 3 points."""
+    if (len(k_range) != 3 or k_range[0] < 2 or k_range[2] < 1
+            or len(range(k_range[0], k_range[1] + 1, k_range[2])) < 3):
+        raise ValueError("elbow grid must be (k_min >= 2, k_max, step >= 1) with at least "
+                         f"3 grid points, not {k_range!r}")
     return tuple(k_range)
 
 

@@ -16,7 +16,7 @@ from clustercal.calibrators import (
     ALL_METHODS, GRAD_TOL, MAX_ITER, N_BINS, PARAMETRIC_METHODS, T_BOUNDS,
     Calibrator, FitData, fit, nll_of_probs, pav,
 )
-from clustercal.harness import _jsonable
+from clustercal.harness import _jsonable, _section
 from clustercal.scores import ScoreSet, sigmoid
 
 
@@ -315,7 +315,8 @@ class TestCalibratorSurface:
     def test_serialization_roundtrip(self, method):
         data = logistic_data(n=60, seed=7)
         cal = fit(method, data)
-        back = Calibrator.from_dict(json.loads(json.dumps(_jsonable(cal), sort_keys=True)))
+        back = _section(Calibrator, "unified",
+                        json.loads(json.dumps(_jsonable(cal), sort_keys=True)))
         np.testing.assert_allclose(
             back.apply(ScoreSet(data.margins, data.probabilities)),
             cal.apply(ScoreSet(data.margins, data.probabilities)), atol=1e-12)

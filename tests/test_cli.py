@@ -234,6 +234,21 @@ class TestExitCodes:
         assert err.startswith("error: ") and "row 7, column 'id': sample id 'p5,v'" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("make, reason", [
+        (lambda p: p.mkdir(), "Is a directory"),
+        (lambda p: p.write_bytes(b"a,y\n\xe9,1\n"), "can't decode"),
+    ], ids=["directory", "not-utf8"])
+    def test_unreadable_data_csv_exits_1_and_writes_nothing(self, tmp_path, capsys, make, reason):
+        data = tmp_path / "data.csv"
+        make(data)
+        cfg = write_config(tmp_path, {"data": {"csv": {"path": str(data), "label_column": "y"}},
+                                      "model": {"gbt": {}}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data}: cannot read the file") and reason in err, err
+        assert not out.exists()
+
 
 class TestArtifacts:
     def test_report_writes_full_set(self, tmp_path):

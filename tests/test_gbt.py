@@ -16,7 +16,7 @@ from clustercal.gbt import (
     GAIN_EPS, SCAN_BLOCK_CELLS, GBTParams, Tree, TreeEnsemble, _logloss, fit_gbt,
     leaf_indices, predict,
 )
-from clustercal.harness import ExperimentConfig, _jsonable, run_stages
+from clustercal.harness import ExperimentConfig, _jsonable, _section, run_stages
 from clustercal.scores import logit, sigmoid
 from clustercal.treeshap import shap_values
 
@@ -151,7 +151,8 @@ class TestPredictAndSerialize:
     def test_serialization_roundtrip(self):
         ds = toy_dataset()
         ens = fit_gbt(ds, GBTParams(n_trees=4, max_depth=3))
-        back = TreeEnsemble.from_dict(json.loads(json.dumps(_jsonable(ens), sort_keys=True)))
+        back = _section(TreeEnsemble, "ensemble",
+                        json.loads(json.dumps(_jsonable(ens), sort_keys=True)))
         np.testing.assert_allclose(back.margins(ds.features), ens.margins(ds.features))
         assert back.params == ens.params
 
@@ -384,7 +385,7 @@ class TestTrainMargins:
         ds = tied_dataset(300, 4, 5)
         ens = fit_gbt(ds, GBTParams(n_trees=5, max_depth=3))
         assert ens.train_margins.tobytes() == ens.margins(ds.features).tobytes()
-        back = TreeEnsemble.from_dict(_jsonable(ens))
+        back = _section(TreeEnsemble, "ensemble", _jsonable(ens))
         assert back.train_margins is None
         assert "train_margins" not in _jsonable(ens) and "train_margins" not in repr(ens)
         assert dataclasses.replace(ens, train_margins=None) == ens

@@ -167,6 +167,9 @@ class TestConfig:
         ("model", {"gbt": {"learning_rate": float("-inf")}},
          "model.gbt.learning_rate must be finite, not -inf"),
         ("split_ratios", [0.6, float("nan"), 0.2], "split_ratios: values must be finite"),
+        ("clustering", {"elbow": [2, 3, 1]}, "clustering.elbow: elbow grid must be (k_min >= 2, "
+                                             "k_max, step >= 1) with at least 3 grid points"),
+        ("clustering", {"elbow": [5, 3, 1]}, "clustering.elbow: elbow grid must be"),
     ])
     def test_bad_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as info:

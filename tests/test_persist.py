@@ -7,6 +7,10 @@ or a string is written with ``str`` and anything else with
 `test_golden.py` compares floats to a relative 1e-12 and accepts ``1`` where
 the golden file has ``1.0``, so it cannot see a cell change its type; this
 test compares bytes, on one `RunState` of the golden config.
+
+The JSON tests below check the one rule that writes every JSON artifact,
+and the one reader, `_read_json`, that reads each golden JSON artifact back
+to the same bytes.
 """
 
 import dataclasses
@@ -22,8 +26,10 @@ from clustercal import harness
 from clustercal.calibrators import Calibrator
 from clustercal.cli import PREFIX_COMMANDS
 from clustercal.ensemble import ClusteredCalibrator
+from clustercal.gbt import TreeEnsemble
 from clustercal.harness import (
-    METRIC_COLUMNS, ExperimentConfig, _jsonable, _write_csv, run_stages, select_model,
+    METRIC_COLUMNS, ConfigError, EvalReport, ExperimentConfig, _jsonable, _read_json, _section,
+    _write_csv, _write_json, run_stages, select_model,
 )
 from clustercal.representation import ClusterModel
 
@@ -209,6 +215,7 @@ def test_each_artifact_type_writes_the_fields_eq_compares(state):
     for o in objs:
         compared = {f.name for f in dataclasses.fields(o) if f.compare}
         assert set(_jsonable(o)) == WRITTEN_FIELDS[type(o).__name__] == compared, type(o)
+        assert _jsonable(_section(type(o), "o", _jsonable(o))) == _jsonable(o), type(o)
     assert state.ens.train_margins is not None and "train_margins" not in _jsonable(state.ens)
 
 
@@ -231,4 +238,75 @@ def test_cluster_keys_are_written_in_string_order(tmp_path):
         written = json.load(fh)
     order = ["0", "1", "10", "11", "2", "3", "4", "5", "6", "7", "8", "9"]
     assert list(written["calibrators"]) == list(written["cluster_meta"]) == order
-    assert _jsonable(ClusteredCalibrator.from_dict(written)) == written
+    assert _jsonable(harness._read_json(ClusteredCalibrator, tmp_path / "ccl.json")) == written
+
+
+# the reader --------------------------------------------------------------
+
+# file name prefix -> the type `_read_json` reads it as
+READ_AS = {"ensemble.json": TreeEnsemble, "clusters.json": ClusterModel,
+           "eval_report.json": EvalReport, "ccl_": ClusteredCalibrator, "unified_": Calibrator}
+GOLDEN_JSON = [(p, cls) for p in sorted(GOLDEN.glob("*/*.json"))
+               for prefix, cls in READ_AS.items() if p.name.startswith(prefix)]
+
+
+def test_every_artifact_type_has_golden_files():
+    assert len(GOLDEN_JSON) == 16
+    assert {cls for _, cls in GOLDEN_JSON} == set(READ_AS.values())
+
+
+@pytest.mark.parametrize("path, cls", GOLDEN_JSON,
+                         ids=[f"{p.parent.name}/{p.name}" for p, _ in GOLDEN_JSON])
+def test_golden_json_reads_back_and_rewrites_byte_for_byte(tmp_path, path, cls):
+    obj = _read_json(cls, path)
+    assert type(obj) is cls
+    _write_json(tmp_path / path.name, obj)
+    assert (tmp_path / path.name).read_bytes() == path.read_bytes()
+
+
+def test_read_back_arrays_take_their_dtype_from_the_json():
+    ens = _read_json(TreeEnsemble, GOLDEN / "report" / "ensemble.json")
+    want = {"feature": "int64", "left": "int64", "right": "int64",
+            "threshold": "float64", "value": "float64", "cover": "float64"}
+    for tree in ens.trees:
+        assert {f: getattr(tree, f).dtype.name for f in want} == want
+    assert ens.train_margins is None
+    cm = _read_json(ClusterModel, GOLDEN / "report" / "clusters.json")
+    assert [a.dtype.name for a in (cm.sizes, cm.positives, cm.centroids)] == [
+        "int64", "int64", "float64"]
+    hist = _read_json(Calibrator, GOLDEN / "report" / "unified_histogram.json")
+    assert [hist.params[k].dtype.name for k in ("edges", "outputs")] == ["float64"] * 2
+    binned = _read_json(Calibrator, GOLDEN / "report" / "unified_platt_bin.json")
+    assert {type(b) for b in binned.params["bins"]} == {Calibrator}
+
+
+def write_golden_without(tmp_path, name, drop=(), **extra):
+    d = json.loads((GOLDEN / "report" / name).read_text())
+    d = {**{k: v for k, v in d.items() if k not in drop}, **extra}
+    (tmp_path / name).write_text(json.dumps(d))
+    return tmp_path / name
+
+
+def test_an_unknown_artifact_key_is_named(tmp_path):
+    path = write_golden_without(tmp_path, "ensemble.json", extra_key=1)
+    with pytest.raises(ConfigError, match=r"unknown .*ensemble.json keys: \['extra_key'\]"):
+        _read_json(TreeEnsemble, path)
+
+
+def test_a_missing_artifact_key_is_named(tmp_path):
+    path = write_golden_without(tmp_path, "ccl_platt.json", drop=("calibrators",))
+    with pytest.raises(ConfigError, match=r"ccl_platt.json needs keys: \['calibrators'\]"):
+        _read_json(ClusteredCalibrator, path)
+
+
+def test_keys_with_defaults_may_be_absent(tmp_path):
+    ens = _read_json(TreeEnsemble, write_golden_without(tmp_path, "ensemble.json",
+                                                        drop=("train_loss",)))
+    cm = _read_json(ClusterModel, write_golden_without(tmp_path, "clusters.json",
+                                                       drop=("seed", "inertia")))
+    ccl = _read_json(ClusteredCalibrator, write_golden_without(
+        tmp_path, "ccl_platt.json", drop=("cluster_meta",)))
+    cal = _read_json(Calibrator, write_golden_without(tmp_path, "unified_platt.json",
+                                                      drop=("diagnostics",)))
+    assert (ens.train_loss, cm.seed, cm.inertia, ccl.cluster_meta, cal.diagnostics) == (
+        (), 0, 0.0, {}, {})
