@@ -76,7 +76,8 @@ class Calibrator:
         # params read back from JSON hold lists and dicts: make them arrays and calibrators
         q = self.params = dict(self.params)
         if "bins" in q:
-            q["bins"] = [Calibrator(**b) if isinstance(b, dict) else b for b in q["bins"]]
+            q["bins"] = [Calibrator(**_bin_fields(i, b)) if isinstance(b, dict) else b
+                         for i, b in enumerate(q["bins"])]
         for k in ("edges", "outputs", "breakpoints", "values"):
             if k in q:
                 q[k] = np.asarray(q[k], dtype=np.float64)
@@ -121,6 +122,17 @@ class Calibrator:
     def nll(self, data: FitData) -> float:
         p = self.apply(ScoreSet(data.margins, np.clip(data.probabilities, APPLY_EPS, 1 - APPLY_EPS)))
         return nll_of_probs(p, data.labels)
+
+
+def _bin_fields(i: int, b: dict) -> dict:
+    """Bin ``i`` of a platt_bin read back from JSON, when its keys are a Calibrator's."""
+    unknown = sorted(set(b) - {"method", "params", "diagnostics"})
+    if unknown:
+        raise ValueError(f"unknown params.bins[{i}] keys: {unknown}")
+    missing = [k for k in ("method", "params") if k not in b]
+    if missing:
+        raise ValueError(f"params.bins[{i}] needs keys: {missing}")
+    return b
 
 
 def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:

@@ -13,7 +13,8 @@ byte-identical. Nothing is written when a stage fails.
   ``selection.json``;
 - ``select`` picks the best variant from the ``eval_report.json`` in the
   output directory when its config hash matches the config (running
-  ``report`` first when there is none, or when it came from another config),
+  ``report`` first when there is none, when it cannot be read, or when it
+  came from another config),
   writes ``selection.json`` and prints the selected row.
 
 Exit codes: 0 success, 1 validation or data error, 2 runtime error (the
@@ -92,8 +93,11 @@ def _cmd_report(cfg):
 
 def _cmd_select(cfg):
     path = os.path.join(cfg.out, "eval_report.json")
-    report = _read_json(EvalReport, path) if os.path.exists(path) else None
-    if report is None or report.provenance["config_hash"] != cfg.config_hash():
+    try:
+        report = _read_json(EvalReport, path)
+    except (FileNotFoundError, ValueError):    # none, or one this version cannot read
+        report = None
+    if report is None or report.provenance.get("config_hash") != cfg.config_hash():
         report = run_experiment(cfg)
     selection = select_model(report)
     _write_json(os.path.join(cfg.out, "selection.json"), selection)

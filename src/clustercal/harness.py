@@ -145,6 +145,16 @@ def _finite(v) -> bool:
     return not isinstance(v, float) or math.isfinite(v)
 
 
+def _int_key(key: str, k: str) -> int:
+    """JSON object key ``k`` as the int whose ``str`` it is."""
+    try:
+        if str(int(k)) == k:
+            return int(k)
+    except ValueError:
+        pass
+    raise ConfigError(f"{key} keys must be ints, not {k!r}")
+
+
 def _value(key: str, tp, v, meta):
     """``v`` as a value of annotation ``tp``; a list becomes a tuple, or an
     array whose dtype follows its JSON numbers (``1`` int64, ``1.0`` float64)."""
@@ -166,7 +176,7 @@ def _value(key: str, tp, v, meta):
             return tuple(v)
         raise ConfigError(f"{key} must be a list of {meta.get('items', args[0].__name__ + 's')}")
     if origin is dict and isinstance(v, dict):      # dict[int, X]: JSON keys are strings
-        return {args[0](k): _value(f"{key}.{k}", args[1], x, meta) for k, x in v.items()}
+        return {_int_key(key, k): _value(f"{key}.{k}", args[1], x, meta) for k, x in v.items()}
     if tp is np.ndarray and isinstance(v, list):
         return np.asarray(v)
     if not _is(origin or tp, v):

@@ -182,6 +182,15 @@ def _kmeans_pp_init(V, k, rng):
     return centroids
 
 
+def _own_and_next(d, labels):
+    """Each row's squared distance in ``d`` to its labelled centroid, and to
+    the nearest other one (inf when k is 1); overwrites ``d``."""
+    r = np.arange(len(d))
+    own = d[r, labels]
+    d[r, labels] = np.inf
+    return own, d[r, d.argmin(axis=1)]     # argmin is faster than min on short rows
+
+
 def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
     """Lloyd's algorithm from a k-means++ start, at most ``KMEANS_MAX_ITER``
     steps; deterministic given seed.
@@ -192,6 +201,10 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
     re-seeded at the point farthest from its centroid (lowest index on ties)
     among points whose cluster keeps at least one member, so every returned
     size is at least 1.
+
+    Each step recomputes only the rows whose nearest centroid may have
+    changed (Hamerly's bounds), and the labels, centroids and inertia are
+    bit-identical to those of computing every row at every step.
     """
     V = _embedding(V)
     if k < 1 or k > len(V):
@@ -202,18 +215,63 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
         C = init
     else:
         raise ValueError(f"init must have shape {(k, V.shape[1])}, not {np.shape(init)}")
+    # Rounding bound of _dists. With u = 2^-53 and gamma_n = n u / (1 - n u),
+    # the m-term sums ||v||^2, ||c||^2 and 2 v.c are each off by at most
+    # gamma_m times ||v||^2, ||c||^2 and 2 ||v|| ||c||, and the subtraction
+    # and the addition round once each, so every computed squared distance,
+    # clamped at 0 or not, is within eps = gamma_{m+3} (||v|| + ||c||)^2 of
+    # the exact one, whatever BLAS kernel computed it. Every centroid is a
+    # row, an init centroid or a mean of rows, so ||c|| <= reach, and
+    # eps_i = s_i^2 with s_i = sqrt(gamma_{m+3}) (||v_i|| + reach).
+    norms = np.sqrt((V * V).sum(axis=1))
+    reach = max(norms.max(), np.sqrt((C * C).sum(axis=1)).max())
+    n_terms = V.shape[1] + 3
+    unit = np.finfo(np.float64).eps / 2
+    s = np.sqrt(n_terms * unit / (1 - n_terms * unit)) * (norms + reach)
+    # Hamerly's bounds: upper_i, set to the square root of row i's computed
+    # squared distance to its centroid, is within s_i of the exact distance
+    # (|sqrt(a) - sqrt(b)| <= sqrt(|a - b|)), and so is lower_i, set from the
+    # nearest other centroid. After each update upper_i grows by its own
+    # centroid's shift and lower_i shrinks by the largest shift. While
+    # lower_i - upper_i > margin_i = 4 s_i, the exact distances to the other
+    # centroids exceed the one to its own by more than sqrt(2) s_i, so their
+    # squares by more than 2 eps_i, and any rounding of _dists keeps the
+    # row's label; the (2 - sqrt(2)) s_i left over covers the rounding of the
+    # bounds themselves. Only gap = lower - upper - margin is kept, and the
+    # rows with gap <= 0 are recomputed.
+    margin, tie = 4.0 * s, 4.0 * s * s
     VT = np.ascontiguousarray(V.T)  # bincount reads each column contiguously
     labels = np.full(len(V), -1)
+    gap = np.full(len(V), -np.inf)     # the first step computes every row
     for _ in range(KMEANS_MAX_ITER):
-        new_labels, d = _assign_nearest(V, C)
+        rows = np.flatnonzero(~(gap > 0))     # a NaN gap is recomputed too
+        full = len(rows) == len(V)
+        near, d = _assign_nearest(V if full else V[rows], C)
+        own, nxt = _own_and_next(d, near)
+        new_labels = labels.copy()
+        new_labels[rows] = near
         sizes = np.bincount(new_labels, minlength=k)
-        for j in np.flatnonzero(sizes == 0):
-            far = np.where(sizes[new_labels] > 1, d[np.arange(len(V)), new_labels], -1.0)
-            idx = int(np.argmax(far))
+        # The BLAS kernel, chosen by the row count, may round a subset's
+        # distances unlike the full array's. Both are within eps_i of the
+        # exact ones, so a label the subset picks by more than 4 eps_i is the
+        # full array's too. A near tie, or an empty cluster, whose re-seed
+        # reads every row, needs every row's distances.
+        if not (full or sizes.all() and (nxt - own > tie[rows]).all()):
+            rows, d = slice(None), _dists(V, C)
+            new_labels = d.argmin(axis=1)
+            own, nxt = _own_and_next(d, new_labels)
+            sizes = np.bincount(new_labels, minlength=k)
+        gap[rows] = np.sqrt(nxt) - np.sqrt(own) - margin[rows]
+        for j in np.flatnonzero(sizes == 0):    # only in a step that computed every row
+            idx = int(np.argmax(np.where(sizes[new_labels] > 1, own, -1.0)))
             sizes[new_labels[idx]] -= 1
             sizes[j] = 1
             new_labels[idx] = j
+            gap[idx] = -np.inf       # its bounds were for its old centroid
+        prev = C
         C = _centroids(VT, new_labels, sizes)
+        moved = np.sqrt(np.square(C - prev).sum(axis=1))
+        gap -= moved[new_labels] + moved.max()
         converged = (new_labels == labels).all()
         labels = new_labels
         if converged:

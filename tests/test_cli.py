@@ -310,6 +310,21 @@ class TestArtifacts:
         assert report["provenance"]["seed"] == 9
         assert (out / "selection.json").read_text() == (fresh / "selection.json").read_text()
 
+    @pytest.mark.parametrize("edit", ["extra_key", "not_json"])
+    def test_select_reruns_on_an_unreadable_report(self, tmp_path, edit):
+        cfg = write_config(tmp_path)
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 0
+        path = out / "eval_report.json"
+        if edit == "extra_key":
+            path.write_text(json.dumps({**json.loads(path.read_text()), "schema": 2}))
+        else:
+            path.write_text("{")
+        assert main(["select", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["report", "--config", cfg, "--out", str(fresh)]) == 0
+        for name in ("eval_report.json", "selection.json"):
+            assert (out / name).read_text() == (fresh / name).read_text()
+
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path)
         a, b = tmp_path / "a", tmp_path / "b"

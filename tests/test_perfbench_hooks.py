@@ -45,6 +45,10 @@ def test_elbow_hooks_record(tmp_path):
     tracer = traced_report(tmp_path, cfg)
     assert tracer.calls("representation.elbow") >= 1
     assert tracer.calls("representation.kmeans") >= 1
+    # one `_assign_nearest` call per Lloyd step, on the rows that step recomputes
+    rows = sum(json.loads((tmp_path / "out" / "clusters.json").read_text())["sizes"])
+    assert tracer.lloyd_steps > 0
+    assert 0 < tracer.distance_evals < tracer.lloyd_steps * rows * 6
 
 
 def test_golden_run_assigns_and_fits_once(tmp_path):

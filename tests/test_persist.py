@@ -299,6 +299,29 @@ def test_a_missing_artifact_key_is_named(tmp_path):
         _read_json(ClusteredCalibrator, path)
 
 
+@pytest.mark.parametrize("key", ["x", "01", "-0", " 1", "1.0"])
+def test_a_cluster_id_that_is_not_an_int_is_named(tmp_path, key):
+    d = json.loads((GOLDEN / "report" / "ccl_platt.json").read_text())
+    d["calibrators"][key] = d["calibrators"].pop("0")
+    path = write_golden_without(tmp_path, "ccl_platt.json", **d)
+    with pytest.raises(ConfigError, match=rf"ccl_platt.json.calibrators keys must be ints, not '{key}'"):
+        _read_json(ClusteredCalibrator, path)
+
+
+@pytest.mark.parametrize("edit,message", [
+    pytest.param({"extra": 1}, r"unknown params.bins\[1\] keys: \['extra'\]", id="extra"),
+    pytest.param({"params": None}, r"params.bins\[1\] needs keys: \['params'\]", id="missing"),
+])
+def test_a_bad_platt_bin_bin_is_named(tmp_path, edit, message):
+    d = json.loads((GOLDEN / "report" / "unified_platt_bin.json").read_text())
+    b = d["params"]["bins"][1]
+    b.update(edit)
+    d["params"]["bins"][1] = {k: v for k, v in b.items() if v is not None}
+    path = write_golden_without(tmp_path, "unified_platt_bin.json", **d)
+    with pytest.raises(ConfigError, match=r"unified_platt_bin.json: " + message):
+        _read_json(Calibrator, path)
+
+
 def test_keys_with_defaults_may_be_absent(tmp_path):
     ens = _read_json(TreeEnsemble, write_golden_without(tmp_path, "ensemble.json",
                                                         drop=("train_loss",)))

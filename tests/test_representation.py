@@ -9,9 +9,11 @@ from clustercal.data import Dataset, SyntheticSpec, gen_synthetic_full
 from clustercal.ensemble import ClusteredCalibrator
 from clustercal.gbt import GBTParams, fit_gbt
 from clustercal.harness import _jsonable, _section
+import clustercal.representation as rep
 from clustercal.representation import (
-    ClusterModel, EmbeddingOpts, _dists, _kmeans_pp_init, assign, build_embedding,
-    diagnostics, fit_agglomerative, fit_kmeans, select_k_elbow, topk_feature_indices,
+    KMEANS_MAX_ITER, ClusterModel, EmbeddingOpts, _centroids, _dists, _inertia, _kmeans_pp_init,
+    assign, build_embedding, diagnostics, fit_agglomerative, fit_kmeans, select_k_elbow,
+    topk_feature_indices,
 )
 from clustercal.scores import ScoreSet
 
@@ -297,6 +299,150 @@ class TestKmeansEmptyClusters:
         np.testing.assert_array_equal(again.centroids, cm.centroids)
         np.testing.assert_array_equal(again.sizes, cm.sizes)
         assert again.inertia == cm.inertia
+
+
+def _lloyd_oracle(V, k, seed, init=None):
+    """The unpruned Lloyd loop: every row's distances at every step, the
+    bincount update and the empty-cluster re-seed. Returns the centroids,
+    sizes, inertia, step count and whether a cluster emptied."""
+    C = _kmeans_pp_init(V, k, np.random.default_rng(seed)) if init is None else init
+    VT = np.ascontiguousarray(V.T)
+    labels = np.full(len(V), -1)
+    emptied = False
+    for step in range(1, KMEANS_MAX_ITER + 1):
+        d = _dists(V, C)
+        new_labels = d.argmin(axis=1)
+        sizes = np.bincount(new_labels, minlength=k)
+        for j in np.flatnonzero(sizes == 0):
+            emptied = True
+            far = np.where(sizes[new_labels] > 1, d[np.arange(len(V)), new_labels], -1.0)
+            idx = int(np.argmax(far))
+            sizes[new_labels[idx]] -= 1
+            sizes[j] = 1
+            new_labels[idx] = j
+        C = _centroids(VT, new_labels, sizes)
+        converged = (new_labels == labels).all()
+        labels = new_labels
+        if converged:
+            break
+    return C, sizes, _inertia(V, C, labels), step, emptied
+
+
+def _leaf_onehot(n, trees, leaves, seed):
+    """A leaf-style embedding: one active leaf of ``leaves`` per tree, the
+    leaf drawn near one of four prototype rows."""
+    rng = np.random.default_rng(seed)
+    proto = rng.integers(0, leaves, size=(4, trees))[rng.integers(0, 4, n)]
+    pick = np.where(rng.random((n, trees)) < 0.7, rng.integers(0, leaves, size=(n, trees)), proto)
+    V = np.zeros((n, trees * leaves))
+    V[np.arange(n)[:, None], np.arange(trees) * leaves + pick] = 1.0
+    return V
+
+
+def _pruning_embeddings():
+    rng = np.random.default_rng(5)
+    return {**ORACLE_EMBEDDINGS,
+            "leaf1080": _leaf_onehot(300, 120, 9, seed=6),      # 1,080 columns
+            "grid": rng.integers(0, 3, size=(200, 6)).astype(float),  # many exact ties
+            "duplicates": TestKmeansEmptyClusters.duplicates()}
+
+
+PRUNING_EMBEDDINGS = _pruning_embeddings()
+PRUNING_CASES = [(name, k) for name in sorted(PRUNING_EMBEDDINGS) if name != "duplicates"
+                 for k in (1, 2, 5, 8, 20)]
+
+
+def _rows_per_step(monkeypatch):
+    """Record the row count of every ``_assign_nearest`` call."""
+    rows, inner = [], rep._assign_nearest
+
+    def counted(V, C):
+        rows.append(len(V))
+        return inner(V, C)
+    monkeypatch.setattr(rep, "_assign_nearest", counted)
+    return rows
+
+
+def _assert_same_fit(cm, want):
+    C, sizes, inertia = want[:3]
+    assert cm.centroids.tobytes() == C.tobytes()
+    np.testing.assert_array_equal(cm.sizes, sizes)
+    assert cm.inertia == inertia
+
+
+class TestKmeansPruning:
+    """Each Lloyd step recomputes only the rows whose label may change, and
+    fits bit-identical to the unpruned loop, with one distance call per step."""
+
+    @pytest.mark.parametrize("name,k", PRUNING_CASES)
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_unpruned_loop(self, monkeypatch, name, k, seed):
+        V = PRUNING_EMBEDDINGS[name]
+        want = _lloyd_oracle(V, k, seed)
+        rows = _rows_per_step(monkeypatch)
+        _assert_same_fit(fit_kmeans(V, k, seed), want)
+        assert len(rows) == want[3]
+        assert rows[0] == len(V)
+
+    @pytest.mark.parametrize("k", [6, 8, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_unpruned_loop_when_clusters_empty(self, k, seed):
+        V = PRUNING_EMBEDDINGS["duplicates"]
+        want = _lloyd_oracle(V, k, seed)
+        assert want[4]
+        _assert_same_fit(fit_kmeans(V, k, seed), want)
+
+    @pytest.mark.parametrize("name,k", [("narrow", 8), ("grid", 8), ("onehot", 5), ("leaf1080", 5)])
+    def test_later_steps_compute_fewer_rows(self, monkeypatch, name, k):
+        V = PRUNING_EMBEDDINGS[name]
+        rows = _rows_per_step(monkeypatch)
+        fit_kmeans(V, k, 0)
+        assert len(rows) > 2
+        assert sum(rows) < len(rows) * len(V)
+
+    def test_a_tie_in_a_subset_rounded_differently_keeps_the_full_label(self, monkeypatch):
+        # A BLAS kernel chosen by the row count may round a subset's distances
+        # unlike the full array's. Here a subset's even columns round one ulp
+        # up, which turns an exact tie with column 1 the other way. Clusters
+        # around (0, 0) and (4, 0); (2, 1) is exactly between them and stays
+        # in cluster 0, whose mean (-2, -1) keeps at (0, 0).
+        V = np.array([[-1, 0], [0, 0], [1, 0], [2, 1], [-2, -1], [3, 0], [4, 0], [5, 0]],
+                     dtype=np.float64)
+        init = np.array([[0.0, 0.0], [4.0, 0.0]])
+        want = _lloyd_oracle(V, 2, 0, init)
+        np.testing.assert_array_equal(want[1], [5, 3])
+        rows = []
+
+        def rounds_up(V_rows, C):
+            rows.append(len(V_rows))
+            d = _dists(V_rows, C)
+            if len(V_rows) < len(V):
+                d[:, ::2] = np.nextafter(d[:, ::2], np.inf)
+            return d.argmin(axis=1), d
+        monkeypatch.setattr(rep, "_assign_nearest", rounds_up)
+        _assert_same_fit(fit_kmeans(V, 2, 0, init), want)
+        assert rows == [8, 1]      # the second step computes only the tied row
+
+    @pytest.mark.parametrize("name", ["narrow", "wide", "onehot", "leaf1080"])
+    def test_subset_distances_are_within_the_rounding_bound(self, name):
+        # The bound the pruning margin is built on: every computed squared
+        # distance is within gamma_{m+3} (||v|| + reach)^2 of the exact one,
+        # for every subset size the loop can pass (1 row takes numpy's gemv path)
+        V = PRUNING_EMBEDDINGS[name]
+        rng = np.random.default_rng(0)
+        C = np.vstack([V[rng.choice(len(V), 10, replace=False)[:5]],
+                       [V[rng.choice(len(V), 12, replace=False)].mean(axis=0) for _ in range(3)]])
+        Vl, Cl = V.astype(np.longdouble), C.astype(np.longdouble)
+        exact = ((Vl[:, None, :] - Cl[None, :, :]) ** 2).sum(axis=2)
+        norms = np.sqrt((V * V).sum(axis=1))
+        reach = max(norms.max(), np.sqrt((C * C).sum(axis=1)).max())
+        n = V.shape[1] + 3
+        u = np.finfo(np.float64).eps / 2
+        eps = (n * u / (1 - n * u) * (norms + reach) ** 2)[:, None]
+        assert (np.abs(_dists(V, C) - exact) <= eps).all()
+        for size in range(1, len(V) + 1):
+            idx = np.sort(rng.choice(len(V), size, replace=False))
+            assert (np.abs(_dists(V[idx], C) - exact[idx]) <= eps[idx]).all(), size
 
 
 class TestAgglomerative:
