@@ -106,7 +106,7 @@ class TreeEnsemble:
         return X
 
 
-def _best_split(X, order, gh, G, H, lam, min_child_weight):
+def _best_split(X, order, tie_free, gh, G, H, lam, min_child_weight):
     """Exact greedy split of one node; midpoint thresholds.
 
     ``order`` is the node's (d, n) presorted block: row j lists the node's
@@ -114,8 +114,13 @@ def _best_split(X, order, gh, G, H, lam, min_child_weight):
     ``g + 1j * h``, so one gather and one cumsum give both prefix sums; complex
     addition adds the parts separately, so each sum is the float the two real
     cumsums give. Features are scanned in blocks of at most about
-    ``SCAN_BLOCK_CELLS`` (features x rows) cells. Ties resolve to the lowest
-    feature index, then the lowest threshold.
+    ``SCAN_BLOCK_CELLS`` (features x rows) cells. A split position is valid
+    only between two different values; ``tie_free[j]`` says that feature j's
+    values strictly increase along the fit's presorted order, and so along
+    every node's, so a block of tie-free features skips gathering its values
+    and every position passes that test. The winner's threshold reads its two
+    values from ``X``. Ties resolve to the lowest feature index, then the
+    lowest threshold.
     Returns (gain, feature, threshold) or None.
     """
     d, n = order.shape
@@ -125,13 +130,15 @@ def _best_split(X, order, gh, G, H, lam, min_child_weight):
     for j0 in range(0, d, step):
         rows = order[j0:j0 + step]
         feats = np.arange(j0, j0 + len(rows))
-        xs = X[rows, feats[:, None]]
         ghc = np.cumsum(gh[rows], axis=1)[:, :-1]
         # contiguous copies: the arithmetic below is slower on strided views
         gc, hc = ghc.real.copy(), ghc.imag.copy()
         del ghc
-        valid = xs[:, :-1] < xs[:, 1:]
-        valid &= hc >= min_child_weight
+        valid = hc >= min_child_weight
+        if not tie_free[j0:j0 + step].all():
+            xs = X[rows, feats[:, None]]
+            valid &= xs[:, :-1] < xs[:, 1:]
+            del xs
         # in place, in the operation order of
         # 0.5 * (gc**2 / (hc + lam) + (G - gc)**2 / (H - hc + lam) - parent)
         # so every gain is bit-identical to that expression
@@ -154,7 +161,8 @@ def _best_split(X, order, gh, G, H, lam, min_child_weight):
         top[~(top > GAIN_EPS)] = -np.inf  # also drops NaN
         k = int(top.argmax())  # first max = lowest feature
         if top[k] > GAIN_EPS and (best is None or top[k] > best[0]):
-            best = (float(top[k]), int(feats[k]), float((xs[k, pos[k]] + xs[k, pos[k] + 1]) / 2))
+            f, below, above = feats[k], rows[k, pos[k]], rows[k, pos[k] + 1]
+            best = (float(top[k]), int(f), float((X[below, f] + X[above, f]) / 2))
     return best
 
 
@@ -163,9 +171,10 @@ def _partition(order, keep):
     return np.compress(keep[order].ravel(), order).reshape(len(order), -1)
 
 
-def _build_tree(X, order, g, h, gh, params: GBTParams, margin) -> Tree:
-    """Grow one tree; ``order`` is the fit's (d, N) presorted row order and
-    ``gh`` the packed ``g + 1j * h`` that the split scan reads.
+def _build_tree(X, order, tie_free, g, h, gh, params: GBTParams, margin) -> Tree:
+    """Grow one tree; ``order`` is the fit's (d, N) presorted row order,
+    ``tie_free`` its per-feature flags and ``gh`` the packed ``g + 1j * h``
+    that the split scan reads.
 
     Each node is built from its rows and their presorted order, which is
     None for a node that cannot split (at ``max_depth`` or with fewer than
@@ -191,7 +200,7 @@ def _build_tree(X, order, g, h, gh, params: GBTParams, margin) -> Tree:
         G, H = g[idx].sum(), h[idx].sum()
         split = None
         if order is not None:
-            split = _best_split(X, order, gh, G, H, params.lambda_l2,
+            split = _best_split(X, order, tie_free, gh, G, H, params.lambda_l2,
                                 params.min_child_weight)
         if split is None:
             value[j] = float(-G / (H + params.lambda_l2) * params.learning_rate)
@@ -226,8 +235,11 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
 
     Training is deterministic: exact greedy boosting draws no random numbers.
     Each feature is sorted once per fit; every node scans the presorted
-    order of its rows, so no node sorts. The returned ensemble carries the
-    training rows' margins, which equal ``margins(train.features)`` bit for bit.
+    order of its rows, so no node sorts. A feature whose sorted values
+    strictly increase (no two equal, and not both -0.0 and 0.0) has no tie at
+    any node, so the scan reads no values of it. The returned ensemble
+    carries the training rows' margins, which equal ``margins(train.features)``
+    bit for bit.
     """
     X, y = train.features, train.labels.astype(np.float64)
     if (y == y[0]).all():
@@ -235,6 +247,8 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
     if X.shape[1] == 0:
         raise ValueError("no usable features")
     order = np.argsort(X, axis=0, kind="stable").T.copy()
+    # one column at a time: no (features x rows) temporary
+    tie_free = np.array([_increasing(X[o, j]) for j, o in enumerate(order)], dtype=bool)
     rate = float(y.mean())
     base = math.log(rate / (1 - rate))
     margin = np.full(len(y), base)
@@ -247,9 +261,14 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
         g = p - y
         h = p * (1 - p)
         gh.real, gh.imag = g, h
-        trees.append(_build_tree(X, order, g, h, gh, params, margin))
+        trees.append(_build_tree(X, order, tie_free, g, h, gh, params, margin))
         losses.append(_logloss(margin, y))
     return TreeEnsemble(tuple(trees), base, X.shape[1], params, tuple(losses), margin)
+
+
+def _increasing(xs) -> bool:
+    """Whether each value is below the next: the split scan's validity test."""
+    return bool((xs[:-1] < xs[1:]).all())
 
 
 def _logloss(margin, y) -> float:

@@ -357,9 +357,27 @@ def _model(r: RunState):
         r.scores = ScoreSet.from_margins(r.synth_margins)
 
 
+def _read_vectors(path, sample_ids) -> np.ndarray:
+    """The rows of an external embedding CSV.
+
+    A file whose header starts with ``sample_id``, such as the ``embed``
+    command's ``embedding.csv``, must list the data's sample ids in order, as
+    a score CSV must; a file without a header is matched to the data by
+    position.
+    """
+    with open(path, encoding="utf-8") as fh:
+        if not fh.readline().startswith("sample_id,"):
+            fh.seek(0)
+            return np.loadtxt(fh, delimiter=",", ndmin=2)
+        cells = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=str)
+    if cells[:, 0].tolist() != list(sample_ids):
+        raise ValueError(f"{path}: sample ids do not match the dataset")
+    return cells[:, 1:].astype(np.float64)
+
+
 def _embedding(r: RunState):
     emb = r.cfg.embedding
-    vectors = np.loadtxt(emb.path, delimiter=",", ndmin=2) if emb.kind == "external" else None
+    vectors = _read_vectors(emb.path, r.ds.sample_ids) if emb.kind == "external" else None
     r.E = build_embedding(emb.kind, r.ens, r.ds, emb.opts, vectors)
 
 

@@ -168,8 +168,16 @@ def _inertia(V, C, labels):
 def _kmeans_pp_init(V, k, rng):
     n = len(V)
     centroids = np.empty((k, V.shape[1]))
+    # each draw's ((V - c) ** 2).sum(axis=1) in one reused (N, m) buffer laid
+    # out as that temporary would be, so the sums are the same floats
+    resid = np.empty_like(V)
+
+    def sq_dists(c):
+        np.subtract(V, c, out=resid)
+        return np.square(resid, out=resid).sum(axis=1)
+
     centroids[0] = V[int(rng.integers(n))]
-    closest = ((V - centroids[0]) ** 2).sum(axis=1)
+    closest = sq_dists(centroids[0])
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -178,7 +186,7 @@ def _kmeans_pp_init(V, k, rng):
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(closest), r))
             centroids[j] = V[min(idx, n - 1)]
-        closest = np.minimum(closest, ((V - centroids[j]) ** 2).sum(axis=1))
+        np.minimum(closest, sq_dists(centroids[j]), out=closest)
     return centroids
 
 

@@ -187,6 +187,21 @@ class TestExitCodes:
         assert "stage 'embedding' failed: non-finite embedding values" in err, err
         assert not out.exists()
 
+    def test_external_embedding_ids_must_match_the_data(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["embed", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        lines = (tmp_path / "a" / "embedding.csv").read_text().splitlines()
+        lines[1], lines[2] = lines[2], lines[1]
+        vectors = tmp_path / "swapped.csv"
+        vectors.write_text("\n".join(lines) + "\n")
+        ext = write_config(tmp_path, {"embedding": {"kind": "external", "path": str(vectors)}},
+                           "ext.json")
+        out = tmp_path / "out"
+        assert main(["embed", "--config", ext, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"stage 'embedding' failed: {vectors}: sample ids do not match the dataset" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("change, key", BAD_CONFIGS,
                              ids=[key for _, key in BAD_CONFIGS])
     def test_bad_value_exits_1_before_any_stage(self, tmp_path, capsys, monkeypatch,
@@ -287,6 +302,18 @@ class TestArtifacts:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert {"size_variance", "label_rate_variance",
                 "homogeneity_fraction"} <= set(diag)
+
+    def test_embed_output_reads_back_as_an_external_embedding(self, tmp_path):
+        cfg = write_config(tmp_path)
+        assert main(["embed", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["cluster", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        written = tmp_path / "a" / "embedding.csv"
+        ext = write_config(tmp_path, {"embedding": {"kind": "external", "path": str(written)}},
+                           "ext.json")
+        assert main(["embed", "--config", ext, "--out", str(tmp_path / "b")]) == 0
+        assert main(["cluster", "--config", ext, "--out", str(tmp_path / "b")]) == 0
+        for name in ("embedding.csv", "clusters.json", "diagnostics.json"):
+            assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_select_reuses_existing_report(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

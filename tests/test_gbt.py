@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import hashlib
+import importlib.util
 import json
 import math
 import tracemalloc
@@ -16,11 +18,17 @@ from clustercal.gbt import (
     GAIN_EPS, SCAN_BLOCK_CELLS, GBTParams, Tree, TreeEnsemble, _logloss, fit_gbt,
     leaf_indices, predict,
 )
+from clustercal.cli import main
 from clustercal.harness import ExperimentConfig, _jsonable, _section, run_stages
 from clustercal.scores import logit, sigmoid
 from clustercal.treeshap import shap_values
 
-GOLDEN_CONFIG = Path(__file__).parent / "golden" / "report_config.json"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_CONFIG = ROOT / "tests" / "golden" / "report_config.json"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                               ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def toy_dataset(n=200, d=3, seed=0):
@@ -304,6 +312,74 @@ class TestPresortedSplitSearch:
             self.assert_same_fit(ds, GBTParams(n_trees=3, max_depth=5, learning_rate=0.5,
                                                min_child_weight=0.0, lambda_l2=seed))
 
+    @staticmethod
+    def scanned_blocks(monkeypatch):
+        """Each feature block every `_best_split` call of a fit scans, as
+        that block's `tie_free` flags."""
+        blocks, real = [], gbt._best_split
+
+        def record(X, order, tie_free, *args):
+            step = max(1, gbt.SCAN_BLOCK_CELLS // order.shape[1])
+            blocks.extend(tie_free[j0:j0 + step] for j0 in range(0, len(order), step))
+            return real(X, order, tie_free, *args)
+        monkeypatch.setattr(gbt, "_best_split", record)
+        return blocks
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_on_continuous_features(self, monkeypatch, seed):
+        ds = toy_dataset(n=400, d=6, seed=seed)
+        blocks = self.scanned_blocks(monkeypatch)
+        self.assert_same_fit(ds, GBTParams(n_trees=4, max_depth=4, learning_rate=0.5,
+                                           min_child_weight=0.0, lambda_l2=seed))
+        assert blocks and all(b.all() for b in blocks)   # no scan gathers values
+
+    def test_matches_with_adjacent_floats(self, monkeypatch):
+        # x and the next float up are different values: a valid split lies
+        # between them, and the column counts as tie-free
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=150)
+        X = np.column_stack([np.concatenate([x, np.nextafter(x, np.inf)]),
+                             rng.normal(size=300)])
+        y = np.repeat([0, 1], 150)
+        y[rng.choice(300, 60, replace=False)] ^= 1
+        ds = Dataset(X, y, ("f0", "f1"), tuple(str(i) for i in range(300)))
+        blocks = self.scanned_blocks(monkeypatch)
+        self.assert_same_fit(ds, GBTParams(n_trees=3, max_depth=6, min_child_weight=0.0))
+        assert all(b.all() for b in blocks)
+
+    def test_matches_with_signed_zeros(self, monkeypatch):
+        # -0.0 < 0.0 is false: no split may fall between them, so the column
+        # counts as tied
+        rng = np.random.default_rng(5)
+        col = rng.normal(size=300)
+        col[:40], col[40:80] = -0.0, 0.0
+        X = np.column_stack([rng.normal(size=300), col])
+        y = (col + rng.normal(scale=0.5, size=300) > 0).astype(int)
+        y[40:80] = 1 - y[:40]   # rows at -0.0 and 0.0 disagree: a split there would gain
+        ds = Dataset(X, y, ("f0", "f1"), tuple(str(i) for i in range(300)))
+        blocks = self.scanned_blocks(monkeypatch)
+        for cells in (1, SCAN_BLOCK_CELLS):
+            monkeypatch.setattr(gbt, "SCAN_BLOCK_CELLS", cells)
+            self.assert_same_fit(ds, GBTParams(n_trees=3, max_depth=4, min_child_weight=0.0))
+        assert {tuple(b) for b in blocks} >= {(True,), (False,), (True, False)}
+
+    def test_matches_with_mixed_scan_blocks(self, monkeypatch):
+        # columns 0, 1 and 3 continuous, 2, 4 and 5 integer-valued: the
+        # root's blocks of two are tie-free, mixed and tied, and smaller
+        # nodes scan larger blocks
+        rng = np.random.default_rng(6)
+        n = 240
+        X = rng.normal(size=(n, 6))
+        X[:, [2, 4, 5]] = rng.integers(0, 4, size=(n, 3))
+        y = (X[:, 0] + X[:, 2] + rng.normal(scale=1.5, size=n) > 1.5).astype(int)
+        ds = Dataset(X, y, tuple(f"f{j}" for j in range(6)), tuple(str(i) for i in range(n)))
+        monkeypatch.setattr(gbt, "SCAN_BLOCK_CELLS", 2 * n)
+        blocks = self.scanned_blocks(monkeypatch)
+        self.assert_same_fit(ds, GBTParams(n_trees=3, max_depth=5, learning_rate=0.5,
+                                           min_child_weight=0.0))
+        kinds = {"tie-free" if b.all() else "tied" if not b.any() else "mixed" for b in blocks}
+        assert kinds == {"tie-free", "tied", "mixed"}
+
     @pytest.mark.parametrize("max_depth", [1, 2, 4])
     def test_partitions_only_nodes_that_scan(self, monkeypatch, max_depth):
         ds = tied_dataset(200, 4, 3)
@@ -322,6 +398,25 @@ class TestPresortedSplitSearch:
                       if _node_depth(t, j) < max_depth and t.cover[j] >= 2)
         assert len(calls) == scanned
         self.assert_same_fit(ds, params)
+
+
+# SHA-256 of the ensemble.json that `train` writes for each perfbench
+# workload's input 0. perfbench's gate compares the pipeline's metrics, not
+# its trees, so these pin the trees of a benchmark-size fit byte for byte.
+ENSEMBLE_SHA256 = {
+    "shap_d4": "04f241ddf27b089df51e3cb1f0d7f652dcae16d6a9edd7309103e99e61b32740",
+    "shap_d8": "03edba10e477fcd8ac04b41bc90006955f5e4012f3f42e91f6a2ac455884ce55",
+    "gbt_raw": "1b2326147bb4fc84522157e2793a97be4883a873060e47bf7c0c20099d2b8854",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLE_SHA256))
+def test_workload_ensembles_are_pinned(tmp_path, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(workloads.config(name, 0)))
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    written = (tmp_path / "out" / "ensemble.json").read_bytes()
+    assert hashlib.sha256(written).hexdigest() == ENSEMBLE_SHA256[name]
 
 
 def _node_depth(tree, j):

@@ -352,6 +352,51 @@ PRUNING_CASES = [(name, k) for name in sorted(PRUNING_EMBEDDINGS) if name != "du
                  for k in (1, 2, 5, 8, 20)]
 
 
+def _ref_kmeans_pp_init(V, k, rng):
+    """k-means++ with a fresh ``((V - c) ** 2).sum(axis=1)`` per draw: the
+    reference the buffered draws must match bit for bit."""
+    n = len(V)
+    centroids = np.empty((k, V.shape[1]))
+    centroids[0] = V[int(rng.integers(n))]
+    closest = ((V - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total <= 0:
+            centroids[j] = V[int(rng.integers(n))]
+        else:
+            idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total))
+            centroids[j] = V[min(idx, n - 1)]
+        closest = np.minimum(closest, ((V - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+class TestKmeansPlusPlus:
+    @staticmethod
+    def draws(init, V, k, seed, monkeypatch):
+        """The centroids, and the cumulative squared distances each draw
+        searched: a change in their last bit rarely moves a draw."""
+        searched, real = [], np.searchsorted
+
+        def record(a, v, *args, **kwargs):
+            searched.append(a.tobytes())
+            return real(a, v, *args, **kwargs)
+        with monkeypatch.context() as m:
+            m.setattr(np, "searchsorted", record)
+            C = init(V, k, np.random.default_rng(seed))
+        return C.tobytes(), searched
+
+    # "fortran": a column-major copy of the wide embedding, whose row sums
+    # add in another order than a row-major buffer's
+    @pytest.mark.parametrize("name", ["narrow", "wide", "leaf1080", "grid", "fortran"])
+    @pytest.mark.parametrize("k", [1, 8, 40])
+    def test_draws_match_the_unbuffered_expression(self, monkeypatch, name, k):
+        V = (np.asfortranarray(PRUNING_EMBEDDINGS["wide"]) if name == "fortran"
+             else PRUNING_EMBEDDINGS[name])
+        for seed in (0, 1):
+            got = self.draws(_kmeans_pp_init, V, k, seed, monkeypatch)
+            assert got == self.draws(_ref_kmeans_pp_init, V, k, seed, monkeypatch)
+
+
 def _rows_per_step(monkeypatch):
     """Record the row count of every ``_assign_nearest`` call."""
     rows, inner = [], rep._assign_nearest
