@@ -8,7 +8,7 @@ split and scored on a test split.
 
 import numpy as np
 
-from clustercal.calibrators import ALL_METHODS, FitData, fit, nll_of_probs
+from clustercal.calibrators import ALL_METHODS, fit, nll_of_probs
 from clustercal.metrics import ece, reliability_data
 from clustercal.scores import ScoreSet, sigmoid
 
@@ -22,7 +22,7 @@ def main():
     scores = ScoreSet.from_margins(margins)
 
     cal, te = np.arange(n // 2), np.arange(n // 2, n)
-    cal_data = FitData.from_scores(scores.take(cal), y[cal])
+    cal_s, y_cal = scores.take(cal), y[cal]
     te_scores = scores.take(te)
 
     print(f"{'method':<14}{'test NLL':>10}{'test ECE':>10}")
@@ -32,12 +32,12 @@ def main():
     for method in ALL_METHODS:
         if method == "constant":
             continue
-        model = fit(method, cal_data)
+        model = fit(method, cal_s, y_cal)
         p = model.apply(te_scores)
         print(f"{method:<14}{nll_of_probs(p, y[te]):>10.4f}{ece(p, y[te])[0]:>10.4f}")
 
     print("\nreliability diagram data (temperature scaling):")
-    p = fit("temperature", cal_data).apply(te_scores)
+    p = fit("temperature", cal_s, y_cal).apply(te_scores)
     rows, _ = reliability_data(p, y[te], 10)
     for r in rows:
         if r["count"]:

@@ -9,7 +9,7 @@ plain ECE averages away.
 
 import numpy as np
 
-from clustercal.calibrators import FitData, fit
+from clustercal.calibrators import fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import improved_sample_fraction, train_clustered
 from clustercal.metrics import auc, cece, ece
@@ -33,7 +33,6 @@ def main():
     cal_s = scores.take(sp.calibration)
     te_s = scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
-    cal_data = FitData.from_scores(cal_s, y_cal)
     cal_clusters = assign(cm, ds.features[sp.calibration])
 
     print(f"\n{'variant':<22}{'CECE':>8}{'ECE':>8}{'AUC':>8}")
@@ -45,11 +44,11 @@ def main():
 
     report("base", te_s.probabilities)
     for method in ("platt", "temperature", "beta", "dirichlet2"):
-        uni = fit(method, cal_data)
+        uni = fit(method, cal_s, y_cal)
         p_uni = uni.apply(te_s)
         report(f"{method} unified", p_uni)
         # the global fit doubles as the fallback for clusters too small to fit
-        ccl = train_clustered(cal_data, cal_clusters, cm, method, uni)
+        ccl = train_clustered(cal_s, y_cal, cal_clusters, cm, method, uni)
         p_ccl, _ = ccl.infer(te_s, ds.features[sp.test])
         report(f"{method} clustered", p_ccl)
         frac = improved_sample_fraction(p_ccl, p_uni, te_clusters, y_te)

@@ -9,7 +9,7 @@ whether the clustered ensemble's ECE advantage is systematic.
 
 import numpy as np
 
-from clustercal.calibrators import FitData, fit
+from clustercal.calibrators import fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import train_clustered
 from clustercal.harness import paired_resample_test, rejection_selection
@@ -28,9 +28,9 @@ def main():
 
     cal_s, te_s = scores.take(sp.calibration), scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
-    cal_data = FitData.from_scores(cal_s, y_cal)
-    uni = fit("platt", cal_data)
-    ccl = train_clustered(cal_data, assign(cm, ds.features[sp.calibration]), cm, "platt", uni)
+    uni = fit("platt", cal_s, y_cal)
+    ccl = train_clustered(cal_s, y_cal, assign(cm, ds.features[sp.calibration]), cm, "platt",
+                          uni)
     p_uni = uni.apply(te_s)
     p_ccl, _ = ccl.infer(te_s, ds.features[sp.test])
 

@@ -10,7 +10,7 @@ from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict, leaf_indices
 from .treeshap import shap_values
 from .representation import assign, fit_kmeans
 from .ensemble import train_clustered
-from .calibrators import Calibrator, FitData, fit
+from .calibrators import Calibrator, fit
 from .metrics import (
     ece, mce, ada_ece, cece, auc, scalar_metrics, reliability_data, rejection_curve,
 )
@@ -21,7 +21,7 @@ __all__ = [
     "ScoreSet", "load_external_scores",
     "GBTParams", "TreeEnsemble", "fit_gbt", "predict", "leaf_indices",
     "shap_values", "assign", "fit_kmeans", "train_clustered",
-    "Calibrator", "FitData", "fit",
+    "Calibrator", "fit",
     "ece", "mce", "ada_ece", "cece", "auc", "scalar_metrics",
     "reliability_data", "rejection_curve",
 ]

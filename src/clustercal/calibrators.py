@@ -20,7 +20,6 @@ from .scores import ScoreSet, sigmoid
 
 __all__ = [
     "Calibrator",
-    "FitData",
     "fit",
     "nll_of_probs",
     "pav",
@@ -36,34 +35,6 @@ GOLDEN_ITER = 220
 PARAMETRIC_METHODS = ("platt", "temperature", "beta", "dirichlet2")
 ALL_METHODS = PARAMETRIC_METHODS + ("histogram", "isotonic", "platt_bin", "constant")
 N_BINS = 10     # the equal-mass bins of histogram and platt_bin fits, at most one per row
-
-
-@dataclass(frozen=True)
-class FitData:
-    """Aligned margins, probabilities and binary labels for calibrator fits."""
-
-    margins: np.ndarray
-    probabilities: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.margins, dtype=np.float64)
-        p = _probabilities(self.probabilities, "probabilities")
-        y = _labels(self.labels, "labels")
-        if not (m.shape == p.shape == y.shape) or m.ndim != 1 or len(m) < 1:
-            raise ValueError("margins, probabilities, labels must be equal-length, non-empty")
-        if not np.isfinite(m).all():
-            raise ValueError("margins must be finite")
-        object.__setattr__(self, "margins", m)
-        object.__setattr__(self, "probabilities", p)
-        object.__setattr__(self, "labels", y.astype(np.int64))
-
-    @classmethod
-    def from_scores(cls, scores: ScoreSet, y) -> "FitData":
-        return cls(scores.margins, scores.probabilities, y)
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass
@@ -119,9 +90,9 @@ class Calibrator:
             return np.full(len(scores), q["p0"])
         raise ValueError(f"unknown calibration method {self.method!r}")
 
-    def nll(self, data: FitData) -> float:
-        p = self.apply(ScoreSet(data.margins, np.clip(data.probabilities, APPLY_EPS, 1 - APPLY_EPS)))
-        return nll_of_probs(p, data.labels)
+    def nll(self, scores: ScoreSet, y) -> float:
+        clipped = ScoreSet(scores.margins, np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS))
+        return nll_of_probs(self.apply(clipped), y)
 
 
 def _bin_fields(i: int, b: dict) -> dict:
@@ -145,9 +116,13 @@ def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
 
 
 def nll_of_probs(p, y, eps: float = APPLY_EPS) -> float:
-    """Mean negative log-likelihood of labels ``y`` under ``p`` clipped to [eps, 1 - eps]."""
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    return _nll(np.asarray(p, dtype=np.float64).reshape(-1), y, 1.0 - y, eps)
+    """Mean negative log-likelihood of 0/1 labels ``y`` under ``p`` clipped to
+    [eps, 1 - eps]; ``p`` and ``y`` are aligned, non-empty 1-D arrays."""
+    p = _probabilities(p, "p")
+    y = _labels(y, "y").astype(np.float64)
+    if p.ndim != 1 or p.shape != y.shape or not len(p):
+        raise ValueError("p and y must be equal-length, non-empty 1-D arrays")
+    return _nll(p, y, 1.0 - y, eps)
 
 
 def _nll(p, y, y1, eps: float = APPLY_EPS) -> float:
@@ -170,16 +145,19 @@ def _nll(p, y, y1, eps: float = APPLY_EPS) -> float:
 
 # fitting ----------------------------------------------------------------
 
-def fit(method: str, data: FitData, init=None) -> Calibrator:
-    """Fit a calibrator of the given method on held-out scores and labels.
+def fit(method: str, scores: ScoreSet, y, init=None) -> Calibrator:
+    """Fit a calibrator of the given method on held-out scores and their 0/1 labels ``y``.
 
-    ``init``, Platt's (A, B), warm-starts a platt fit; other methods take none.
+    ``y`` must be a non-empty 1-D array aligned with ``scores``. ``init``,
+    Platt's (A, B), warm-starts a platt fit; other methods take none.
     """
     if method not in ALL_METHODS:
         raise ValueError(f"unknown calibration method {method!r}")
     if init is not None and method != "platt":
         raise ValueError(f"init warm-starts platt fits only, not {method!r}")
-    y = data.labels
+    y = _labels(y, "labels").astype(np.int64)
+    if y.ndim != 1 or not len(y) or scores.margins.shape != y.shape:
+        raise ValueError("scores and labels must be equal-length, non-empty 1-D arrays")
     if method == "constant":
         return _constant(_laplace_rate(y))
     single_class = (y == y[0]).all()
@@ -188,17 +166,17 @@ def fit(method: str, data: FitData, init=None) -> Calibrator:
         return _constant(_laplace_rate(y), note="single_class_fallback")
     with np.errstate(over="ignore"):
         if method == "platt":
-            return _fit_platt(data.margins, y, init)
+            return _fit_platt(scores.margins, y, init)
         if method == "temperature":
-            return _fit_temperature(data.margins, y)
+            return _fit_temperature(scores.margins, y)
         if method in ("beta", "dirichlet2"):
-            return _fit_dirichlet2(data.probabilities, y, constrained=(method == "beta"))
+            return _fit_dirichlet2(scores.probabilities, y, constrained=(method == "beta"))
         if method == "histogram":
-            return _fit_histogram(data.probabilities, y)
+            return _fit_histogram(scores.probabilities, y)
         if method == "isotonic":
-            return _fit_isotonic(data.probabilities, y)
+            return _fit_isotonic(scores.probabilities, y)
         if method == "platt_bin":
-            return _fit_platt_bin(data)
+            return _fit_platt_bin(scores, y)
     raise AssertionError(method)
 
 
@@ -366,9 +344,14 @@ def _fit_histogram(probs, y) -> Calibrator:
 
 
 def pav(values, weights=None) -> np.ndarray:
-    """Weighted pool-adjacent-violators: the L2 non-decreasing fit."""
+    """Weighted pool-adjacent-violators: the L2 non-decreasing fit of finite 1-D
+    ``values`` under aligned finite ``weights`` > 0 (default all 1)."""
     v = np.asarray(values, dtype=np.float64)
     w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=np.float64)
+    if v.ndim != 1 or not np.isfinite(v).all():
+        raise ValueError("pav values must be finite and 1-D")
+    if w.shape != v.shape or not ((w > 0) & (w < np.inf)).all():  # also false for NaN
+        raise ValueError("pav weights must be finite, > 0 and aligned with the values")
     means, wsum, counts = [], [], []
     for vi, wi in zip(v, w):
         means.append(vi)
@@ -393,15 +376,15 @@ def _fit_isotonic(probs, y) -> Calibrator:
                       {"n_blocks": int(len(np.unique(fitted)))})
 
 
-def _fit_platt_bin(data: FitData) -> Calibrator:
-    m = min(N_BINS, len(data))
-    ids, edges = _equal_mass_edges(data.probabilities, m)
+def _fit_platt_bin(scores: ScoreSet, y) -> Calibrator:
+    m = min(N_BINS, len(y))
+    ids, edges = _equal_mass_edges(scores.probabilities, m)
     bins = []
     for b in range(m):
         mask = ids == b
-        yb = data.labels[mask]
+        yb = y[mask]
         if (yb == yb[0]).all():
             bins.append(_constant(_laplace_rate(yb)))
         else:
-            bins.append(_fit_platt(data.margins[mask], yb))
+            bins.append(_fit_platt(scores.margins[mask], yb))
     return Calibrator("platt_bin", {"edges": edges, "bins": bins}, {"n_bins": m})

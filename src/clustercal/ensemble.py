@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import calibrators as cal_mod
-from .calibrators import Calibrator, FitData, PARAMETRIC_METHODS, _constant, _laplace_rate
-from .metrics import ece
+from .calibrators import Calibrator, PARAMETRIC_METHODS, _constant, _laplace_rate
+from .metrics import _labels, ece
 from .representation import ClusterModel, assign
 from .scores import ScoreSet
 
@@ -44,12 +44,14 @@ class ClusteredCalibrator:
         return cal_mod._apply_by_group(labels, self.resolve, scores), labels
 
 
-def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallback: Calibrator,
+def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str,
+                    fallback: Calibrator,
                     min_fit_size: int = DEFAULT_MIN_FIT_SIZE) -> ClusteredCalibrator:
     """Fit the per-cluster calibration ensemble on the calibration split.
 
-    ``labels`` are the cluster ids of ``data``'s rows under ``cm``, and
-    ``fallback`` is the global calibrator already fitted on ``data``.
+    ``y`` are the 0/1 labels of the rows of ``scores``, ``clusters`` their
+    cluster ids under ``cm``, and ``fallback`` the global calibrator already
+    fitted on ``scores`` and ``y``.
     Homogeneous clusters get a Laplace-smoothed constant; clusters below
     ``min_fit_size`` use the fallback. Every per-cluster fit is compared
     against the fallback's parameters on that cluster and the lower-NLL fit
@@ -59,20 +61,19 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallba
     if method not in PARAMETRIC_METHODS:
         raise ValueError(
             f"clustered calibration requires a parametric base method, got {method!r}")
-    labels = np.asarray(labels)
-    if labels.shape != (len(data),):
-        raise ValueError("fit data and cluster ids must be aligned")
-    if not ((labels >= 0) & (labels < cm.k)).all():
+    y, clusters = _labels(y, "labels"), np.asarray(clusters)
+    if not len(y) or not (y.shape == clusters.shape == (len(scores),)):
+        raise ValueError("scores, labels and cluster ids must be aligned and non-empty")
+    if not ((clusters >= 0) & (clusters < cm.k)).all():
         raise ValueError(f"cluster ids must lie in [0, {cm.k})")
-    y = data.labels
-    expected = "constant" if (y == y[0]).all() else method  # what fit(method, data) returns
+    expected = "constant" if (y == y[0]).all() else method  # what fit(method, scores, y) returns
     if fallback.method != expected:
         raise ValueError(f"fallback is a {fallback.method!r} calibrator, expected {expected!r}")
 
     calibrators: dict[int, Calibrator] = {}
     meta: dict[int, dict] = {}
     for c in range(cm.k):
-        mask = labels == c
+        mask = clusters == c
         n_c = int(mask.sum())
         info = {"size": n_c, "positive_rate": float(y[mask].mean()) if n_c else 0.0,
                 "used_fallback": False, "used_constant": False}
@@ -86,10 +87,10 @@ def train_clustered(data: FitData, labels, cm: ClusterModel, method: str, fallba
             info["used_fallback"] = True
             calibrators[c] = fallback
         else:
-            sub = FitData(data.margins[mask], data.probabilities[mask], y[mask])
+            sub, y_sub = scores.take(mask), y[mask]
             init = (fallback.params["A"], fallback.params["B"]) if method == "platt" else None
-            cal = cal_mod.fit(method, sub, init)
-            if fallback.nll(sub) < cal.nll(sub):
+            cal = cal_mod.fit(method, sub, y_sub, init)
+            if fallback.nll(sub, y_sub) < cal.nll(sub, y_sub):
                 cal = Calibrator(fallback.method, dict(fallback.params),
                                  dict(fallback.diagnostics, refit="kept_global"))
             calibrators[c] = cal
@@ -102,8 +103,10 @@ def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10,
     """Fraction of samples in clusters whose within-cluster ECE (binned by
     ``scheme``) is strictly lower under the clustered probabilities
     ``p_cluster`` than under the unified ones ``p_unified``; ``labels`` are
-    the cluster ids."""
+    the cluster ids and ``y`` the 0/1 labels, all aligned, non-empty and 1-D."""
     p_cluster, p_unified, labels, y = map(np.asarray, (p_cluster, p_unified, labels, y))
+    if y.ndim != 1 or not len(y) or {a.shape for a in (p_cluster, p_unified, labels)} != {y.shape}:
+        raise ValueError("inputs must be aligned, non-empty 1-D arrays")
     improved = 0
     for c in np.unique(labels):
         mask = labels == c

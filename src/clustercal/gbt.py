@@ -171,10 +171,10 @@ def _partition(order, keep):
     return np.compress(keep[order].ravel(), order).reshape(len(order), -1)
 
 
-def _build_tree(X, order, tie_free, g, h, gh, params: GBTParams, margin) -> Tree:
+def _build_tree(X, order, tie_free, gh, params: GBTParams, margin) -> Tree:
     """Grow one tree; ``order`` is the fit's (d, N) presorted row order,
-    ``tie_free`` its per-feature flags and ``gh`` the packed ``g + 1j * h``
-    that the split scan reads.
+    ``tie_free`` its per-feature flags and ``gh`` each row's gradient plus
+    1j times its hessian, which the split scan reads.
 
     Each node is built from its rows and their presorted order, which is
     None for a node that cannot split (at ``max_depth`` or with fewer than
@@ -197,7 +197,7 @@ def _build_tree(X, order, tie_free, g, h, gh, params: GBTParams, margin) -> Tree
     def build(idx, order, depth):
         j = new_node()
         cover[j] = float(len(idx))
-        G, H = g[idx].sum(), h[idx].sum()
+        G, H = gh.real[idx].sum(), gh.imag[idx].sum()
         split = None
         if order is not None:
             split = _best_split(X, order, tie_free, gh, G, H, params.lambda_l2,
@@ -258,10 +258,9 @@ def fit_gbt(train: Dataset, params: GBTParams = GBTParams()) -> TreeEnsemble:
     for _ in range(params.n_trees):
         with np.errstate(over="ignore"):  # a margin below -709.78 gives p = 0.0
             p = sigmoid(margin)
-        g = p - y
-        h = p * (1 - p)
-        gh.real, gh.imag = g, h
-        trees.append(_build_tree(X, order, tie_free, g, h, gh, params, margin))
+        np.subtract(p, y, out=gh.real)
+        np.multiply(p, 1 - p, out=gh.imag)
+        trees.append(_build_tree(X, order, tie_free, gh, params, margin))
         losses.append(_logloss(margin, y))
     return TreeEnsemble(tuple(trees), base, X.shape[1], params, tuple(losses), margin)
 

@@ -16,7 +16,7 @@ from typing import Literal, get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import calibrators as cal_mod
-from .calibrators import FitData, PARAMETRIC_METHODS
+from .calibrators import PARAMETRIC_METHODS
 from .data import (
     CsvSpec, DataError, Dataset, SplitIndices, SyntheticSpec, _ratios, gen_synthetic_full,
     load_csv, split,
@@ -402,14 +402,14 @@ def _calibrate(r: RunState):
     te_E = r.E[te_idx]
     cal_clusters = assign(r.cm, r.E[cal_idx])
     r.te_clusters = assign(r.cm, te_E)
-    cal_data = FitData.from_scores(r.scores.take(cal_idx), y[cal_idx])
+    cal_scores, cal_y = r.scores.take(cal_idx), y[cal_idx]
     r.calibrated["base"] = r.scores.probabilities[te_idx]
     for method in cfg.methods:
-        uni = r.unified[method] = cal_mod.fit(method, cal_data)
+        uni = r.unified[method] = cal_mod.fit(method, cal_scores, cal_y)
         r.calibrated[f"{method}_unified"] = uni.apply(te_scores)
         if method in PARAMETRIC_METHODS:
-            ccl = r.ccl[method] = train_clustered(cal_data, cal_clusters, r.cm, method, uni,
-                                                  cfg.ccl_opts.min_fit_size)
+            ccl = r.ccl[method] = train_clustered(cal_scores, cal_y, cal_clusters, r.cm, method,
+                                                  uni, cfg.ccl_opts.min_fit_size)
             r.calibrated[f"{method}_ccl"] = ccl.infer(te_scores, te_E)[0]
 
 

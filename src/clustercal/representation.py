@@ -10,6 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .gbt import TreeEnsemble, leaf_indices
+from .metrics import _labels
 from .treeshap import shap_values
 
 __all__ = [
@@ -375,14 +376,15 @@ def assign(cm: ClusterModel, V) -> np.ndarray:
 
 
 def diagnostics(cm: ClusterModel, labels, y) -> ClusterDiagnostics:
-    """Cluster size/label-rate variance and fully-homogeneous fraction."""
+    """Cluster size/label-rate variance and fully-homogeneous fraction of the
+    rows with cluster ids ``labels`` in [0, cm.k) and 0/1 labels ``y``."""
     labels = np.asarray(labels)
-    y = np.asarray(y)
-    if labels.shape != y.shape:
-        raise ValueError("labels and y must be aligned")
+    y = _labels(y, "y")
+    if labels.ndim != 1 or not len(labels) or labels.shape != y.shape:
+        raise ValueError("labels and y must be aligned, non-empty 1-D arrays")
     k = cm.k
-    if k < 1:
-        raise ValueError("empty cluster set")
+    if not ((labels >= 0) & (labels < k)).all():
+        raise ValueError(f"cluster ids must lie in [0, {k})")
     sizes = np.bincount(labels, minlength=k)
     pos = np.bincount(labels, weights=y, minlength=k)
     rates = np.divide(pos, sizes, out=np.zeros(k), where=sizes > 0)

@@ -17,7 +17,7 @@ from shap_oracle import brute_force_shap
 from test_calibrators import isotonic_oracle
 from test_metrics import brute_auc
 
-from clustercal.calibrators import FitData, fit, pav
+from clustercal.calibrators import fit, pav
 from clustercal.cli import main as cli_main
 from clustercal.data import Dataset, SyntheticSpec, gen_synthetic_full, load_csv, split
 from clustercal.ensemble import improved_sample_fraction, train_clustered
@@ -51,9 +51,8 @@ def het_pipeline(seed, method, spec_kwargs=None, k=3):
     cm = fit_kmeans(E[fit_idx], k, seed)
     cal_s, te_s = scores.take(sp.calibration), scores.take(sp.test)
     y_cal, y_te = ds.labels[sp.calibration], ds.labels[sp.test]
-    cal_data = FitData.from_scores(cal_s, y_cal)
-    uni = fit(method, cal_data)  # fitted on the full calibration split
-    ccl = train_clustered(cal_data, assign(cm, E[sp.calibration]), cm, method, uni)
+    uni = fit(method, cal_s, y_cal)  # fitted on the full calibration split
+    ccl = train_clustered(cal_s, y_cal, assign(cm, E[sp.calibration]), cm, method, uni)
     p_ccl, te_clusters = ccl.infer(te_s, E[sp.test])
     p_uni = uni.apply(te_s)
     return dict(ccl=ccl, uni=uni, cm=cm, te_clusters=te_clusters,
@@ -141,10 +140,9 @@ def test_criterion_04_per_cluster_nll_bound():
                 meta = r["ccl"].cluster_meta[c]
                 if not mask.any() or meta["used_constant"]:
                     continue
-                sub = FitData(r["cal_s"].margins[mask],
-                              r["cal_s"].probabilities[mask], r["y_cal"][mask])
+                sub, y_sub = r["cal_s"].take(mask), r["y_cal"][mask]
                 checked += 1
-                if r["ccl"].resolve(c).nll(sub) > r["uni"].nll(sub) + 1e-8:
+                if r["ccl"].resolve(c).nll(sub, y_sub) > r["uni"].nll(sub, y_sub) + 1e-8:
                     violations += 1
     dt = time.perf_counter() - t0
     ok = violations == 0 and dt < 120.0
@@ -163,10 +161,9 @@ def test_criterion_05_cece_superiority():
             if c_ccl <= c_uni:
                 cece_wins[method] += 1
             if method == "platt":
-                cal_data = FitData.from_scores(r["cal_s"], r["y_cal"])
                 p_cal, _ = r["ccl"].infer(r["cal_s"], r["cal_E"])
                 from clustercal.calibrators import nll_of_probs
-                if nll_of_probs(p_cal, r["y_cal"]) <= r["uni"].nll(cal_data) + 1e-8:
+                if nll_of_probs(p_cal, r["y_cal"]) <= r["uni"].nll(r["cal_s"], r["y_cal"]) + 1e-8:
                     nll_holds += 1
     ok = all(v >= 24 for v in cece_wins.values()) and nll_holds == 30
     verdict(5, ok, f"test-split CECE(CCL) <= CECE(unified): platt "

@@ -14,19 +14,19 @@ from scipy.optimize import minimize, minimize_scalar
 from clustercal import calibrators as cal_mod
 from clustercal.calibrators import (
     ALL_METHODS, GRAD_TOL, MAX_ITER, N_BINS, PARAMETRIC_METHODS, T_BOUNDS,
-    Calibrator, FitData, fit, nll_of_probs, pav,
+    Calibrator, fit, nll_of_probs, pav,
 )
 from clustercal.harness import _jsonable, _section
 from clustercal.scores import ScoreSet, sigmoid
 
 
 def logistic_data(n=400, scale=2.0, shift=0.5, seed=0):
-    """Margins whose implied probabilities are systematically miscalibrated."""
+    """Scores whose probabilities are systematically miscalibrated, and their labels."""
     rng = np.random.default_rng(seed)
     true_logit = rng.normal(size=n) * 1.5
     y = (rng.uniform(size=n) < sigmoid(true_logit)).astype(int)
     margins = scale * true_logit + shift
-    return FitData(margins, sigmoid(margins), y)
+    return ScoreSet(margins, sigmoid(margins)), y
 
 
 def isotonic_oracle(v, w=None):
@@ -68,6 +68,20 @@ class TestPav:
         assert (np.diff(out) >= -1e-12).all()
         assert np.mean(out) == pytest.approx(np.mean(v), abs=1e-9)
 
+    @pytest.mark.parametrize("values, weights, match", [
+        ([3.0, 1.0, 2.0], [1.0, 1.0], "weights"),
+        ([3.0, 1.0, 2.0], [1.0, -1.0, 1.0], "weights"),
+        ([3.0, 1.0, 2.0], [1.0, 0.0, 1.0], "weights"),
+        ([3.0, 1.0, 2.0], [1.0, np.inf, 1.0], "weights"),
+        ([3.0, 1.0, 2.0], [1.0, np.nan, 1.0], "weights"),
+        ([3.0, np.nan, 2.0], None, "values"),
+        ([3.0, -np.inf, 2.0], None, "values"),
+        ([[3.0, 1.0, 2.0]], None, "values"),
+    ])
+    def test_rejects_bad_input(self, values, weights, match):
+        with pytest.raises(ValueError, match=f"^pav {match} must be finite"):
+            pav(values, weights)
+
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=2, max_size=8),
            st.lists(st.floats(0.1, 5, allow_nan=False), min_size=8, max_size=8))
@@ -78,59 +92,57 @@ class TestPav:
 
 class TestParametricFits:
     def test_platt_matches_scipy_optimum(self):
-        data = logistic_data()
+        scores, y = logistic_data()
 
         def nll(w):
-            return nll_of_probs(sigmoid(w[0] * data.margins + w[1]), data.labels)
+            return nll_of_probs(sigmoid(w[0] * scores.margins + w[1]), y)
 
-        cal = fit("platt", data)
+        cal = fit("platt", scores, y)
         ours = nll([-cal.params["A"], -cal.params["B"]])
         ref = minimize(nll, [1.0, 0.0], method="Nelder-Mead",
                        options={"xatol": 1e-10, "fatol": 1e-12}).fun
         assert ours <= ref + 1e-8
 
     def test_temperature_matches_scipy_optimum(self):
-        data = logistic_data(scale=3.0, shift=0.0)
+        scores, y = logistic_data(scale=3.0, shift=0.0)
 
         def nll(log_t):
-            return nll_of_probs(sigmoid(data.margins / np.exp(log_t)), data.labels)
+            return nll_of_probs(sigmoid(scores.margins / np.exp(log_t)), y)
 
-        cal = fit("temperature", data)
+        cal = fit("temperature", scores, y)
         ref = minimize_scalar(nll, bounds=(np.log(0.01), np.log(100.0)),
                               method="bounded", options={"xatol": 1e-12}).fun
         assert nll(np.log(cal.params["T"])) <= ref + 1e-8
 
     def test_temperature_recovers_scale(self):
-        data = logistic_data(n=5000, scale=3.0, shift=0.0, seed=1)
-        cal = fit("temperature", data)
+        cal = fit("temperature", *logistic_data(n=5000, scale=3.0, shift=0.0, seed=1))
         assert cal.params["T"] == pytest.approx(3.0, rel=0.15)
 
     def test_dirichlet2_beats_identity(self):
-        data = logistic_data()
-        cal = fit("dirichlet2", data)
-        ident = nll_of_probs(data.probabilities, data.labels)
-        assert cal.nll(data) < ident
+        scores, y = logistic_data()
+        cal = fit("dirichlet2", scores, y)
+        ident = nll_of_probs(scores.probabilities, y)
+        assert cal.nll(scores, y) < ident
 
     def test_beta_constraints_hold(self):
         for seed in range(25):
-            data = logistic_data(n=80, scale=float(1 + seed % 5),
-                                 shift=float(seed % 3 - 1), seed=seed)
-            cal = fit("beta", data)
+            cal = fit("beta", *logistic_data(n=80, scale=float(1 + seed % 5),
+                                             shift=float(seed % 3 - 1), seed=seed))
             assert cal.params["a"] >= -1e-12
             assert cal.params["b"] >= -1e-12
 
     def test_beta_at_most_dirichlet2_when_unconstrained_feasible(self):
-        data = logistic_data(seed=2)
-        b = fit("beta", data)
-        d = fit("dirichlet2", data)
+        scores, y = logistic_data(seed=2)
+        b = fit("beta", scores, y)
+        d = fit("dirichlet2", scores, y)
         if not b.diagnostics.get("clamped"):
-            assert b.nll(data) == pytest.approx(d.nll(data), abs=1e-6)
+            assert b.nll(scores, y) == pytest.approx(d.nll(scores, y), abs=1e-6)
 
     def test_each_parametric_reduces_nll_on_miscalibrated_data(self):
-        data = logistic_data(n=1000, scale=1.0, shift=2.0, seed=3)
-        ident = nll_of_probs(data.probabilities, data.labels)
+        scores, y = logistic_data(n=1000, scale=1.0, shift=2.0, seed=3)
+        ident = nll_of_probs(scores.probabilities, y)
         for method in PARAMETRIC_METHODS:
-            assert fit(method, data).nll(data) < ident, method
+            assert fit(method, scores, y).nll(scores, y) < ident, method
 
 
 class TestBinnedFits:
@@ -156,17 +168,17 @@ class TestBinnedFits:
         rng = np.random.default_rng(1)
         p = rng.uniform(size=30)
         y = rng.integers(0, 2, size=30)
-        cal = fit("isotonic", FitData(np.zeros(30), p, y))
+        cal = fit("isotonic", ScoreSet(np.zeros(30), p), y)
         out = cal.apply(ScoreSet.from_probabilities(p))
         order = np.argsort(p, kind="stable")
         np.testing.assert_allclose(out[order],
                                    np.clip(pav(y[order].astype(float)), 1e-6, 1 - 1e-6))
 
     def test_platt_bin_structure(self):
-        data = logistic_data(n=100)
-        cal = cal_mod._fit_platt_bin(data)
+        scores, y = logistic_data(n=100)
+        cal = cal_mod._fit_platt_bin(scores, y)
         assert len(cal.params["bins"]) == N_BINS
-        out = cal.apply(ScoreSet(data.margins, data.probabilities))
+        out = cal.apply(scores)
         assert ((out > 0) & (out < 1)).all()
 
 
@@ -249,42 +261,42 @@ class TestBinningOracle:
     def test_platt_bin_apply(self):
         rng = np.random.default_rng(4)
         for n in (1, 4, 40, 120):      # min(N_BINS, n) bins: 1, 4, 10 and 10
-            data = logistic_data(n=n, seed=3)
-            cal = cal_mod._fit_platt_bin(data)
+            fit_scores, y = logistic_data(n=n, seed=3)
+            cal = cal_mod._fit_platt_bin(fit_scores, y)
             # the first 20 draws fall in one bin, so the other bins get no rows
-            for margins in (data.margins, rng.normal(size=300) * 3, np.full(20, -4.0)):
+            for margins in (fit_scores.margins, rng.normal(size=300) * 3, np.full(20, -4.0)):
                 scores = ScoreSet.from_margins(margins)
                 assert cal.apply(scores).tobytes() == ref_platt_bin_apply(cal, scores).tobytes()
 
 
 class TestDegenerateFits:
     def test_single_class_falls_back_to_laplace_constant(self):
-        data = FitData(np.ones(5), np.full(5, 0.7), np.ones(5, dtype=int))
+        scores = ScoreSet(np.ones(5), np.full(5, 0.7))
         for method in ("platt", "temperature", "beta", "dirichlet2", "histogram"):
-            cal = fit(method, data)
+            cal = fit(method, scores, np.ones(5, dtype=int))
             assert cal.method == "constant"
             assert cal.params["p0"] == pytest.approx(6 / 7)
 
     def test_constant_method(self):
-        cal = fit("constant", FitData(np.zeros(3), np.full(3, 0.5), [1, 0, 1]))
+        cal = fit("constant", ScoreSet(np.zeros(3), np.full(3, 0.5)), [1, 0, 1])
         assert cal.params["p0"] == 3 / 5    # Laplace: (2 + 1) / (3 + 2)
         np.testing.assert_allclose(cal.apply(ScoreSet.from_probabilities([0.9])), [0.6])
 
     def test_default_bins(self):
         # histogram and platt_bin fit N_BINS equal-mass bins; histogram smooths them
-        data = logistic_data(n=100)
-        hist, pbin = fit("histogram", data), fit("platt_bin", data)
+        scores, y = logistic_data(n=100)
+        hist, pbin = fit("histogram", scores, y), fit("platt_bin", scores, y)
         assert hist.diagnostics == {"n_bins": cal_mod.N_BINS, "laplace": True}
         assert len(pbin.params["bins"]) == cal_mod.N_BINS == 10
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown"):
-            fit("bayes", FitData([0.0], [0.5], [1]))
+            fit("bayes", ScoreSet([0.0], [0.5]), [1])
 
     @pytest.mark.parametrize("method", sorted(set(ALL_METHODS) - {"platt"}))
     def test_init_is_for_platt_only(self, method):
         with pytest.raises(ValueError, match="init warm-starts platt fits only"):
-            fit(method, logistic_data(n=40), (-1.0, 0.0))
+            fit(method, *logistic_data(n=40), (-1.0, 0.0))
 
 
 class TestCalibratorSurface:
@@ -311,22 +323,31 @@ class TestCalibratorSurface:
         assert nll_of_probs([0.8, 0.4], [1, 0]) == pytest.approx(
             -(np.log(0.8) + np.log(0.6)) / 2)
 
+    @pytest.mark.parametrize("p, y", [([0.2, 0.5, 0.9], [1]), ([[0.2, 0.5]], [[1, 0]]),
+                                      ([], [])])
+    def test_nll_of_probs_needs_aligned_nonempty_1d_input(self, p, y):
+        with pytest.raises(ValueError, match="^p and y must be equal-length, non-empty 1-D"):
+            nll_of_probs(p, y)
+
     @pytest.mark.parametrize("method", ALL_METHODS)
     def test_serialization_roundtrip(self, method):
-        data = logistic_data(n=60, seed=7)
-        cal = fit(method, data)
+        scores, y = logistic_data(n=60, seed=7)
+        cal = fit(method, scores, y)
         back = _section(Calibrator, "unified",
                         json.loads(json.dumps(_jsonable(cal), sort_keys=True)))
-        np.testing.assert_allclose(
-            back.apply(ScoreSet(data.margins, data.probabilities)),
-            cal.apply(ScoreSet(data.margins, data.probabilities)), atol=1e-12)
+        np.testing.assert_allclose(back.apply(scores), cal.apply(scores), atol=1e-12)
 
 
 class TestFitDataBoundary:
+    """What ``fit`` takes: a ScoreSet, which checks the scores, and aligned 0/1 labels."""
+
     BAD = {
         "label_2": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, 2, 1]),
         "label_half": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, 0.5, 1]),
         "label_nan": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, np.nan, 1]),
+        "label_short": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [0, 1]),
+        "label_empty": ([], [], []),
+        "label_2d": ([0.0, 1.0, -1.0], [0.5, 0.7, 0.3], [[0, 1, 1]]),
         "margin_nan": ([0.0, np.nan, -1.0], [0.5, 0.7, 0.3], [0, 1, 1]),
         "margin_inf": ([0.0, np.inf, -1.0], [0.5, 0.7, 0.3], [0, 1, 1]),
         "prob_nan": ([0.0, 1.0, -1.0], [0.5, np.nan, 0.3], [0, 1, 1]),
@@ -339,12 +360,16 @@ class TestFitDataBoundary:
     def test_rejects_bad_input_for_every_method(self, method, case):
         m, p, y = self.BAD[case]
         with pytest.raises(ValueError, match="labels|margins|probabilities"):
-            fit(method, FitData(np.array(m), np.array(p), np.array(y)))
+            fit(method, ScoreSet(np.array(m), np.array(p)), np.array(y))
 
     def test_accepts_closed_probability_interval_and_bool_labels(self):
-        data = FitData([-1.0, 0.0, 1.0], [0.0, 0.5, 1.0], [False, True, True])
-        assert data.labels.dtype == np.int64
-        np.testing.assert_array_equal(data.labels, [0, 1, 1])
+        # probabilities of exactly 0 and 1 enter through from_probabilities, which clips them
+        scores = ScoreSet.from_probabilities([0.0, 0.5, 1.0, 0.3])
+        y = np.array([False, True, True, False])
+        for method in ALL_METHODS:
+            got, want = fit(method, scores, y), fit(method, scores, y.astype(np.int64))
+            assert (json.dumps(_jsonable(got), sort_keys=True)
+                    == json.dumps(_jsonable(want), sort_keys=True)), method
 
 
 # Reference kernels: the calibrator fits as they were before the golden
@@ -431,18 +456,18 @@ def _ref_fit_temperature(margins, y):
                       {"final_nll": objective(math.log(t)), "iterations": 220})
 
 
-def _reference_fit(method, data, init=None):
+def _reference_fit(method, scores, y, init=None):
     with mock.patch.object(cal_mod, "_newton_logistic", _ref_newton_logistic), \
             mock.patch.object(cal_mod, "_fit_temperature", _ref_fit_temperature):
-        return fit(method, data, init)
+        return fit(method, scores, y, init)
 
 
 ORACLE_METHODS = ("platt", "temperature", "beta", "dirichlet2", "platt_bin")
 
 
-def _assert_fits_match_reference(data, methods=ORACLE_METHODS, init=None):
+def _assert_fits_match_reference(scores, y, methods=ORACLE_METHODS, init=None):
     for method in methods:
-        got, want = fit(method, data, init), _reference_fit(method, data, init)
+        got, want = fit(method, scores, y, init), _reference_fit(method, scores, y, init)
         assert (json.dumps(_jsonable(got), sort_keys=True)
                 == json.dumps(_jsonable(want), sort_keys=True)), method
 
@@ -457,7 +482,7 @@ def _random_fit_data(rng):
         probs = rng.uniform(size=n)
     else:
         probs = ScoreSet.from_margins(margins).probabilities
-    return FitData(margins, probs, y)
+    return ScoreSet(margins, probs), y
 
 
 class TestKernelOracle:
@@ -481,16 +506,16 @@ class TestKernelOracle:
         for i in range(100):
             # platt_bin's small bins can take 1,000 Newton steps, so fewer of those
             methods = ORACLE_METHODS if i % 10 == 0 else PARAMETRIC_METHODS
-            _assert_fits_match_reference(_random_fit_data(rng), methods)
+            _assert_fits_match_reference(*_random_fit_data(rng), methods)
 
     @pytest.mark.parametrize("y", [[0, 1], [1, 0]])
     def test_two_rows(self, y):
         m = np.array([-1.3, 0.4])
-        _assert_fits_match_reference(FitData(m, sigmoid(m), y))
+        _assert_fits_match_reference(ScoreSet(m, sigmoid(m)), y)
 
     def test_flat_temperature_objective(self):
         y = np.tile([0, 1, 1], 20)
-        _assert_fits_match_reference(FitData(np.zeros(60), np.full(60, 0.5), y))
+        _assert_fits_match_reference(ScoreSet(np.zeros(60), np.full(60, 0.5)), y)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("big", [40.0, 800.0])
@@ -499,17 +524,17 @@ class TestKernelOracle:
         m = rng.choice([-big, big, -1.0, 0.5], size=80)
         y = (rng.uniform(size=80) < 0.5).astype(int)
         y[0], y[1] = 0, 1
-        _assert_fits_match_reference(FitData(m, ScoreSet.from_margins(m).probabilities, y))
+        _assert_fits_match_reference(ScoreSet.from_margins(m), y)
         # separable: every positive has a saturated positive margin
         y = (m > 0).astype(int)
-        _assert_fits_match_reference(FitData(m, ScoreSet.from_margins(m).probabilities, y))
+        _assert_fits_match_reference(ScoreSet.from_margins(m), y)
 
     def test_platt_warm_starts(self):
         rng = np.random.default_rng(5)
-        data = logistic_data(n=150, seed=5)
+        scores, y = logistic_data(n=150, seed=5)
         for _ in range(10):
             init = (rng.uniform(-5, 1), rng.uniform(-3, 3))
-            _assert_fits_match_reference(data, ("platt",), init)
+            _assert_fits_match_reference(scores, y, ("platt",), init)
 
     @pytest.mark.parametrize("seed, first", [(4, 1), (5, 0)])
     def test_beta_freezes_one_coordinate_then_the_other(self, seed, first):
@@ -518,8 +543,8 @@ class TestKernelOracle:
         m = rng.normal(size=n) * rng.uniform(0.2, 4) + rng.uniform(-2, 2)
         t = rng.normal(size=n) * rng.uniform(0.2, 3) + rng.uniform(-1, 1)
         y = (rng.uniform(size=n) < _ref_sigmoid(t)).astype(int)
-        data = FitData(m, ScoreSet.from_margins(m).probabilities, y)
-        d = fit("dirichlet2", data).params
+        scores = ScoreSet.from_margins(m)
+        d = fit("dirichlet2", scores, y).params
         assert [j for j, bad in ((0, d["w1"] < 0), (1, d["w2"] > 0)) if bad] == [first]
-        assert fit("beta", data).diagnostics["clamped"] == [0, 1]
-        _assert_fits_match_reference(data, ("beta",))
+        assert fit("beta", scores, y).diagnostics["clamped"] == [0, 1]
+        _assert_fits_match_reference(scores, y, ("beta",))

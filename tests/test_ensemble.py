@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from clustercal.calibrators import FitData, fit
+from clustercal.calibrators import fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
 from clustercal.harness import _jsonable, _section
@@ -26,8 +26,7 @@ def synth_setup(seed=0, offsets=(2.0, -2.0, 1.0), rates=(0.2, 0.5, 0.8), n=500):
 
 def train(scores, V, cm, method, y, **kwargs):
     """Assign the rows, fit the global calibrator and train the ensemble on them."""
-    data = FitData.from_scores(scores, y)
-    return train_clustered(data, assign(cm, V), cm, method, fit(method, data), **kwargs)
+    return train_clustered(scores, y, assign(cm, V), cm, method, fit(method, scores, y), **kwargs)
 
 
 class TestTrainClustered:
@@ -39,25 +38,25 @@ class TestTrainClustered:
 
     def test_alignment_checked(self):
         ds, sp, scores, E, cm = synth_setup()
-        data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
+        cal, y = scores.take(sp.calibration), ds.labels[sp.calibration]
         labels = assign(cm, E[sp.calibration])
         with pytest.raises(ValueError, match="aligned"):
-            train_clustered(data, labels[:3], cm, "platt", fit("platt", data))
+            train_clustered(cal, y, labels[:3], cm, "platt", fit("platt", cal, y))
 
     def test_cluster_ids_must_belong_to_the_model(self):
         ds, sp, scores, E, cm = synth_setup()
-        data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
+        cal, y = scores.take(sp.calibration), ds.labels[sp.calibration]
         labels = assign(cm, E[sp.calibration])
         labels[0] = cm.k
         with pytest.raises(ValueError, match="cluster ids"):
-            train_clustered(data, labels, cm, "platt", fit("platt", data))
+            train_clustered(cal, y, labels, cm, "platt", fit("platt", cal, y))
 
     def test_fallback_must_be_the_base_method(self):
         ds, sp, scores, E, cm = synth_setup()
-        data = FitData.from_scores(scores.take(sp.calibration), ds.labels[sp.calibration])
+        cal, y = scores.take(sp.calibration), ds.labels[sp.calibration]
         labels = assign(cm, E[sp.calibration])
         with pytest.raises(ValueError, match="fallback is a 'beta' calibrator, expected 'platt'"):
-            train_clustered(data, labels, cm, "platt", fit("beta", data))
+            train_clustered(cal, y, labels, cm, "platt", fit("beta", cal, y))
 
     def test_single_cluster_equals_unified(self):
         ds, sp, scores, E, _ = synth_setup()
@@ -65,8 +64,7 @@ class TestTrainClustered:
         cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
                            np.array([len(V)]), np.array([0]))
         ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
-        uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
-                                               ds.labels[sp.calibration]))
+        uni = fit("platt", scores.take(sp.calibration), ds.labels[sp.calibration])
         p_ccl, _ = ccl.infer(scores.take(sp.test), E[sp.test])
         p_uni = uni.apply(scores.take(sp.test))
         np.testing.assert_allclose(p_ccl, p_uni, atol=1e-6)
@@ -117,8 +115,8 @@ class TestTrainClustered:
             mask = labels == c
             if not mask.any() or ccl.cluster_meta[c]["used_constant"]:
                 continue
-            sub = FitData(cal_s.margins[mask], cal_s.probabilities[mask], y_cal[mask])
-            assert ccl.resolve(c).nll(sub) <= ccl.fallback.nll(sub) + 1e-8
+            sub, y_sub = cal_s.take(mask), y_cal[mask]
+            assert ccl.resolve(c).nll(sub, y_sub) <= ccl.fallback.nll(sub, y_sub) + 1e-8
 
     def test_serialization_roundtrip(self):
         ds, sp, scores, E, cm = synth_setup(seed=5)
@@ -143,14 +141,23 @@ class TestImprovedFraction:
         p_cluster = np.array([0.5, 0.5, 0.1, 0.9])
         assert improved_sample_fraction(p_cluster, p_unified, labels, y) == 0.5
 
+    @pytest.mark.parametrize("p_cluster, p_unified, labels, y", [
+        ([], [], [], []),
+        ([0.5, 0.5], [0.5], [0, 0], [0, 1]),
+        ([0.5, 0.5], [0.5, 0.5], [0], [0, 1]),
+        ([[0.5, 0.5]], [[0.5, 0.5]], [[0, 0]], [[0, 1]]),
+    ])
+    def test_rejects_misaligned_or_empty_input(self, p_cluster, p_unified, labels, y):
+        with pytest.raises(ValueError, match="^inputs must be aligned, non-empty 1-D arrays$"):
+            improved_sample_fraction(p_cluster, p_unified, labels, y)
+
     def test_bounded_and_zero_for_identical_models(self):
         ds, sp, scores, E, _ = synth_setup(seed=6)
         V = E[sp.calibration]
         cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
                            np.array([len(V)]), np.array([0]))
         ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
-        uni = fit("platt", FitData.from_scores(scores.take(sp.calibration),
-                                               ds.labels[sp.calibration]))
+        uni = fit("platt", scores.take(sp.calibration), ds.labels[sp.calibration])
         te_s = scores.take(sp.test)
         p_ccl, labels = ccl.infer(te_s, E[sp.test])
         frac = improved_sample_fraction(p_ccl, uni.apply(te_s), labels, ds.labels[sp.test])

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from clustercal import harness
-from clustercal.calibrators import FitData
+from clustercal.calibrators import nll_of_probs
 from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
     REJECTION_THRESHOLDS, _average_ranks, _bin_ids, ada_ece, auc, cece, ece, mce,
@@ -147,7 +147,7 @@ class TestSharedInputRules:
     # boundary -> (call on probabilities and labels, name of the labels, of the probabilities)
     BOUNDARIES = {
         "ece": (lambda p, y: ece(p, y), "y", "probabilities"),
-        "FitData": (lambda p, y: FitData(np.zeros(len(p)), p, y), "labels", "probabilities"),
+        "nll_of_probs": (lambda p, y: nll_of_probs(p, y), "y", "p"),
         "paired_resample_test": (lambda p, y: paired_resample_test(p, np.full(len(p), 0.5), y),
                                  "y", "scores_a"),
     }

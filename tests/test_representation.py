@@ -576,3 +576,15 @@ class TestDiagnostics:
         cm = ClusterModel("kmeans", 1, np.zeros((1, 1)), np.array([1]), np.array([0]))
         with pytest.raises(ValueError, match="aligned"):
             diagnostics(cm, np.array([0, 0]), np.array([1]))
+
+    @pytest.mark.parametrize("labels, y, match", [
+        ([0, 1, 0, 1, 0], [0, 2, 0, 1, 0], "^y must hold 0/1 labels$"),
+        ([0, 1, 2, 1, 0], [0, 1, 0, 1, 0], r"^cluster ids must lie in \[0, 2\)$"),
+        ([0, 1, -1, 1, 0], [0, 1, 0, 1, 0], r"^cluster ids must lie in \[0, 2\)$"),
+        ([], [], "aligned, non-empty"),
+        ([[0, 1]], [[0, 1]], "aligned, non-empty"),
+    ])
+    def test_rejects_bad_input(self, labels, y, match):
+        cm = ClusterModel("kmeans", 2, np.zeros((2, 1)), np.array([3, 2]), np.array([0, 0]))
+        with pytest.raises(ValueError, match=match):
+            diagnostics(cm, np.array(labels), np.array(y))
