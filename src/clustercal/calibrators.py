@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import _bin_ids, _labels, _probabilities
+from .metrics import _aligned, _bin_ids, _labels, _probabilities
 from .scores import ScoreSet, sigmoid
 
 __all__ = [
@@ -118,10 +118,8 @@ def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
 def nll_of_probs(p, y, eps: float = APPLY_EPS) -> float:
     """Mean negative log-likelihood of 0/1 labels ``y`` under ``p`` clipped to
     [eps, 1 - eps]; ``p`` and ``y`` are aligned, non-empty 1-D arrays."""
-    p = _probabilities(p, "p")
-    y = _labels(y, "y").astype(np.float64)
-    if p.ndim != 1 or p.shape != y.shape or not len(p):
-        raise ValueError("p and y must be equal-length, non-empty 1-D arrays")
+    p, y = _aligned(p=p, y=y)
+    p, y = _probabilities(p, "p"), _labels(y, "y").astype(np.float64)
     return _nll(p, y, 1.0 - y, eps)
 
 
@@ -155,9 +153,7 @@ def fit(method: str, scores: ScoreSet, y, init=None) -> Calibrator:
         raise ValueError(f"unknown calibration method {method!r}")
     if init is not None and method != "platt":
         raise ValueError(f"init warm-starts platt fits only, not {method!r}")
-    y = _labels(y, "labels").astype(np.int64)
-    if y.ndim != 1 or not len(y) or scores.margins.shape != y.shape:
-        raise ValueError("scores and labels must be equal-length, non-empty 1-D arrays")
+    y = _labels(_aligned(scores=scores.probabilities, labels=y)[1], "labels").astype(np.int64)
     if method == "constant":
         return _constant(_laplace_rate(y))
     single_class = (y == y[0]).all()
@@ -347,11 +343,12 @@ def pav(values, weights=None) -> np.ndarray:
     """Weighted pool-adjacent-violators: the L2 non-decreasing fit of finite 1-D
     ``values`` under aligned finite ``weights`` > 0 (default all 1)."""
     v = np.asarray(values, dtype=np.float64)
-    w = np.ones_like(v) if weights is None else np.asarray(weights, dtype=np.float64)
-    if v.ndim != 1 or not np.isfinite(v).all():
-        raise ValueError("pav values must be finite and 1-D")
-    if w.shape != v.shape or not ((w > 0) & (w < np.inf)).all():  # also false for NaN
-        raise ValueError("pav weights must be finite, > 0 and aligned with the values")
+    v, w = _aligned(values=v, weights=np.ones_like(v) if weights is None else weights)
+    w = w.astype(np.float64, copy=False)
+    if not np.isfinite(v).all():
+        raise ValueError("pav values must be finite")
+    if not ((w > 0) & (w < np.inf)).all():  # also false for NaN
+        raise ValueError("pav weights must be finite and > 0")
     means, wsum, counts = [], [], []
     for vi, wi in zip(v, w):
         means.append(vi)

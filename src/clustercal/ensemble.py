@@ -15,7 +15,7 @@ import numpy as np
 
 from . import calibrators as cal_mod
 from .calibrators import Calibrator, PARAMETRIC_METHODS, _constant, _laplace_rate
-from .metrics import _labels, ece
+from .metrics import _aligned, _cluster_ids, _labels, ece
 from .representation import ClusterModel, assign
 from .scores import ScoreSet
 
@@ -61,11 +61,8 @@ def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str
     if method not in PARAMETRIC_METHODS:
         raise ValueError(
             f"clustered calibration requires a parametric base method, got {method!r}")
-    y, clusters = _labels(y, "labels"), np.asarray(clusters)
-    if not len(y) or not (y.shape == clusters.shape == (len(scores),)):
-        raise ValueError("scores, labels and cluster ids must be aligned and non-empty")
-    if not ((clusters >= 0) & (clusters < cm.k)).all():
-        raise ValueError(f"cluster ids must lie in [0, {cm.k})")
+    _, y, clusters = _aligned(scores=scores.probabilities, labels=y, clusters=clusters)
+    y, clusters = _labels(y, "labels"), _cluster_ids(clusters, cm.k)
     expected = "constant" if (y == y[0]).all() else method  # what fit(method, scores, y) returns
     if fallback.method != expected:
         raise ValueError(f"fallback is a {fallback.method!r} calibrator, expected {expected!r}")
@@ -104,9 +101,9 @@ def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10,
     ``scheme``) is strictly lower under the clustered probabilities
     ``p_cluster`` than under the unified ones ``p_unified``; ``labels`` are
     the cluster ids and ``y`` the 0/1 labels, all aligned, non-empty and 1-D."""
-    p_cluster, p_unified, labels, y = map(np.asarray, (p_cluster, p_unified, labels, y))
-    if y.ndim != 1 or not len(y) or {a.shape for a in (p_cluster, p_unified, labels)} != {y.shape}:
-        raise ValueError("inputs must be aligned, non-empty 1-D arrays")
+    p_cluster, p_unified, labels, y = _aligned(p_cluster=p_cluster, p_unified=p_unified,
+                                               labels=labels, y=y)
+    labels = _cluster_ids(labels)
     improved = 0
     for c in np.unique(labels):
         mask = labels == c

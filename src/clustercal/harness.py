@@ -24,8 +24,8 @@ from .data import (
 from .ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction, train_clustered
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict
 from .metrics import (
-    BASES, REJECTION_THRESHOLDS, SCHEMES, _labels, _probabilities, ada_ece, auc, cece, ece, mce,
-    rejection_curve, scalar_metrics,
+    BASES, REJECTION_THRESHOLDS, SCHEMES, _aligned, _labels, _probabilities, ada_ece, auc, cece,
+    ece, mce, rejection_curve, scalar_metrics,
 )
 from .representation import (
     EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel, EmbeddingOpts,
@@ -48,6 +48,8 @@ __all__ = [
 ]
 
 METRIC_COLUMNS = ("CECE", "ECE", "MCE", "AdaECE", "AUC", "ACC", "CE", "MSE_brier", "RMSE")
+# the criteria select_model may minimize
+LOWER_IS_BETTER = tuple(c for c in METRIC_COLUMNS if c not in ("AUC", "ACC"))
 
 
 class ConfigError(ValueError):
@@ -260,14 +262,18 @@ class ExperimentConfig:
             raise ConfigError(f"embedding.kind {emb.kind!r} needs a gbt model")
         if emb.kind == "external" and emb.path is None:
             raise ConfigError("embedding.kind 'external' needs embedding.path")
-        for key, value in (("clustering.k", clu.k), ("metric_opts.n_bins", self.metric_opts.n_bins)):
-            if value is not None and value < 1:
-                raise ConfigError(f"{key} must be positive, not {value}")
+        for key, value, least in (("clustering.k", clu.k, 1),
+                                  ("metric_opts.n_bins", self.metric_opts.n_bins, 1),
+                                  ("clustering.min_cluster_size", clu.min_cluster_size, 0),
+                                  ("ccl_opts.min_fit_size", self.ccl_opts.min_fit_size, 0)):
+            if value is not None and value < least:
+                raise ConfigError(f"{key} must be {'positive' if least else '>= 0'}, not {value}")
         # the rules the library applies to these values when it uses them
         for key, rule in (("split_ratios", lambda: _ratios(self.split_ratios)),
                           ("clustering.elbow", lambda: _elbow_grid(clu.elbow)),
-                          ("rejection_thresholds",
-                           lambda: _probabilities(self.rejection_thresholds, "values"))):
+                          ("rejection_thresholds",    # rejection_curve's thresholds rule
+                           lambda: _probabilities(_aligned(values=self.rejection_thresholds)[0],
+                                                  "values"))):
             try:
                 rule()
             except ValueError as exc:
@@ -622,11 +628,8 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
     The first call that computes a p-value imports ``scipy.stats``, which
     takes about 1.3 s.
     """
-    a = _probabilities(scores_a, "scores_a")
-    b = _probabilities(scores_b, "scores_b")
-    y = _labels(y, "y")
-    if not (a.shape == b.shape == y.shape):
-        raise ValueError("inputs must be aligned")
+    a, b, y = _aligned(scores_a=scores_a, scores_b=scores_b, y=y)
+    a, b, y = _probabilities(a, "scores_a"), _probabilities(b, "scores_b"), _labels(y, "y")
     if not 0 < fraction <= 1:
         raise ConfigError("fraction must be in (0, 1]")
     if iterations < 2:
@@ -663,7 +666,7 @@ def paired_resample_test(scores_a, scores_b, y, metric="ece", fraction: float = 
 
 
 def select_model(report: EvalReport, criterion: str = "CECE") -> dict:
-    """Pick the report row minimizing the criterion.
+    """Pick the report row minimizing the criterion, one of ``LOWER_IS_BETTER``.
 
     Ties break by higher AUC, then variant name. The result notes when the
     ECE winner differs from the criterion winner, and flags pairs where the
@@ -671,8 +674,8 @@ def select_model(report: EvalReport, criterion: str = "CECE") -> dict:
     """
     if len(report.rows) < 2:
         raise ValueError("need at least 2 rows to select between")
-    if criterion not in METRIC_COLUMNS:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    if criterion not in LOWER_IS_BETTER:
+        raise ValueError(f"criterion must be one of {list(LOWER_IS_BETTER)}, not {criterion!r}")
     for row in report.rows:
         for c in (criterion, "ECE", "AUC"):
             if not math.isfinite(row[c]):

@@ -68,20 +68,25 @@ def _probabilities(p, name: str) -> np.ndarray:
     return p
 
 
-def _check_lengths(p, y):
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y)
-    if p.shape != y.shape:
-        raise ValueError(f"length mismatch: {p.shape} vs {y.shape}")
-    if p.size == 0:
-        raise ValueError("empty input")
-    return p, _labels(y, "y")
+def _aligned(**arrays) -> list:
+    """The shape rule of every boundary: the named arrays are 1-D, non-empty
+    and of one length. Returns them as arrays, in the order given."""
+    out = [np.asarray(a) for a in arrays.values()]
+    shape = out[0].shape
+    if len(shape) != 1 or not shape[0] or {a.shape for a in out} != {shape}:
+        names = " and ".join(", ".join(arrays).rsplit(", ", 1))
+        raise ValueError(f"{names} must be aligned, non-empty 1-D arrays")
+    return out
 
 
-def _check_probs(p, y):
-    """_check_lengths plus the probability rule."""
-    p, y = _check_lengths(p, y)
-    return _probabilities(p, "probabilities"), y
+def _cluster_ids(ids, k=None) -> np.ndarray:
+    """The cluster-id rule of every boundary, after the shape rule: ``ids``
+    have an integer dtype and lie in [0, k), or >= 0 if ``k`` is None."""
+    ids = np.asarray(ids)
+    if ids.dtype.kind not in "iu" or ids.min() < 0 or (k is not None and ids.max() >= k):
+        span = ">= 0" if k is None else f"in [0, {k})"
+        raise ValueError(f"cluster ids must be integers {span}")
+    return ids.astype(np.intp, copy=False)
 
 
 def _bin_ids(p, m, scheme):
@@ -108,7 +113,8 @@ def _stats_from_ids(p, y, ids, m) -> BinStats:
 
 
 def _binned(p, y, m, scheme):
-    p, y = _check_probs(p, y)
+    p, y = _aligned(p=p, y=y)
+    y, p = _labels(y, "y"), _probabilities(p, "probabilities")
     if m < 1:
         raise ValueError("need at least one bin")
     return _stats_from_ids(p, y, _bin_ids(p, m, scheme), m)
@@ -154,10 +160,8 @@ def cece(p, y, cluster_labels, base: str = "ece"):
     Applies the arithmetic of the chosen base metric over bins defined by
     cluster membership, which is invariant to recalibration of ``p``.
     """
-    p, y = _check_probs(p, y)
-    ids = np.asarray(cluster_labels, dtype=np.int64)
-    if ids.shape != p.shape:
-        raise ValueError("cluster labels length mismatch")
+    p, y, ids = _aligned(p=p, y=y, cluster_labels=cluster_labels)
+    y, p, ids = _labels(y, "y"), _probabilities(p, "probabilities"), _cluster_ids(ids)
     stats = _stats_from_ids(p, y, ids, int(ids.max()) + 1)
     return _gap(stats, len(p), base), stats
 
@@ -183,7 +187,8 @@ def auc(scores, y) -> float:
     Scores may be any real numbers, ±inf included; a NaN score raises
     ``ValueError``.
     """
-    s, y = _check_lengths(scores, y)
+    s, y = _aligned(scores=scores, y=y)
+    s, y = np.asarray(s, dtype=np.float64), _labels(y, "y")
     if np.isnan(s).any():
         raise ValueError("scores must not be NaN")
     pos = y == 1
@@ -196,7 +201,8 @@ def auc(scores, y) -> float:
 
 def scalar_metrics(p, y):
     """Accuracy, cross-entropy, Brier score and its root."""
-    p, y = _check_probs(p, y)
+    p, y = _aligned(p=p, y=y)
+    y, p = _labels(y, "y"), _probabilities(p, "probabilities")
     pc = np.clip(p, CE_EPS, 1 - CE_EPS)
     acc = float(np.mean((p >= DECISION_THRESHOLD).astype(np.int64) == y))
     cross = float(-np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc)))
@@ -221,8 +227,10 @@ def rejection_curve(p, y, thresholds=None) -> RejectionCurve:
     Error is the misclassification rate at ``DECISION_THRESHOLD`` among
     accepted samples; an empty accepted set reports error 0 with count 0.
     """
-    p, y = _check_probs(p, y)
-    t = _probabilities(REJECTION_THRESHOLDS if thresholds is None else thresholds, "thresholds")
+    p, y = _aligned(p=p, y=y)
+    y, p = _labels(y, "y"), _probabilities(p, "probabilities")
+    t = REJECTION_THRESHOLDS if thresholds is None else thresholds
+    t = _probabilities(_aligned(thresholds=t)[0], "thresholds")
     u = 2.0 * np.minimum(p, 1.0 - p)
     wrong = (p >= DECISION_THRESHOLD).astype(np.int64) != y
     accepted = np.empty(len(t), dtype=np.int64)

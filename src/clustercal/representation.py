@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .gbt import TreeEnsemble, leaf_indices
-from .metrics import _labels
+from .metrics import _aligned, _cluster_ids, _labels
 from .treeshap import shap_values
 
 __all__ = [
@@ -378,13 +378,8 @@ def assign(cm: ClusterModel, V) -> np.ndarray:
 def diagnostics(cm: ClusterModel, labels, y) -> ClusterDiagnostics:
     """Cluster size/label-rate variance and fully-homogeneous fraction of the
     rows with cluster ids ``labels`` in [0, cm.k) and 0/1 labels ``y``."""
-    labels = np.asarray(labels)
-    y = _labels(y, "y")
-    if labels.ndim != 1 or not len(labels) or labels.shape != y.shape:
-        raise ValueError("labels and y must be aligned, non-empty 1-D arrays")
-    k = cm.k
-    if not ((labels >= 0) & (labels < k)).all():
-        raise ValueError(f"cluster ids must lie in [0, {k})")
+    labels, y = _aligned(labels=labels, y=y)
+    y, labels, k = _labels(y, "y"), _cluster_ids(labels, cm.k), cm.k
     sizes = np.bincount(labels, minlength=k)
     pos = np.bincount(labels, weights=y, minlength=k)
     rates = np.divide(pos, sizes, out=np.zeros(k), where=sizes > 0)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _probabilities
+from .metrics import _aligned, _probabilities
 
 __all__ = ["ScoreSet", "load_external_scores", "sigmoid", "logit"]
 
@@ -40,12 +40,10 @@ class ScoreSet:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.margins, dtype=np.float64)
-        p = np.asarray(self.probabilities, dtype=np.float64)
+        m, p = _aligned(margins=self.margins, probabilities=self.probabilities)
+        m, p = m.astype(np.float64, copy=False), p.astype(np.float64, copy=False)
         object.__setattr__(self, "margins", m)
         object.__setattr__(self, "probabilities", p)
-        if m.shape != p.shape:
-            raise ValueError("margins/probabilities length mismatch")
         if not np.isfinite(m).all():
             raise ValueError("margins must be finite")
         if not ((p > 0) & (p < 1)).all():  # also false for NaN
@@ -75,7 +73,7 @@ def load_external_scores(path, expected_ids=None) -> ScoreSet:
     """Read a score CSV with columns sample_id and margin and/or probability.
 
     Every score column present holds a value on every row. Probabilities
-    must lie in [0, 1] and are clipped by ``PROB_CLIP_EPS``. When only they
+    must be in [0, 1] and are clipped by ``PROB_CLIP_EPS``. When only they
     are present, margins are recovered via the clipped logit.
     ``expected_ids`` cross-checks row identity and order.
     """

@@ -69,17 +69,18 @@ class TestPav:
         assert np.mean(out) == pytest.approx(np.mean(v), abs=1e-9)
 
     @pytest.mark.parametrize("values, weights, match", [
-        ([3.0, 1.0, 2.0], [1.0, 1.0], "weights"),
+        ([3.0, 1.0, 2.0], [1.0, 1.0], "values and weights"),
         ([3.0, 1.0, 2.0], [1.0, -1.0, 1.0], "weights"),
         ([3.0, 1.0, 2.0], [1.0, 0.0, 1.0], "weights"),
         ([3.0, 1.0, 2.0], [1.0, np.inf, 1.0], "weights"),
         ([3.0, 1.0, 2.0], [1.0, np.nan, 1.0], "weights"),
         ([3.0, np.nan, 2.0], None, "values"),
         ([3.0, -np.inf, 2.0], None, "values"),
-        ([[3.0, 1.0, 2.0]], None, "values"),
+        ([[3.0, 1.0, 2.0]], None, "values and weights"),
     ])
     def test_rejects_bad_input(self, values, weights, match):
-        with pytest.raises(ValueError, match=f"^pav {match} must be finite"):
+        with pytest.raises(ValueError, match=f"^(pav {match} must be finite|"
+                                             f"{match} must be aligned, non-empty 1-D arrays$)"):
             pav(values, weights)
 
     @settings(max_examples=150, deadline=None)
@@ -326,7 +327,7 @@ class TestCalibratorSurface:
     @pytest.mark.parametrize("p, y", [([0.2, 0.5, 0.9], [1]), ([[0.2, 0.5]], [[1, 0]]),
                                       ([], [])])
     def test_nll_of_probs_needs_aligned_nonempty_1d_input(self, p, y):
-        with pytest.raises(ValueError, match="^p and y must be equal-length, non-empty 1-D"):
+        with pytest.raises(ValueError, match="^p and y must be aligned, non-empty 1-D arrays$"):
             nll_of_probs(p, y)
 
     @pytest.mark.parametrize("method", ALL_METHODS)

@@ -72,6 +72,10 @@ BAD_CONFIGS = [
     ({"stratify": "no"}, "stratify"),
     ({"methods": ["platt", "platt"]}, "methods repeat: ['platt']"),
     (lambda cfg: [1], "config must be a JSON object"),
+    ({"ccl_opts": {"min_fit_size": -5}}, "ccl_opts.min_fit_size must be >= 0"),
+    ({"clustering": {"method": "kmeans", "k": 4, "min_cluster_size": -3}},
+     "clustering.min_cluster_size must be >= 0"),
+    ({"rejection_thresholds": []}, "rejection_thresholds: values must be aligned"),
 ]
 
 

@@ -148,7 +148,8 @@ class TestImprovedFraction:
         ([[0.5, 0.5]], [[0.5, 0.5]], [[0, 0]], [[0, 1]]),
     ])
     def test_rejects_misaligned_or_empty_input(self, p_cluster, p_unified, labels, y):
-        with pytest.raises(ValueError, match="^inputs must be aligned, non-empty 1-D arrays$"):
+        with pytest.raises(ValueError, match="^p_cluster, p_unified, labels and y must be "
+                                             "aligned, non-empty 1-D arrays$"):
             improved_sample_fraction(p_cluster, p_unified, labels, y)
 
     def test_bounded_and_zero_for_identical_models(self):

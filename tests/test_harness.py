@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clustercal.harness import (
-    ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError, _jsonable,
+    ConfigError, EvalReport, ExperimentConfig, METRIC_COLUMNS, StageError, _jsonable, _read_json,
     paired_resample_test, rejection_selection, run_experiment, run_stages, select_model,
 )
 from clustercal.ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction
@@ -170,6 +170,11 @@ class TestConfig:
         ("clustering", {"elbow": [2, 3, 1]}, "clustering.elbow: elbow grid must be (k_min >= 2, "
                                              "k_max, step >= 1) with at least 3 grid points"),
         ("clustering", {"elbow": [5, 3, 1]}, "clustering.elbow: elbow grid must be"),
+        ("ccl_opts", {"min_fit_size": -5}, "ccl_opts.min_fit_size must be >= 0, not -5"),
+        ("clustering", {"k": 3, "min_cluster_size": -3},
+         "clustering.min_cluster_size must be >= 0, not -3"),
+        ("rejection_thresholds", [], "rejection_thresholds: values must be aligned, non-empty "
+                                     "1-D arrays"),
     ])
     def test_bad_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as info:
@@ -461,6 +466,15 @@ class TestSelectModel:
         for ordered in (rows, rows[::-1]):
             with pytest.raises(ValueError, match=f"variant 'a': {column} is nan"):
                 select_model(fake_report(ordered))
+
+    @pytest.mark.parametrize("criterion", ["AUC", "ACC", "F1"])
+    def test_criterion_must_be_lower_is_better(self, criterion):
+        # minimizing AUC or ACC on the golden report would pick its least discriminating rows
+        report = _read_json(EvalReport, ROOT / "tests" / "golden" / "report" / "eval_report.json")
+        with pytest.raises(ValueError) as exc:
+            select_model(report, criterion)
+        assert str(exc.value) == ("criterion must be one of ['CECE', 'ECE', 'MCE', 'AdaECE', "
+                                  f"'CE', 'MSE_brier', 'RMSE'], not {criterion!r}")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(

@@ -1,18 +1,22 @@
 """Calibration and discrimination metric oracles and properties."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from clustercal import harness
-from clustercal.calibrators import nll_of_probs
+from clustercal.calibrators import fit, nll_of_probs, pav
+from clustercal.ensemble import improved_sample_fraction, train_clustered
 from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
     REJECTION_THRESHOLDS, _average_ranks, _bin_ids, ada_ece, auc, cece, ece, mce,
     reliability_data, rejection_curve, scalar_metrics,
 )
-from clustercal.scores import load_external_scores
+from clustercal.representation import ClusterModel, diagnostics
+from clustercal.scores import ScoreSet, load_external_scores, logit
 
 HAND_P = np.array([0.2, 0.3, 0.7, 0.9])
 HAND_Y = np.array([0, 1, 1, 1])
@@ -138,9 +142,23 @@ class TestInputBoundary:
             auc(scores, y)
 
 
+# arrays every boundary of TestSharedInputRules accepts
+RULE_P = np.array([0.2, 0.7, 0.4, 0.9])
+RULE_Y = np.array([0, 1, 0, 1])
+RULE_IDS = np.array([0, 1, 1, 0])
+RULE_SCORES = ScoreSet.from_probabilities(RULE_P)
+RULE_CM = ClusterModel("kmeans", 2, np.zeros((2, 1)), np.array([2, 2]), np.array([0, 1]))
+
+
+def rule_train(y, clusters):
+    """train_clustered on RULE_SCORES, with a fallback fitted on RULE_Y."""
+    return train_clustered(RULE_SCORES, y, clusters, RULE_CM, "platt",
+                           fit("platt", RULE_SCORES, RULE_Y))
+
+
 class TestSharedInputRules:
-    """Every boundary applies the one label rule and the one probability rule;
-    the message names the argument (or the file) that broke it."""
+    """Every boundary applies the one label, probability, shape and cluster-id
+    rule; the message names the argument (or the file) that broke it."""
 
     P = np.array([0.2, 0.7, 0.4, 0.9])
     Y = np.array([0.0, 1.0, 0.0, 1.0])
@@ -183,6 +201,70 @@ class TestSharedInputRules:
         with pytest.raises(ValueError) as exc:
             call(p, self.Y)
         assert str(exc.value) == f"{name} must be finite, with no value outside [0, 1]"
+
+    # boundary -> (call on its arrays, the arrays, the names its message gives
+    # them); every array is 1-D, of length 4, and accepted as given
+    SHAPED = {
+        "ece": (ece, (RULE_P, RULE_Y), "p and y"),
+        "scalar_metrics": (scalar_metrics, (RULE_P, RULE_Y), "p and y"),
+        "cece": (cece, (RULE_P, RULE_Y, RULE_IDS), "p, y and cluster_labels"),
+        "auc": (auc, (RULE_P, RULE_Y), "scores and y"),
+        "rejection_curve": (rejection_curve, (RULE_P, RULE_Y), "p and y"),
+        "rejection_curve[thresholds]": (lambda t: rejection_curve(RULE_P, RULE_Y, t),
+                                        (np.array([0.2, 0.5, 0.8, 0.9]),), "thresholds"),
+        "nll_of_probs": (nll_of_probs, (RULE_P, RULE_Y), "p and y"),
+        "fit": (lambda y: fit("platt", RULE_SCORES, y), (RULE_Y,), "scores and labels"),
+        "pav": (pav, (RULE_P, np.ones(4)), "values and weights"),
+        "train_clustered": (rule_train, (RULE_Y, RULE_IDS), "scores, labels and clusters"),
+        "improved_sample_fraction": (improved_sample_fraction, (RULE_P, RULE_P, RULE_IDS, RULE_Y),
+                                     "p_cluster, p_unified, labels and y"),
+        "diagnostics": (lambda ids, y: diagnostics(RULE_CM, ids, y), (RULE_IDS, RULE_Y),
+                        "labels and y"),
+        "paired_resample_test": (paired_resample_test, (RULE_P, RULE_P, RULE_Y),
+                                 "scores_a, scores_b and y"),
+        "ScoreSet": (ScoreSet, (logit(RULE_P), RULE_P), "margins and probabilities"),
+    }
+    # shape case -> the arrays of a boundary, reshaped
+    SHAPES = {
+        "2d": lambda arrays: [np.stack([a, a]) for a in arrays],
+        "0d": lambda arrays: [a[0] for a in arrays],
+        "misaligned": lambda arrays: [*arrays[:-1], arrays[-1][:-1]],
+        "empty": lambda arrays: [a[:0] for a in arrays],
+    }
+
+    @pytest.mark.parametrize("boundary, shape", [  # one threshold array cannot be misaligned
+        (b, s) for b, s in itertools.product(SHAPED, SHAPES)
+        if (b, s) != ("rejection_curve[thresholds]", "misaligned")])
+    def test_bad_shape(self, boundary, shape):
+        call, arrays, names = self.SHAPED[boundary]
+        with pytest.raises(ValueError) as exc:
+            call(*self.SHAPES[shape](arrays))
+        assert str(exc.value) == f"{names} must be aligned, non-empty 1-D arrays"
+
+    # boundary -> (call on cluster ids, the k it checks them against, if any)
+    WITH_IDS = {
+        "cece": (lambda ids: cece(RULE_P, RULE_Y, ids), None),
+        "improved_sample_fraction": (
+            lambda ids: improved_sample_fraction(RULE_P, RULE_P, ids, RULE_Y), None),
+        "train_clustered": (lambda ids: rule_train(RULE_Y, ids), RULE_CM.k),
+        "diagnostics": (lambda ids: diagnostics(RULE_CM, ids, RULE_Y), RULE_CM.k),
+    }
+    BAD_IDS = {
+        "float": [0.7, 0.2, 1.5, 1.9],
+        "negative": [0, -1, 0, 1],
+        "k_or_more": [0, 2, 0, 1],
+        "bool": [True, False, True, False],
+    }
+
+    @pytest.mark.parametrize("boundary, case", [
+        (b, c) for (b, (_, k)), c in itertools.product(WITH_IDS.items(), BAD_IDS)
+        if k is not None or c != "k_or_more"])
+    def test_bad_cluster_ids(self, boundary, case):
+        call, k = self.WITH_IDS[boundary]
+        with pytest.raises(ValueError) as exc:
+            call(np.array(self.BAD_IDS[case]))
+        span = ">= 0" if k is None else f"in [0, {k})"
+        assert str(exc.value) == f"cluster ids must be integers {span}"
 
 
 class TestCece:

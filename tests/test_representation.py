@@ -579,8 +579,8 @@ class TestDiagnostics:
 
     @pytest.mark.parametrize("labels, y, match", [
         ([0, 1, 0, 1, 0], [0, 2, 0, 1, 0], "^y must hold 0/1 labels$"),
-        ([0, 1, 2, 1, 0], [0, 1, 0, 1, 0], r"^cluster ids must lie in \[0, 2\)$"),
-        ([0, 1, -1, 1, 0], [0, 1, 0, 1, 0], r"^cluster ids must lie in \[0, 2\)$"),
+        ([0, 1, 2, 1, 0], [0, 1, 0, 1, 0], r"^cluster ids must be integers in \[0, 2\)$"),
+        ([0, 1, -1, 1, 0], [0, 1, 0, 1, 0], r"^cluster ids must be integers in \[0, 2\)$"),
         ([], [], "aligned, non-empty"),
         ([[0, 1]], [[0, 1]], "aligned, non-empty"),
     ])
