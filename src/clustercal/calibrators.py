@@ -115,23 +115,23 @@ def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
     return out
 
 
-def nll_of_probs(p, y, eps: float = APPLY_EPS) -> float:
+def nll_of_probs(p, y) -> float:
     """Mean negative log-likelihood of 0/1 labels ``y`` under ``p`` clipped to
-    [eps, 1 - eps]; ``p`` and ``y`` are aligned, non-empty 1-D arrays."""
+    [APPLY_EPS, 1 - APPLY_EPS]; ``p`` and ``y`` are aligned, non-empty 1-D arrays."""
     p, y = _aligned(p=p, y=y)
     p, y = _probabilities(p, "p"), _labels(y, "y").astype(np.float64)
-    return _nll(p, y, 1.0 - y, eps)
+    return _nll(p, y, 1.0 - y)
 
 
-def _nll(p, y, y1, eps: float = APPLY_EPS) -> float:
+def _nll(p, y, y1) -> float:
     """``nll_of_probs`` on 1-D float64 ``p`` with float labels ``y`` and ``y1 = 1 - y``.
 
     The fit objectives convert the labels once per fit and call this directly.
     It computes y*log(p) + (1-y)*log1p(-p) in two buffers and leaves ``p``
     unchanged.
     """
-    q = np.maximum(p, eps)
-    np.minimum(q, 1 - eps, out=q)
+    q = np.maximum(p, APPLY_EPS)
+    np.minimum(q, 1 - APPLY_EPS, out=q)
     a = np.log(q)
     a *= y
     np.negative(q, out=q)
@@ -186,20 +186,20 @@ def _constant(p0: float, note: str | None = None) -> Calibrator:
     return Calibrator("constant", {"p0": float(p0)}, diag)
 
 
-def _newton_logistic(Z, y, w0, frozen=None):
-    """Minimize mean logistic NLL of sigmoid(Z @ w) over the free coords of w.
+def _newton_logistic(Z, y, w0):
+    """Minimize mean logistic NLL of sigmoid(Z @ w) from ``w0``.
 
     The unclipped probabilities of the accepted line-search candidate are
     sigmoid(Z @ w) for the next iteration, so they are kept for its gradient
-    and Hessian instead of being computed again.
+    and Hessian instead of being computed again. A coefficient with a zero
+    column of ``Z`` has a zero gradient entry and, by the ridge, its own
+    1-by-1 Hessian block, so its step is exactly 0 and it keeps its start.
     """
     n = len(y)
     yf = np.asarray(y, dtype=np.float64)
     y1 = 1.0 - yf
     w = np.asarray(w0, dtype=np.float64).copy()
-    free = np.ones(len(w), dtype=bool)
-    if frozen is not None:
-        free[list(frozen)] = False
+    ridge = 1e-12 * np.eye(len(w))
 
     p = sigmoid(Z @ w)
     obj = _nll(p, yf, y1)
@@ -207,18 +207,15 @@ def _newton_logistic(Z, y, w0, frozen=None):
     gnorm = np.inf
     for it in range(1, MAX_ITER + 1):
         g = Z.T @ (p - yf) / n
-        g[~free] = 0.0
         gnorm = float(np.linalg.norm(g))
         if gnorm <= GRAD_TOL:
             break
         W = p * (1 - p)
-        H = (Z.T * W) @ Z / n + 1e-12 * np.eye(len(w))
-        Hf = H[np.ix_(free, free)]
-        step = np.zeros_like(w)
+        H = (Z.T * W) @ Z / n + ridge
         try:
-            step[free] = np.linalg.solve(Hf, g[free])
+            step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
-            step[free] = g[free]
+            step = g
         # backtracking line search
         alpha = 1.0
         for _ in range(60):
@@ -293,27 +290,20 @@ def _fit_dirichlet2(probs, y, constrained: bool) -> Calibrator:
     Z = np.column_stack([np.log(p), np.log1p(-p), np.ones(len(p))])
     w0 = np.array([1.0, -1.0, 0.0])  # Platt-equivalent start
     w, diag = _newton_logistic(Z, y, w0)
+    if not constrained:
+        return Calibrator("dirichlet2",
+                          {"w1": float(w[0]), "w2": float(w[1]), "c": float(w[2])}, diag)
+    # beta requires a >= 0 (coef on ln p) and b >= 0 (coef on -ln(1-p)). A free
+    # coefficient across its bound is frozen at 0 by zeroing its column and its
+    # start, and the rest refit from w0; a refit can push the other one across.
     frozen = []
-    if constrained:
-        # beta requires a >= 0 (coef on ln p) and b >= 0 (coef on -ln(1-p))
-        if w[0] < 0:
-            frozen.append(0)
-        if w[1] > 0:
-            frozen.append(1)
-        if frozen:
-            w0c = w0.copy()
-            w0c[frozen] = 0.0
-            w, diag = _newton_logistic(Z, y, w0c, frozen=frozen)
-            # the refit can push the other coefficient across its bound
-            extra = [j for j, bad in ((0, w[0] < 0), (1, w[1] > 0)) if bad and j not in frozen]
-            if extra:
-                frozen += extra
-                w0c[frozen] = 0.0
-                w, diag = _newton_logistic(Z, y, w0c, frozen=frozen)
-        diag = dict(diag, clamped=sorted(frozen))
-        return Calibrator("beta", {"a": float(w[0]), "b": float(-w[1]), "c": float(w[2])}, diag)
-    return Calibrator("dirichlet2",
-                      {"w1": float(w[0]), "w2": float(w[1]), "c": float(w[2])}, diag)
+    while crossed := [j for j, bad in ((0, w[0] < 0), (1, w[1] > 0)) if bad and j not in frozen]:
+        frozen += crossed
+        Z[:, crossed] = 0.0
+        w0[crossed] = 0.0
+        w, diag = _newton_logistic(Z, y, w0)
+    diag = dict(diag, clamped=sorted(frozen))
+    return Calibrator("beta", {"a": float(w[0]), "b": float(-w[1]), "c": float(w[2])}, diag)
 
 
 def _equal_mass_edges(probs, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -146,8 +146,11 @@ def load_csv(spec: CsvSpec) -> Dataset:
         raise DataError(f"{path}: cannot read the file: {exc}") from None
     if header is None:
         raise DataError(f"{path}: empty file")
-    if label_column not in header:
-        raise DataError(f"{path}: missing label column {label_column!r}")
+    for role, column in (("label", label_column), ("id", spec.id_column)):
+        if column is not None and column not in header:
+            raise DataError(f"{path}: missing {role} column {column!r}")
+    if spec.id_column == label_column:
+        raise DataError(f"{path}: id column {label_column!r} is the label column")
     label_j = header.index(label_column)
     id_j = header.index(spec.id_column) if spec.id_column is not None else None
     feat_js = [j for j in range(len(header)) if j != label_j and j != id_j]

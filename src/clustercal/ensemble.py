@@ -61,6 +61,8 @@ def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str
     if method not in PARAMETRIC_METHODS:
         raise ValueError(
             f"clustered calibration requires a parametric base method, got {method!r}")
+    if min_fit_size < 0:
+        raise ValueError(f"min_fit_size must be >= 0, not {min_fit_size}")
     _, y, clusters = _aligned(scores=scores.probabilities, labels=y, clusters=clusters)
     y, clusters = _labels(y, "labels"), _cluster_ids(clusters, cm.k)
     expected = "constant" if (y == y[0]).all() else method  # what fit(method, scores, y) returns

@@ -346,6 +346,8 @@ def select_k_elbow(V, k_range, seed: int = 0,
     """
     V = _embedding(V)
     k_min, k_max, step = _elbow_grid(k_range)
+    if min_cluster_size < 0:
+        raise ValueError(f"min_cluster_size must be >= 0, not {min_cluster_size}")
     ks = [k for k in range(k_min, min(k_max, len(V)) + 1, step)]
     # the grid shares its start: k-means++ draws centroid j from the same
     # generator state whatever k is, and Ward's hierarchy does not depend on k
@@ -355,8 +357,7 @@ def select_k_elbow(V, k_range, seed: int = 0,
     else:
         Z = _ward(V)
         models = {k: _cut_ward(V, k, Z) for k in ks}
-    if min_cluster_size > 0:
-        ks = [k for k in ks if models[k].sizes.min() >= min_cluster_size] or ks
+    ks = [k for k in ks if models[k].sizes.min() >= min_cluster_size] or ks
     if len(ks) < 3:
         raise ValueError("elbow selection needs at least 3 grid points")
     inertias = np.array([models[k].inertia for k in ks])

@@ -93,6 +93,8 @@ def load_external_scores(path, expected_ids=None) -> ScoreSet:
                 except (TypeError, ValueError):  # a blank cell, a word, None for a short row
                     raise ValueError(f"{path}: line {reader.line_num} has no {c} number: "
                                      f"{row[c]!r}") from None
+    if not ids:
+        raise ValueError(f"{path}: no data rows")
     if expected_ids is not None:
         if list(expected_ids) != ids:
             raise ValueError(f"{path}: sample ids do not match the dataset")

@@ -13,7 +13,7 @@ from scipy.optimize import minimize, minimize_scalar
 
 from clustercal import calibrators as cal_mod
 from clustercal.calibrators import (
-    ALL_METHODS, GRAD_TOL, MAX_ITER, N_BINS, PARAMETRIC_METHODS, T_BOUNDS,
+    ALL_METHODS, APPLY_EPS, GRAD_TOL, MAX_ITER, N_BINS, PARAMETRIC_METHODS, T_BOUNDS,
     Calibrator, fit, nll_of_probs, pav,
 )
 from clustercal.harness import _jsonable, _section
@@ -374,8 +374,9 @@ class TestFitDataBoundary:
 
 
 # Reference kernels: the calibrator fits as they were before the golden
-# section stopped at its 2-cycle and the NLL was computed in place. The
-# current kernels must give byte-identical calibrators.
+# section stopped at its 2-cycle, the NLL was computed in place and beta's
+# clamp became a zero column of the design matrix. The current kernels must
+# give byte-identical calibrators.
 
 def _ref_sigmoid(x):
     with np.errstate(over="ignore"):
@@ -457,9 +458,36 @@ def _ref_fit_temperature(margins, y):
                       {"final_nll": objective(math.log(t)), "iterations": 220})
 
 
+def _ref_fit_dirichlet2(probs, y, constrained):
+    p = np.clip(probs, APPLY_EPS, 1 - APPLY_EPS)
+    Z = np.column_stack([np.log(p), np.log1p(-p), np.ones(len(p))])
+    w0 = np.array([1.0, -1.0, 0.0])
+    w, diag = _ref_newton_logistic(Z, y, w0)
+    frozen = []
+    if constrained:
+        if w[0] < 0:
+            frozen.append(0)
+        if w[1] > 0:
+            frozen.append(1)
+        if frozen:
+            w0c = w0.copy()
+            w0c[frozen] = 0.0
+            w, diag = _ref_newton_logistic(Z, y, w0c, frozen=frozen)
+            extra = [j for j, bad in ((0, w[0] < 0), (1, w[1] > 0)) if bad and j not in frozen]
+            if extra:
+                frozen += extra
+                w0c[frozen] = 0.0
+                w, diag = _ref_newton_logistic(Z, y, w0c, frozen=frozen)
+        diag = dict(diag, clamped=sorted(frozen))
+        return Calibrator("beta", {"a": float(w[0]), "b": float(-w[1]), "c": float(w[2])}, diag)
+    return Calibrator("dirichlet2",
+                      {"w1": float(w[0]), "w2": float(w[1]), "c": float(w[2])}, diag)
+
+
 def _reference_fit(method, scores, y, init=None):
     with mock.patch.object(cal_mod, "_newton_logistic", _ref_newton_logistic), \
-            mock.patch.object(cal_mod, "_fit_temperature", _ref_fit_temperature):
+            mock.patch.object(cal_mod, "_fit_temperature", _ref_fit_temperature), \
+            mock.patch.object(cal_mod, "_fit_dirichlet2", _ref_fit_dirichlet2):
         return fit(method, scores, y, init)
 
 
@@ -500,7 +528,7 @@ class TestKernelOracle:
             y = rng.integers(0, 2, size=len(p))
             assert nll_of_probs(p, y) == _ref_nll(p, y)
             assert nll_of_probs(p, y.astype(float)) == _ref_nll(p, y.astype(float))
-            assert nll_of_probs(list(p), list(y), eps=1e-3) == _ref_nll(p, y, eps=1e-3)
+            assert nll_of_probs(list(p), list(y)) == _ref_nll(p, y)
 
     def test_random_fits(self):
         rng = np.random.default_rng(2024)

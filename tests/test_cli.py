@@ -238,6 +238,19 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
         assert "missing label column" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("id_column, message", [
+        ("nope", "missing id column 'nope'"), ("y", "id column 'y' is the label column")])
+    def test_bad_id_column_is_data_error(self, tmp_path, capsys, id_column, message):
+        data = tmp_path / "data.csv"
+        data.write_text("id,a,y\nr0,1,0\nr1,2,1\n")
+        cfg = write_config(tmp_path, {"data": {"csv": {"path": str(data), "label_column": "y",
+                                                         "id_column": id_column}},
+                                      "model": {"gbt": {}}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {data}: {message}\n"
+        assert not out.exists()
+
     def test_sample_id_with_a_comma_exits_1_and_writes_nothing(self, tmp_path, capsys):
         # scores.csv would write the id raw, so its row would have four cells
         lines = ["id,a,b,y"] + [f"p{i},{i % 7},{i % 3},{i % 2}" for i in range(40)]

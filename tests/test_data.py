@@ -103,6 +103,17 @@ class TestLoadCsv:
         with pytest.raises(DataError, match="missing label column"):
             load_csv(CsvSpec(path, "y"))
 
+    def test_missing_id_column(self, tmp_path):
+        path = self.write(tmp_path, "id,a,y\nr0,1,0\n")
+        with pytest.raises(DataError, match=f"^{re.escape(path)}: missing id column 'nope'$"):
+            load_csv(CsvSpec(path, "y", id_column="nope"))
+
+    def test_id_column_may_not_be_the_label_column(self, tmp_path):
+        path = self.write(tmp_path, "id,a,y\nr0,1,0\n")
+        msg = f"{path}: id column 'y' is the label column"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_csv(CsvSpec(path, "y", id_column="y"))
+
     def test_ragged_row(self, tmp_path):
         path = self.write(tmp_path, "a,y\n1,0,9\n")
         with pytest.raises(DataError, match="row 2 has 3 cells"):

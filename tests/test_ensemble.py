@@ -104,6 +104,12 @@ class TestTrainClustered:
                     "platt", y, min_fit_size=4)
         assert not ccl.cluster_meta[1]["used_fallback"]
 
+    def test_min_fit_size_may_not_be_negative(self):
+        ds, sp, scores, E, cm = synth_setup()
+        with pytest.raises(ValueError, match="^min_fit_size must be >= 0, not -5$"):
+            train(scores.take(sp.calibration), E[sp.calibration], cm, "platt",
+                  ds.labels[sp.calibration], min_fit_size=-5)
+
     @pytest.mark.parametrize("method", ["platt", "temperature", "beta", "dirichlet2"])
     def test_per_cluster_nll_never_worse_than_global(self, method):
         ds, sp, scores, E, cm = synth_setup(seed=4)

@@ -554,6 +554,11 @@ class TestElbow:
         cm, _ = select_k_elbow(E, (2, 8, 1), seed=0, min_cluster_size=9)
         assert cm.sizes.min() >= 9
 
+    def test_min_cluster_size_may_not_be_negative(self):
+        E, _ = blobs(3, n_per=40, seed=7)
+        with pytest.raises(ValueError, match="^min_cluster_size must be >= 0, not -3$"):
+            select_k_elbow(E, (2, 6, 1), 0, -3)
+
     def test_min_cluster_size_can_exhaust_grid(self):
         E, _ = blobs(3, n_per=40, seed=7)
         with pytest.raises(ValueError, match="3 grid points"):

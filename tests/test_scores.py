@@ -111,6 +111,11 @@ class TestLoadExternal:
         with pytest.raises(ValueError, match="margin or probability"):
             load_external_scores(path)
 
+    def test_header_only_names_the_file(self, tmp_path):
+        path = self.write(tmp_path, "sample_id,margin\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(path)}: no data rows$"):
+            load_external_scores(path, expected_ids=[])
+
     def test_rejects_probability_out_of_range(self, tmp_path):
         path = self.write(tmp_path, "sample_id,probability\na,1.5\n")
         with pytest.raises(ValueError, match="outside"):
