@@ -3,9 +3,10 @@ learned sample representations, cluster-binned calibration metrics, and an
 experiment harness for calibration comparison, model selection and rejection."""
 
 from .data import (
-    CsvSpec, Dataset, SplitIndices, SyntheticSpec, load_csv, split, gen_synthetic_full,
+    CsvSpec, Dataset, SplitIndices, SyntheticSpec, load_csv, load_external_scores, split,
+    gen_synthetic_full,
 )
-from .scores import ScoreSet, load_external_scores
+from .scores import ScoreSet
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict, leaf_indices
 from .treeshap import shap_values
 from .representation import assign, fit_kmeans

@@ -19,7 +19,9 @@ byte-identical. Nothing is written when a stage fails.
 
 Exit codes: 0 success, 1 validation or data error, 2 runtime error (the
 message names the failing stage). The whole config is checked before the
-first stage runs, so a bad value exits 1 and runs nothing.
+first stage runs, so a bad value exits 1 and runs nothing. Of the input
+files, a bad data CSV exits 1; a bad score or embedding file exits 2 and
+names the stage that read it, ``model`` or ``embedding``.
 """
 
 from __future__ import annotations

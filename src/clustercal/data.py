@@ -1,4 +1,4 @@
-"""Dataset ingestion, deterministic splitting, and synthetic data generation."""
+"""Input files (one CSV reader), deterministic splitting, and synthetic data."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .scores import sigmoid
+from .metrics import _probabilities
+from .scores import PROB_CLIP_EPS, ScoreSet, sigmoid
 
 __all__ = [
     "Dataset",
@@ -17,6 +18,8 @@ __all__ = [
     "SyntheticSpec",
     "CsvSpec",
     "load_csv",
+    "load_external_scores",
+    "load_vectors",
     "split",
     "gen_synthetic_full",
 ]
@@ -131,21 +134,60 @@ class CsvSpec:
             raise DataError(f"unknown impute mode {self.impute!r}")
 
 
+def _read_csv(path, has_header=lambda first: True):
+    """``(header, rows)``: the cells of the CSV at ``path``, with ``header``
+    None when ``has_header(first row)`` is false. Every row, a blank one too,
+    has as many cells as the first; a header names each column once."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read the file: {exc}") from None
+    if not rows or not rows[0]:
+        raise DataError(f"{path}: row 1 is blank" if rows else f"{path}: empty file")
+    width = len(rows[0])
+    for n, row in enumerate(rows, 1):
+        if len(row) != width:
+            raise DataError(f"{path}: row {n} has {len(row)} cells, expected {width}")
+    if not has_header(rows[0]):
+        return None, rows
+    repeated = next((c for j, c in enumerate(rows[0]) if c in rows[0][:j]), None)
+    if repeated is not None:
+        raise DataError(f"{path}: column {repeated!r} appears twice in the header")
+    if len(rows) == 1:
+        raise DataError(f"{path}: no data rows")
+    return rows[0], rows[1:]
+
+
+def _cell_error(path, header, i, j, cell) -> DataError:
+    row, column = (i + 1, j + 1) if header is None else (i + 2, header[j])
+    return DataError(f"{path}: row {row}, column {column!r}: unparseable cell {cell!r}")
+
+
+def _numbers(path, header, rows, columns) -> np.ndarray:
+    """The cells of ``rows`` in ``columns`` as a float matrix."""
+    out = np.empty((len(rows), len(columns)))
+    for i, row in enumerate(rows):
+        for k, j in enumerate(columns):
+            try:
+                out[i, k] = float(row[j])
+            except ValueError:
+                raise _cell_error(path, header, i, j, row[j]) from None
+    return out
+
+
+def _check_ids(path, ids, expected_ids) -> None:
+    if expected_ids is not None and list(expected_ids) != ids:
+        raise DataError(f"{path}: sample ids do not match the dataset")
+
+
 def load_csv(spec: CsvSpec) -> Dataset:
     """Read the CSV that ``spec`` describes into a Dataset; feature columns
     keep file order, excluding the label and id columns. A sample id may not
     hold a comma, quote or line break, which the artifact CSVs write raw."""
     path, label_column, label_map = spec.path, spec.label_column, spec.label_map
     category_maps = spec.category_maps or {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(reader)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: cannot read the file: {exc}") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
+    header, rows = _read_csv(path)
     for role, column in (("label", label_column), ("id", spec.id_column)):
         if column is not None and column not in header:
             raise DataError(f"{path}: missing {role} column {column!r}")
@@ -155,8 +197,9 @@ def load_csv(spec: CsvSpec) -> Dataset:
     id_j = header.index(spec.id_column) if spec.id_column is not None else None
     feat_js = [j for j in range(len(header)) if j != label_j and j != id_j]
     feature_names = tuple(header[j] for j in feat_js)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
+    unknown = next((c for c in category_maps if c not in feature_names), None)
+    if unknown is not None:
+        raise DataError(f"{path}: category_maps names {unknown!r}, not a feature column")
 
     def parse_label(raw, i):
         v = raw.strip()
@@ -175,8 +218,6 @@ def load_csv(spec: CsvSpec) -> Dataset:
     y = np.empty(len(rows), dtype=np.int64)
     ids = []
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {len(header)}")
         y[i] = parse_label(row[label_j], i)
         ids.append(row[id_j] if id_j is not None else str(i))
         if _UNWRITABLE_ID.search(ids[-1]):
@@ -191,15 +232,18 @@ def load_csv(spec: CsvSpec) -> Dataset:
             try:
                 X[i, k] = float(cell) if cell else math.nan
             except ValueError:
-                raise DataError(f"{path}: row {i + 2}, column {header[j]!r}: "
-                                f"unparseable cell {cell!r}") from None
+                raise _cell_error(path, header, i, j, cell) from None
 
-    bad = ~np.isfinite(X).all(axis=1)
+    finite = np.isfinite(X)
+    bad = ~finite.all(axis=1)
     if bad.any():
         if spec.impute == "mean":
-            col_mean = np.nanmean(np.where(np.isfinite(X), X, np.nan), axis=0)
-            col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
-            idx = np.where(~np.isfinite(X))
+            empty = ~finite.any(axis=0)
+            if empty.any():
+                raise DataError(f"{path}: column {feature_names[empty.argmax()]!r} has no "
+                                f"finite value to impute from")
+            col_mean = np.nanmean(np.where(finite, X, np.nan), axis=0)
+            idx = np.where(~finite)
             X[idx] = col_mean[idx[1]]
         else:
             keep = ~bad
@@ -208,6 +252,42 @@ def load_csv(spec: CsvSpec) -> Dataset:
             X, y = X[keep], y[keep]
             ids = [s for s, k in zip(ids, keep) if k]
     return Dataset(X, y, feature_names, tuple(ids))
+
+
+def load_external_scores(path, expected_ids=None) -> ScoreSet:
+    """Read a score CSV with columns sample_id and margin and/or probability.
+
+    Probabilities must be in [0, 1] and are clipped by ``PROB_CLIP_EPS``;
+    when only they are present, margins are recovered via the clipped logit.
+    ``expected_ids`` cross-checks row identity and order.
+    """
+    header, rows = _read_csv(path)
+    cols = [c for c in ("margin", "probability") if c in header]
+    if not cols:
+        raise DataError(f"{path}: need a margin or probability column")
+    values = dict(zip(cols, _numbers(path, header, rows, list(map(header.index, cols))).T.copy()))
+    ids = ([row[header.index("sample_id")] for row in rows] if "sample_id" in header
+           else [str(i) for i in range(len(rows))])
+    _check_ids(path, ids, expected_ids)
+    margins = values.get("margin")
+    if margins is not None and not np.isfinite(margins).all():
+        raise DataError(f"{path}: margins must be finite")
+    if "probability" not in values:
+        return ScoreSet.from_margins(margins)
+    p = _probabilities(values["probability"], f"{path}: probabilities")
+    if margins is None:
+        return ScoreSet.from_probabilities(p)
+    return ScoreSet(margins, np.clip(p, PROB_CLIP_EPS, 1 - PROB_CLIP_EPS))
+
+
+def load_vectors(path, sample_ids) -> np.ndarray:
+    """The rows of an embedding CSV: a headerless one is matched to the data by
+    position; one whose first cell is ``sample_id`` (the ``embed`` command's
+    ``embedding.csv``) must list the data's sample ids in order."""
+    header, rows = _read_csv(path, lambda first: first[0] == "sample_id")
+    if header is not None:
+        _check_ids(path, [row[0] for row in rows], sample_ids)
+    return _numbers(path, header, rows, range(header is not None, len(rows[0])))
 
 
 def _ratios(ratios) -> tuple:

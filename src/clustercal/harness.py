@@ -19,7 +19,7 @@ from . import calibrators as cal_mod
 from .calibrators import PARAMETRIC_METHODS
 from .data import (
     CsvSpec, DataError, Dataset, SplitIndices, SyntheticSpec, _ratios, gen_synthetic_full,
-    load_csv, split,
+    load_csv, load_external_scores, load_vectors, split,
 )
 from .ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction, train_clustered
 from .gbt import GBTParams, TreeEnsemble, fit_gbt, predict
@@ -32,7 +32,7 @@ from .representation import (
     _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative, fit_kmeans,
     select_k_elbow,
 )
-from .scores import ScoreSet, load_external_scores
+from .scores import ScoreSet
 
 __all__ = [
     "ExperimentConfig",
@@ -363,27 +363,9 @@ def _model(r: RunState):
         r.scores = ScoreSet.from_margins(r.synth_margins)
 
 
-def _read_vectors(path, sample_ids) -> np.ndarray:
-    """The rows of an external embedding CSV.
-
-    A file whose header starts with ``sample_id``, such as the ``embed``
-    command's ``embedding.csv``, must list the data's sample ids in order, as
-    a score CSV must; a file without a header is matched to the data by
-    position.
-    """
-    with open(path, encoding="utf-8") as fh:
-        if not fh.readline().startswith("sample_id,"):
-            fh.seek(0)
-            return np.loadtxt(fh, delimiter=",", ndmin=2)
-        cells = np.loadtxt(fh, delimiter=",", ndmin=2, dtype=str)
-    if cells[:, 0].tolist() != list(sample_ids):
-        raise ValueError(f"{path}: sample ids do not match the dataset")
-    return cells[:, 1:].astype(np.float64)
-
-
 def _embedding(r: RunState):
     emb = r.cfg.embedding
-    vectors = _read_vectors(emb.path, r.ds.sample_ids) if emb.kind == "external" else None
+    vectors = load_vectors(emb.path, r.ds.sample_ids) if emb.kind == "external" else None
     r.E = build_embedding(emb.kind, r.ens, r.ds, emb.opts, vectors)
 
 
@@ -470,8 +452,8 @@ STAGES = (
 def run_stages(cfg: ExperimentConfig, last: str = "evaluate") -> RunState:
     """Run the stages in order up to and including ``last``; write nothing.
 
-    A ``DataError`` passes through unchanged; any other exception becomes a
-    ``StageError`` that names the failing stage.
+    A ``DataError`` from the data stage passes through unchanged; any other
+    exception becomes a ``StageError`` that names the failing stage.
     """
     if last not in dict(STAGES):
         raise ValueError(f"unknown stage {last!r}")
@@ -479,9 +461,9 @@ def run_stages(cfg: ExperimentConfig, last: str = "evaluate") -> RunState:
     for name, stage in STAGES:
         try:
             stage(r)
-        except DataError:
-            raise
         except Exception as exc:
+            if name == "data" and isinstance(exc, DataError):
+                raise
             raise StageError(f"stage {name!r} failed: {exc}") from exc
         if name == last:
             break

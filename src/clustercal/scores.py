@@ -1,15 +1,14 @@
-"""Model score containers and external score ingestion."""
+"""Model score containers and the sigmoid/logit transforms."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _aligned, _probabilities
+from .metrics import _aligned
 
-__all__ = ["ScoreSet", "load_external_scores", "sigmoid", "logit"]
+__all__ = ["ScoreSet", "sigmoid", "logit"]
 
 PROB_CLIP_EPS = 1e-6
 
@@ -67,43 +66,3 @@ class ScoreSet:
 
     def take(self, idx) -> "ScoreSet":
         return ScoreSet(self.margins[idx], self.probabilities[idx])
-
-
-def load_external_scores(path, expected_ids=None) -> ScoreSet:
-    """Read a score CSV with columns sample_id and margin and/or probability.
-
-    Every score column present holds a value on every row. Probabilities
-    must be in [0, 1] and are clipped by ``PROB_CLIP_EPS``. When only they
-    are present, margins are recovered via the clipped logit.
-    ``expected_ids`` cross-checks row identity and order.
-    """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValueError(f"{path}: empty file")
-        cols = [c for c in ("margin", "probability") if c in reader.fieldnames]
-        if not cols:
-            raise ValueError(f"{path}: need a margin or probability column")
-        ids, values = [], {c: [] for c in cols}
-        for row in reader:
-            ids.append(row.get("sample_id", str(len(ids))))
-            for c in cols:
-                try:
-                    values[c].append(float(row[c]))
-                except (TypeError, ValueError):  # a blank cell, a word, None for a short row
-                    raise ValueError(f"{path}: line {reader.line_num} has no {c} number: "
-                                     f"{row[c]!r}") from None
-    if not ids:
-        raise ValueError(f"{path}: no data rows")
-    if expected_ids is not None:
-        if list(expected_ids) != ids:
-            raise ValueError(f"{path}: sample ids do not match the dataset")
-    margins = values.get("margin")
-    if margins is not None and not np.isfinite(margins).all():
-        raise ValueError(f"{path}: margins must be finite")
-    if "probability" not in values:
-        return ScoreSet.from_margins(np.asarray(margins))
-    p = _probabilities(values["probability"], f"{path}: probabilities")
-    if margins is None:
-        return ScoreSet.from_probabilities(p)
-    return ScoreSet(np.asarray(margins), np.clip(p, PROB_CLIP_EPS, 1 - PROB_CLIP_EPS))

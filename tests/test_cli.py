@@ -174,7 +174,7 @@ class TestExitCodes:
         assert main(["report", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "stage 'model' failed" in err, err
-        assert f"line 101 has no {column} number: ''" in err, err
+        assert f"row 101, column {column!r}: unparseable cell ''" in err, err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
@@ -279,6 +279,31 @@ class TestExitCodes:
         assert main(["train", "--config", cfg, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {data}: cannot read the file") and reason in err, err
+        assert not out.exists()
+
+    # input file -> (config change, given its path; exit code; the stage the message names)
+    INPUT_FILES = {
+        "data": (lambda p: {"data": {"csv": {"path": p, "label_column": "y"}},
+                            "model": {"gbt": {}}}, "y,a\n0,1\n1,2,9\n", 1, None),
+        "scores": (lambda p: {"model": {"external_scores": p}},
+                   "sample_id,margin\n0,0.5\n1,0.5,9\n", 2, "model"),
+        "embedding": (lambda p: {"embedding": {"kind": "external", "path": p}},
+                      "1.0,2.0\n1.0,2.0\n1.0,2.0,9\n", 2, "embedding"),
+    }
+
+    @pytest.mark.parametrize("kind", INPUT_FILES)
+    def test_bad_input_file_keeps_its_exit_code(self, tmp_path, capsys, kind):
+        change, text, code, stage = self.INPUT_FILES[kind]
+        path = tmp_path / "input.csv"
+        path.write_text(text)
+        cfg = write_config(tmp_path, change(str(path)))
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == code
+        message = f"{path}: row 3 has 3 cells, expected 2\n"
+        if stage is None:
+            assert capsys.readouterr().err == f"error: {message}"
+        else:
+            assert capsys.readouterr().err == f"runtime error: stage {stage!r} failed: {message}"
         assert not out.exists()
 
 

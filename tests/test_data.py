@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from clustercal.data import (
     CsvSpec, DataError, Dataset, SplitIndices, SyntheticSpec,
-    gen_synthetic_full, load_csv, split,
+    gen_synthetic_full, load_csv, load_external_scores, load_vectors, split,
 )
 
 
@@ -127,6 +127,94 @@ class TestLoadCsv:
         path = self.write(tmp_path, "a,y\n1,0\n")
         with pytest.raises(DataError, match="impute"):
             load_csv(CsvSpec(path, "y", impute="zero"))
+
+    def test_a_repeated_label_name_is_not_read_as_a_feature(self, tmp_path):
+        path = self.write(tmp_path, "a,y,y\n1,0,0\n2,1,1\n")
+        msg = f"{path}: column 'y' appears twice in the header"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_csv(CsvSpec(path, "y"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_impute_mean_needs_a_value_in_every_column(self, tmp_path):
+        path = self.write(tmp_path, "a,b,y\n1,,0\n2,nan,1\n")
+        msg = f"{path}: column 'b' has no finite value to impute from"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_csv(CsvSpec(path, "y", impute="mean"))
+
+    def test_impute_mean_is_the_mean_of_the_column_values(self, tmp_path):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(30, 3))
+        X[rng.random(X.shape) < 0.3] = np.nan
+        text = "a,b,c,y\n" + "".join(",".join("" if np.isnan(v) else repr(v) for v in row)
+                                     + f",{i % 2}\n" for i, row in enumerate(X.tolist()))
+        ds = load_csv(CsvSpec(self.write(tmp_path, text), "y", impute="mean"))
+        np.testing.assert_array_equal(ds.features, np.where(np.isnan(X), np.nanmean(X, 0), X))
+
+    def test_category_maps_may_only_name_feature_columns(self, tmp_path):
+        path = self.write(tmp_path, "col,y\nred,0\nblue,1\n")
+        msg = f"{path}: category_maps names 'nope', not a feature column"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_csv(CsvSpec(path, "y", category_maps={"col": {"red": 0, "blue": 5},
+                                                       "nope": {"x": 1}}))
+
+
+# input file -> (header, a data row, its reader); column 1 holds a number
+INPUT_FILES = {
+    "data": (["y", "a", "b"], ["0", "1", "2"], lambda p: load_csv(CsvSpec(p, "y"))),
+    "scores": (["sample_id", "margin", "probability"], ["0", "0.5", "0.6"],
+               load_external_scores),
+    "embedding": (["sample_id", "e0", "e1"], ["0", "1.0", "2.0"],
+                  lambda p: load_vectors(p, None)),
+}
+# fault -> the file's rows, given its header and a data row, and the message
+FAULTS = {
+    "ragged row": (lambda h, r: [h, r, r + ["9"]], lambda h: "row 3 has 4 cells, expected 3"),
+    "blank line": (lambda h, r: [h, r, [], r], lambda h: "row 3 has 0 cells, expected 3"),
+    "blank first line": (lambda h, r: [[], h, r], lambda h: "row 1 is blank"),
+    "repeated name": (lambda h, r: [h[:2] + h[1:2], r],
+                      lambda h: f"column {h[1]!r} appears twice in the header"),
+    "unparseable cell": (lambda h, r: [h, r, [r[0], "x", r[2]]],
+                         lambda h: f"row 3, column {h[1]!r}: unparseable cell 'x'"),
+    "empty file": (lambda h, r: [], lambda h: "empty file"),
+    "header only": (lambda h, r: [h], lambda h: "no data rows"),
+}
+
+
+class TestReader:
+    """Data, score and embedding files go through one reader with one rule
+    set; each message names the file."""
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("kind", INPUT_FILES)
+    def test_fault_names_the_file(self, tmp_path, kind, fault):
+        header, row, read = INPUT_FILES[kind]
+        rows, message = FAULTS[fault]
+        lines = rows(header, row)
+        path = tmp_path / f"{kind}.csv"
+        path.write_text("".join(",".join(cells) + "\n" for cells in lines))
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message(header)}')}$"):
+            read(str(path))
+
+    @pytest.mark.parametrize("kind", INPUT_FILES)
+    def test_unreadable_file_names_the_file(self, tmp_path, kind):
+        with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path))}: cannot read the file"):
+            INPUT_FILES[kind][2](str(tmp_path))
+
+    def test_one_row_headerless_embedding(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1.0,2.0\n")
+        np.testing.assert_array_equal(load_vectors(str(path), None), [[1.0, 2.0]])
+
+    def test_headerless_embedding_rows_may_repeat_values(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1.0,1.0\n1.0,1.0\n")
+        np.testing.assert_array_equal(load_vectors(str(path), None), np.ones((2, 2)))
+
+    def test_headerless_embedding_numbers_its_columns_from_1(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("1.0,2.0\n3.0,x\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 2, column 2: unparseable")):
+            load_vectors(str(path), None)
 
 
 class TestSplit:

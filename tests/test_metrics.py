@@ -9,6 +9,7 @@ from scipy.stats import rankdata
 
 from clustercal import harness
 from clustercal.calibrators import fit, nll_of_probs, pav
+from clustercal.data import load_external_scores
 from clustercal.ensemble import improved_sample_fraction, train_clustered
 from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
@@ -16,7 +17,7 @@ from clustercal.metrics import (
     reliability_data, rejection_curve, scalar_metrics,
 )
 from clustercal.representation import ClusterModel, diagnostics
-from clustercal.scores import ScoreSet, load_external_scores, logit
+from clustercal.scores import ScoreSet, logit
 
 HAND_P = np.array([0.2, 0.3, 0.7, 0.9])
 HAND_Y = np.array([0, 1, 1, 1])

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clustercal.scores import ScoreSet, load_external_scores, logit, sigmoid
+from clustercal.data import DataError, load_external_scores
+from clustercal.scores import ScoreSet, logit, sigmoid
 
 
 class TestTransforms:
@@ -129,21 +130,20 @@ class TestLoadExternal:
         with pytest.raises(ValueError, match=f"^{re.escape(path)}: margins must be finite$"):
             load_external_scores(path)
 
-    @pytest.mark.parametrize("text, line, column, cell", [
-        ("sample_id,margin\na,0.5\nb,\nc,1.0\n", 3, "margin", "''"),
-        ("sample_id,probability\na,\nb,0.5\n", 2, "probability", "''"),
-        ("sample_id,margin,probability\na,0.5,0.6\nb,,0.7\nc,1.0,0.8\n", 3, "margin", "''"),
-        ("sample_id,margin,probability\na,0.5,0.6\nb,0.7,0.8\nc,1.0,\n", 4, "probability",
-         "''"),
-        ("sample_id,margin,probability\na,0.5,0.6\nb,0.7\n", 3, "probability", "None"),
-        ("sample_id,margin\na,0.5\nb,abc\n", 3, "margin", "'abc'"),
+    @pytest.mark.parametrize("text, message", [
+        ("sample_id,margin\na,0.5\nb,\nc,1.0\n", "row 3, column 'margin': unparseable cell ''"),
+        ("sample_id,probability\na,\nb,0.5\n", "row 2, column 'probability': unparseable cell ''"),
+        ("sample_id,margin,probability\na,0.5,0.6\nb,,0.7\nc,1.0,0.8\n",
+         "row 3, column 'margin': unparseable cell ''"),
+        ("sample_id,margin,probability\na,0.5,0.6\nb,0.7,0.8\nc,1.0,\n",
+         "row 4, column 'probability': unparseable cell ''"),
+        ("sample_id,margin,probability\na,0.5,0.6\nb,0.7\n", "row 3 has 2 cells, expected 3"),
+        ("sample_id,margin\na,0.5\nb,abc\n", "row 3, column 'margin': unparseable cell 'abc'"),
     ])
-    def test_cell_without_a_number_names_file_line_and_column(self, tmp_path, text, line,
-                                                               column, cell):
+    def test_cell_without_a_number_names_file_line_and_column(self, tmp_path, text, message):
         # a skipped cell would shift every later value onto the wrong row
         path = self.write(tmp_path, text)
-        with pytest.raises(ValueError, match=f"^{re.escape(path)}: line {line} has no {column} "
-                                             f"number: {re.escape(cell)}$"):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_external_scores(path)
 
     @pytest.mark.parametrize("text", ["sample_id,margin\na,nan\n",
