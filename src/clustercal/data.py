@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import _probabilities
+from .metrics import _aligned, _labels, _matrix, _probabilities
 from .scores import PROB_CLIP_EPS, ScoreSet, sigmoid
 
 __all__ = [
@@ -34,7 +34,11 @@ _UNWRITABLE_ID = re.compile('[,"\r\n]')     # what harness._write_csv cannot wri
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with binary labels and bookkeeping names."""
+    """Feature matrix with binary labels and bookkeeping names.
+
+    The labels are a non-empty 1-D array of 0/1 with one sample id each; the
+    features obey ``metrics._matrix`` with one row per label and one column
+    per feature name. A fault raises ``DataError``."""
 
     features: np.ndarray  # (N, d) float64
     labels: np.ndarray    # (N,) int, values in {0, 1}
@@ -42,22 +46,15 @@ class Dataset:
     sample_ids: tuple[str, ...]
 
     def __post_init__(self):
-        X = np.asarray(self.features, dtype=np.float64)
-        y = np.asarray(self.labels)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y.astype(np.int64))
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise DataError("features must be a non-empty 2-D matrix")
-        if y.shape != (X.shape[0],):
-            raise DataError("labels length must match number of rows")
-        if not np.isin(y, (0, 1)).all():
-            raise DataError("labels must be 0/1")
-        if not np.isfinite(X).all():
-            raise DataError("non-finite feature values")
-        if len(self.feature_names) != X.shape[1]:
-            raise DataError("feature_names length mismatch")
-        if len(self.sample_ids) != X.shape[0]:
+        try:
+            y = _labels(_aligned(labels=self.labels)[0], "labels").astype(np.int64)
+            X = _matrix(self.features, "feature matrix", len(y), len(self.feature_names))
+        except ValueError as exc:
+            raise DataError(str(exc)) from None
+        if len(self.sample_ids) != len(y):
             raise DataError("sample_ids length mismatch")
+        object.__setattr__(self, "features", X)
+        object.__setattr__(self, "labels", y)
 
     @property
     def n(self) -> int:

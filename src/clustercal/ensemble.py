@@ -39,8 +39,12 @@ class ClusteredCalibrator:
         return self.calibrators.get(int(cluster_id), self.fallback)
 
     def infer(self, scores: ScoreSet, V):
-        """Calibrated probabilities plus the cluster labels of the embedding rows V."""
+        """Calibrated probabilities plus the cluster labels of the embedding
+        rows V: one row per score, each checked by ``assign``."""
         labels = assign(self.cluster_model, V)
+        if len(labels) != len(scores):
+            raise ValueError(f"embedding has {len(labels)} rows, expected one per score "
+                             f"({len(scores)})")
         return cal_mod._apply_by_group(labels, self.resolve, scores), labels
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
+from .metrics import _aligned, _matrix
 from .scores import ScoreSet, sigmoid
 
 __all__ = ["Tree", "TreeEnsemble", "GBTParams", "fit_gbt", "predict", "leaf_indices"]
@@ -26,7 +27,9 @@ SCAN_BLOCK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class Tree:
-    """Flat node arrays; node 0 is the root, feature == -1 marks leaves."""
+    """Flat node arrays in preorder; node 0 is the root, feature == -1 marks
+    leaves. Each internal node's children come after it, so every walk from
+    the root ends at a leaf; covers are not checked."""
 
     feature: np.ndarray    # (n_nodes,) int
     threshold: np.ndarray  # (n_nodes,) float
@@ -34,6 +37,17 @@ class Tree:
     right: np.ndarray      # (n_nodes,) int
     value: np.ndarray      # (n_nodes,) float, leaf contribution to the margin
     cover: np.ndarray      # (n_nodes,) float, training samples reaching the node
+
+    def __post_init__(self):
+        feature, _, left, right, _, _ = _aligned(
+            feature=self.feature, threshold=self.threshold, left=self.left, right=self.right,
+            value=self.value, cover=self.cover)
+        node = np.arange(len(feature))
+        ok = np.where(feature < 0, (feature == -1) & (left == -1) & (right == -1),
+                      (node < left) & (node < right) & (left < len(node)) & (right < len(node)))
+        if not ok.all():
+            raise ValueError(f"node {ok.argmin()} is neither a leaf (feature and children -1) "
+                             "nor a split whose children are later nodes")
 
     @property
     def n_nodes(self) -> int:
@@ -97,13 +111,8 @@ class TreeEnsemble:
         return out
 
     def _check(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features:
-            raise ValueError(f"expected {self.n_features} feature columns, got {X.shape}")
-        # a NaN fails every `<=` and would silently go right at each split
-        if not np.isfinite(X).all():
-            raise ValueError("features must be finite")
-        return X
+        # finite: a NaN fails every `<=` and would silently go right at each split
+        return _matrix(X, "feature matrix", columns=self.n_features)
 
 
 def _best_split(X, order, tie_free, gh, G, H, lam, min_child_weight):
@@ -277,12 +286,12 @@ def _logloss(margin, y) -> float:
 
 def predict(ens: TreeEnsemble, X) -> ScoreSet:
     """Margins and logistic probabilities for each row of X."""
-    return ScoreSet.from_margins(ens.margins(np.asarray(X, dtype=np.float64)))
+    return ScoreSet.from_margins(ens.margins(X))
 
 
 def leaf_indices(ens: TreeEnsemble, X) -> np.ndarray:
     """(N, n_trees) matrix of reached leaf node ids."""
-    X = ens._check(np.asarray(X, dtype=np.float64))
+    X = ens._check(X)
     if not ens.trees:
         return np.zeros((len(X), 0), dtype=np.int64)
     return np.column_stack([t.apply(X) for t in ens.trees])

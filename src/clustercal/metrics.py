@@ -79,6 +79,21 @@ def _aligned(**arrays) -> list:
     return out
 
 
+def _matrix(X, name: str, rows=None, columns=None) -> np.ndarray:
+    """The matrix rule of every 2-D boundary: ``X`` is a 2-D array of finite
+    values with at least one row, and exactly ``rows`` rows and ``columns``
+    columns when those are given. Returns it as float64, without copying a
+    float64 array."""
+    X = np.asarray(X, dtype=np.float64)
+    if (X.ndim != 2 or not len(X) or rows not in (None, len(X))
+            or columns not in (None, X.shape[1])):
+        raise ValueError(f"{name} must be 2-D, of shape ({'N >= 1' if rows is None else rows}, "
+                         f"{'m' if columns is None else columns}), not {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError(f"non-finite {name} values")
+    return X
+
+
 def _cluster_ids(ids, k=None) -> np.ndarray:
     """The cluster-id rule of every boundary, after the shape rule: ``ids``
     have an integer dtype and lie in [0, k), or >= 0 if ``k`` is None."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from .data import Dataset
 from .gbt import TreeEnsemble, leaf_indices
-from .metrics import _aligned, _cluster_ids, _labels
+from .metrics import _aligned, _cluster_ids, _labels, _matrix
 from .treeshap import shap_values
 
 __all__ = [
@@ -27,18 +27,8 @@ __all__ = [
 
 EMBEDDING_KINDS = ("shap", "leaf", "raw", "topk", "external")
 ENSEMBLE_KINDS = ("shap", "leaf", "topk")    # the kinds built from a fitted ensemble
+CLUSTER_METHODS = ("kmeans", "agglomerative")
 KMEANS_MAX_ITER = 300
-
-
-def _embedding(V) -> np.ndarray:
-    """The embedding rule of every boundary: ``V`` is a 2-D (N, m) array of
-    finite values, returned as float64."""
-    V = np.asarray(V, dtype=np.float64)
-    if V.ndim != 2:
-        raise ValueError("embedding must be 2-D")
-    if not np.isfinite(V).all():
-        raise ValueError("non-finite embedding values")
-    return V
 
 
 def _standardize(V):
@@ -83,8 +73,9 @@ class EmbeddingOpts:
 
 def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
                     opts: EmbeddingOpts = EmbeddingOpts(), vectors=None) -> np.ndarray:
-    """Build the requested per-sample representation, an (N, m) array that
-    obeys ``_embedding``; ``vectors`` are the rows of an ``"external"`` one."""
+    """Build the requested per-sample representation, an (N, m) array with
+    one row per sample that obeys ``metrics._matrix``; ``vectors`` are the
+    rows of an ``"external"`` one."""
     if kind in ENSEMBLE_KINDS and ens is None:
         raise ValueError(f"{kind} embedding requires a fitted ensemble")
     if kind == "shap":
@@ -108,10 +99,7 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
         V = vectors
     else:
         raise ValueError(f"unknown embedding kind {kind!r}")
-    V = _embedding(V)
-    if kind == "external" and len(V) != ds.n:
-        raise ValueError("external embedding row count mismatch")
-    return V
+    return _matrix(V, "embedding", rows=ds.n)
 
 
 @dataclass(frozen=True)
@@ -169,16 +157,8 @@ def _inertia(V, C, labels):
 def _kmeans_pp_init(V, k, rng):
     n = len(V)
     centroids = np.empty((k, V.shape[1]))
-    # each draw's ((V - c) ** 2).sum(axis=1) in one reused (N, m) buffer laid
-    # out as that temporary would be, so the sums are the same floats
-    resid = np.empty_like(V)
-
-    def sq_dists(c):
-        np.subtract(V, c, out=resid)
-        return np.square(resid, out=resid).sum(axis=1)
-
     centroids[0] = V[int(rng.integers(n))]
-    closest = sq_dists(centroids[0])
+    closest = ((V - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = closest.sum()
         if total <= 0:
@@ -187,7 +167,7 @@ def _kmeans_pp_init(V, k, rng):
             r = rng.random() * total
             idx = int(np.searchsorted(np.cumsum(closest), r))
             centroids[j] = V[min(idx, n - 1)]
-        np.minimum(closest, sq_dists(centroids[j]), out=closest)
+        np.minimum(closest, ((V - centroids[j]) ** 2).sum(axis=1), out=closest)
     return centroids
 
 
@@ -215,15 +195,13 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
     changed (Hamerly's bounds), and the labels, centroids and inertia are
     bit-identical to those of computing every row at every step.
     """
-    V = _embedding(V)
+    V = _matrix(V, "embedding")
     if k < 1 or k > len(V):
         raise ValueError(f"k={k} out of range for {len(V)} samples")
     if init is None:
         C = _kmeans_pp_init(V, k, np.random.default_rng(seed))
-    elif np.shape(init) == (k, V.shape[1]):
-        C = init
     else:
-        raise ValueError(f"init must have shape {(k, V.shape[1])}, not {np.shape(init)}")
+        C = _matrix(init, "init", rows=k, columns=V.shape[1])
     # Rounding bound of _dists. With u = 2^-53 and gamma_n = n u / (1 - n u),
     # the m-term sums ||v||^2, ||c||^2 and 2 v.c are each off by at most
     # gamma_m times ||v||^2, ||c||^2 and 2 ||v|| ||c||, and the subtraction
@@ -299,7 +277,7 @@ def _ward(V):
 def fit_agglomerative(V, k: int) -> ClusterModel:
     """Ward-linkage hierarchy cut at k clusters; centroids summarize each
     cluster so new points assign by nearest centroid."""
-    V = _embedding(V)
+    V = _matrix(V, "embedding")
     return _cut_ward(V, k, _ward(V))
 
 
@@ -344,7 +322,9 @@ def select_k_elbow(V, k_range, seed: int = 0,
     (k, inertia) pairs. With ``min_cluster_size`` set, grid points whose
     smallest cluster violates the floor are dropped before the curvature scan.
     """
-    V = _embedding(V)
+    V = _matrix(V, "embedding")
+    if method not in CLUSTER_METHODS:
+        raise ValueError(f"method must be one of {CLUSTER_METHODS}, not {method!r}")
     k_min, k_max, step = _elbow_grid(k_range)
     if min_cluster_size < 0:
         raise ValueError(f"min_cluster_size must be >= 0, not {min_cluster_size}")
@@ -368,10 +348,9 @@ def select_k_elbow(V, k_range, seed: int = 0,
 
 
 def assign(cm: ClusterModel, V) -> np.ndarray:
-    """Nearest-centroid cluster ids of V's rows; ties break to the lowest cluster id."""
-    V = _embedding(V)
-    if V.shape[1] != cm.centroids.shape[1]:
-        raise ValueError("embedding dimension does not match cluster model")
+    """Nearest-centroid cluster ids of V's rows, which obey ``metrics._matrix``
+    with one column per centroid coordinate; ties break to the lowest cluster id."""
+    V = _matrix(V, "embedding", columns=cm.centroids.shape[1])
     labels, _ = _assign_nearest(V, cm.centroids)
     return labels
 

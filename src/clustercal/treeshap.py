@@ -149,7 +149,7 @@ def shap_values(ens: TreeEnsemble, X):
     ``_leaf_paths`` order, so every float sum is the same as with one table
     per leaf.
     """
-    X = ens._check(np.asarray(X, dtype=np.float64))
+    X = ens._check(X)
     n = len(X)
     leaves = ((tree,) + leaf for tree in ens.trees for leaf in _leaf_paths(tree))
     phi = np.zeros((ens.n_features, n))  # feature-major: each leaf adds to whole rows

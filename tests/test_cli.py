@@ -402,14 +402,28 @@ class TestArtifacts:
         assert (a / "eval_report.json").read_text() != (b / "eval_report.json").read_text()
 
 
+def _run_twice(command, cfg, tmp_path):
+    """The two output directories of running ``command`` twice, after
+    checking that they hold the same files, byte for byte."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main([command, "--config", cfg, "--out", str(a)]) == 0
+    assert main([command, "--config", cfg, "--out", str(b)]) == 0
+    names = sorted(os.listdir(a))
+    assert names == sorted(os.listdir(b))
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return a, b
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("command", ["train", "embed", "cluster", "report"])
     def test_byte_identical_reruns(self, tmp_path, command):
-        cfg = write_config(tmp_path)
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main([command, "--config", cfg, "--out", str(a)]) == 0
-        assert main([command, "--config", cfg, "--out", str(b)]) == 0
-        names = sorted(os.listdir(a))
-        assert names == sorted(os.listdir(b))
-        for name in names:
-            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+        _run_twice(command, write_config(tmp_path), tmp_path)
+
+    def test_fixed_k_agglomerative_report(self, tmp_path):
+        cfg = write_config(tmp_path, {"clustering": {"method": "agglomerative", "k": 3}})
+        a, _ = _run_twice("report", cfg, tmp_path)
+        clusters = json.loads((a / "clusters.json").read_text())
+        assert (clusters["method"], clusters["k"]) == ("agglomerative", 3)
+        report = json.loads((a / "eval_report.json").read_text())
+        assert report["cluster_diagnostics"]["elbow_curve"] is None

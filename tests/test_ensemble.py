@@ -124,6 +124,42 @@ class TestTrainClustered:
             sub, y_sub = cal_s.take(mask), y_cal[mask]
             assert ccl.resolve(c).nll(sub, y_sub) <= ccl.fallback.nll(sub, y_sub) + 1e-8
 
+    def test_a_cluster_fit_worse_than_the_fallback_keeps_the_fallback(self):
+        # on this draw the temperature fit on cluster 0 has a higher NLL there
+        # than the global fit
+        rng = np.random.default_rng(4)
+        scores = ScoreSet.from_margins(rng.normal(size=60))
+        y = (rng.random(60) < 0.5).astype(int)
+        cm = ClusterModel("kmeans", 2, np.zeros((2, 1)), np.array([30, 30]), np.array([0, 0]))
+        fallback = fit("temperature", scores, y)
+        ccl = train_clustered(scores, y, np.repeat([0, 1], 30), cm, "temperature", fallback)
+        kept = ccl.resolve(0)
+        assert kept.diagnostics["refit"] == "kept_global"
+        assert kept is not fallback
+        assert (kept.method, kept.params) == (fallback.method, fallback.params)
+        assert "refit" not in ccl.resolve(1).diagnostics
+        assert not ccl.cluster_meta[0]["used_fallback"]
+
+    def test_a_cluster_without_rows_uses_the_fallback(self):
+        rng = np.random.default_rng(6)
+        scores = ScoreSet.from_margins(rng.normal(size=60))
+        y = rng.integers(0, 2, 60)
+        cm = ClusterModel("kmeans", 3, np.zeros((3, 1)), np.array([30, 30, 1]),
+                          np.array([0, 0, 0]))
+        fallback = fit("platt", scores, y)
+        ccl = train_clustered(scores, y, np.repeat([0, 2], 30), cm, "platt", fallback)
+        assert ccl.calibrators[1] is fallback
+        assert ccl.cluster_meta[1] == {"size": 0, "positive_rate": 0.0,
+                                       "used_fallback": True, "used_constant": False}
+
+    def test_infer_needs_one_embedding_row_per_score(self):
+        ds, sp, scores, E, cm = synth_setup()
+        ccl = train(scores.take(sp.calibration), E[sp.calibration], cm, "platt",
+                    ds.labels[sp.calibration])
+        with pytest.raises(ValueError, match=r"^embedding has 200 rows, expected one per "
+                                             r"score \(150\)$"):
+            ccl.infer(scores.take(np.arange(150)), E[:200])
+
     def test_serialization_roundtrip(self):
         ds, sp, scores, E, cm = synth_setup(seed=5)
         ccl = train(scores.take(sp.calibration), E[sp.calibration],

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -134,6 +135,30 @@ class TestTreeStructure:
         leaves = tree.apply(np.array([[0.4], [0.5], [0.6]]))
         assert leaves.tolist() == [1, 1, 2]  # x <= threshold goes left
 
+    # case -> node arrays (feature, left, right) and the first node at fault
+    BAD_STRUCTURES = {
+        "child is the node": ([0, -1, -1], [0, -1, -1], [2, -1, -1], 0),
+        "child is an ancestor": ([0, 1, -1, -1, -1], [1, 0, -1, -1, -1], [4, 3, -1, -1, -1], 1),
+        "child out of range": ([0, -1, -1], [1, -1, -1], [3, -1, -1], 0),
+        "negative child": ([0, -1, -1], [-1, -1, -1], [2, -1, -1], 0),
+        "leaf with a child": ([0, -1, -1], [1, 2, -1], [2, -1, -1], 1),
+        "feature below -1": ([0, -2, -1], [1, -1, -1], [2, -1, -1], 1),
+    }
+
+    @pytest.mark.parametrize("case", BAD_STRUCTURES)
+    def test_structure_checked(self, case):
+        *arrays, node = self.BAD_STRUCTURES[case]
+        feature, left, right = map(np.array, arrays)
+        n = len(feature)
+        with pytest.raises(ValueError, match=f"^node {node} is neither a leaf"):
+            Tree(feature, np.zeros(n), left, right, np.zeros(n), np.ones(n))
+
+    def test_node_arrays_checked(self):
+        with pytest.raises(ValueError, match="^feature, threshold, left, right, value and "
+                                             "cover must be aligned, non-empty 1-D arrays$"):
+            Tree(np.array([0, -1, -1]), np.zeros(3), np.array([1, -1, -1]),
+                 np.array([2, -1, -1]), np.zeros(2), np.ones(3))
+
     def test_expected_value_is_cover_weighted(self):
         tree = Tree(np.array([0, -1, -1]), np.array([0.5, 0.0, 0.0]),
                     np.array([1, -1, -1]), np.array([2, -1, -1]),
@@ -167,7 +192,8 @@ class TestPredictAndSerialize:
     def test_feature_count_checked(self):
         ds = toy_dataset(d=3)
         ens = fit_gbt(ds, GBTParams(n_trees=1, max_depth=1))
-        with pytest.raises(ValueError, match="feature columns"):
+        with pytest.raises(ValueError, match=re.escape(
+                "feature matrix must be 2-D, of shape (N >= 1, 3), not (2, 5)")):
             ens.margins(np.zeros((2, 5)))
 
     @pytest.mark.parametrize("entry", [
@@ -183,7 +209,7 @@ class TestPredictAndSerialize:
         X = ds.features[:5].copy()
         entry(ens, X)
         X[3, 1] = value
-        with pytest.raises(ValueError, match="features must be finite"):
+        with pytest.raises(ValueError, match="non-finite feature matrix values"):
             entry(ens, X)
 
 

@@ -9,14 +9,19 @@ from scipy.stats import rankdata
 
 from clustercal import harness
 from clustercal.calibrators import fit, nll_of_probs, pav
-from clustercal.data import load_external_scores
-from clustercal.ensemble import improved_sample_fraction, train_clustered
+from clustercal.data import DataError, Dataset, load_external_scores
+from clustercal.ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
+from clustercal.gbt import GBTParams, fit_gbt, leaf_indices, predict
 from clustercal.harness import paired_resample_test
 from clustercal.metrics import (
-    REJECTION_THRESHOLDS, _average_ranks, _bin_ids, ada_ece, auc, cece, ece, mce,
+    REJECTION_THRESHOLDS, _average_ranks, _bin_ids, _matrix, ada_ece, auc, cece, ece, mce,
     reliability_data, rejection_curve, scalar_metrics,
 )
-from clustercal.representation import ClusterModel, diagnostics
+from clustercal.representation import (
+    ClusterModel, assign, build_embedding, diagnostics, fit_agglomerative, fit_kmeans,
+    select_k_elbow,
+)
+from clustercal.treeshap import shap_values
 from clustercal.scores import ScoreSet, logit
 
 HAND_P = np.array([0.2, 0.3, 0.7, 0.9])
@@ -266,6 +271,77 @@ class TestSharedInputRules:
             call(np.array(self.BAD_IDS[case]))
         span = ">= 0" if k is None else f"in [0, {k})"
         assert str(exc.value) == f"cluster ids must be integers {span}"
+
+
+def _rule_dataset(X):
+    return Dataset(X, RULE_Y, ("a", "b"), tuple("wxyz"))
+
+
+RULE_X = np.array([[0.0, 1.0], [0.5, -1.0], [2.0, 0.0], [3.0, 2.5]])
+RULE_ENS = fit_gbt(_rule_dataset(RULE_X), GBTParams(n_trees=2, max_depth=2))
+RULE_CM2 = ClusterModel("kmeans", 2, RULE_X[:2], np.array([2, 2]), np.array([0, 1]))
+RULE_CCL = ClusteredCalibrator(RULE_CM2, "platt", {}, fit("platt", RULE_SCORES, RULE_Y), 30)
+
+
+class TestMatrixRule:
+    """Every 2-D boundary applies the one matrix rule, ``_matrix``: a 2-D
+    array of finite values with at least one row, and the rows and columns
+    the boundary fixes; the message names the matrix and its expected shape.
+    Each boundary's finiteness check is tested where the boundary is."""
+
+    # boundary -> (call on a matrix, the name its message gives it, the rows
+    # and columns it fixes); each accepts RULE_X, or RULE_X[:2] for the init
+    BOUNDARIES = {
+        "Dataset": (_rule_dataset, "feature matrix", 4, 2),
+        "predict": (lambda X: predict(RULE_ENS, X), "feature matrix", None, 2),
+        "margins": (RULE_ENS.margins, "feature matrix", None, 2),
+        "leaf_indices": (lambda X: leaf_indices(RULE_ENS, X), "feature matrix", None, 2),
+        "shap_values": (lambda X: shap_values(RULE_ENS, X), "feature matrix", None, 2),
+        "build_embedding": (lambda X: build_embedding("external", None, _rule_dataset(RULE_X),
+                                                      vectors=X), "embedding", 4, None),
+        "fit_kmeans": (lambda X: fit_kmeans(X, 1), "embedding", None, None),
+        "fit_kmeans[init]": (lambda X: fit_kmeans(RULE_X, 2, init=X), "init", 2, 2),
+        "fit_agglomerative": (lambda X: fit_agglomerative(X, 1), "embedding", None, None),
+        "select_k_elbow": (lambda X: select_k_elbow(X, (2, 4, 1)), "embedding", None, None),
+        "assign": (lambda X: assign(RULE_CM2, X), "embedding", None, 2),
+        "infer": (lambda X: RULE_CCL.infer(RULE_SCORES, X), "embedding", None, 2),
+    }
+    # case -> the accepted matrix, changed; the row and column cases apply
+    # only where the boundary fixes that count
+    CASES = {
+        "1-D": lambda X: X[:, 0],
+        "3-D": lambda X: X[None],
+        "no rows": lambda X: X[:0],
+        "a row more": lambda X: np.vstack([X, X[:1]]),
+        "a column more": lambda X: np.hstack([X, X[:, :1]]),
+    }
+
+    @pytest.mark.parametrize("boundary, case", [
+        (b, c) for (b, (_, _, rows, columns)), c in itertools.product(BOUNDARIES.items(), CASES)
+        if (rows or c != "a row more") and (columns or c != "a column more")])
+    def test_bad_matrix(self, boundary, case):
+        call, name, rows, columns = self.BOUNDARIES[boundary]
+        bad = self.CASES[case](RULE_X[:2] if name == "init" else RULE_X)
+        with pytest.raises(ValueError) as exc:
+            call(bad)
+        assert str(exc.value) == (f"{name} must be 2-D, of shape ({rows or 'N >= 1'}, "
+                                  f"{columns or 'm'}), not {bad.shape}")
+        assert isinstance(exc.value, DataError) == (boundary == "Dataset")
+
+    # test_representation.py's TestEmbeddingRule passes lists to the others
+    @pytest.mark.parametrize("boundary", [b for b, v in BOUNDARIES.items() if v[1] != "embedding"])
+    def test_accepts_a_list_of_rows(self, boundary):
+        call, name, _, _ = self.BOUNDARIES[boundary]
+        call((RULE_X[:2] if name == "init" else RULE_X).tolist())
+
+    def test_returns_float64_without_copying_it(self):
+        assert _matrix(RULE_X, "x") is RULE_X
+        ints = _matrix([[1, 2], [3, 4]], "x", rows=2, columns=2)
+        assert ints.dtype == np.float64 and ints.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_a_matrix_may_have_no_columns(self):
+        assert _matrix(np.zeros((3, 0)), "x").shape == (3, 0)
+        assert _matrix(np.zeros((3, 0)), "x", rows=3, columns=0).shape == (3, 0)
 
 
 class TestCece:

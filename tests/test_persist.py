@@ -293,6 +293,21 @@ def test_an_unknown_artifact_key_is_named(tmp_path):
         _read_json(TreeEnsemble, path)
 
 
+@pytest.mark.parametrize("feature, left, right, node", [
+    ([0, -1, -1], [0, -1, -1], [2, -1, -1], 0),                      # node 0 is its own child
+    ([0, 0, -1, -1, -1], [1, 0, -1, -1, -1], [4, 3, -1, -1, -1], 1),  # node 1's child is 0
+])
+def test_a_tree_with_a_cycle_is_named(tmp_path, feature, left, right, node):
+    # predict would go round the cycle for ever
+    d = json.loads((GOLDEN / "report" / "ensemble.json").read_text())
+    n = len(feature)
+    d["trees"][0].update(feature=feature, threshold=[0.0] * n, left=left, right=right,
+                         value=[0.0] * n, cover=[1.0] * n)
+    path = write_golden_without(tmp_path, "ensemble.json", **d)
+    with pytest.raises(ConfigError, match=rf"ensemble.json.trees\[0\]: node {node} is neither "):
+        _read_json(TreeEnsemble, path)
+
+
 def test_a_missing_artifact_key_is_named(tmp_path):
     path = write_golden_without(tmp_path, "ccl_platt.json", drop=("calibrators",))
     with pytest.raises(ConfigError, match=r"ccl_platt.json needs keys: \['calibrators'\]"):

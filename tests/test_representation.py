@@ -1,5 +1,7 @@
 """Embeddings, clustering and cluster diagnostics."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.cluster.hierarchy import fcluster, linkage
@@ -77,7 +79,8 @@ class TestEmbeddings:
         V = np.ones((ds.n, 3))
         E = build_embedding("external", None, ds, vectors=V)
         assert E.shape == (ds.n, 3)
-        with pytest.raises(ValueError, match="row count"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"embedding must be 2-D, of shape ({ds.n}, m), not ({ds.n - 1}, 3)")):
             build_embedding("external", None, ds, vectors=V[:-1])
 
     def test_validation(self):
@@ -178,7 +181,8 @@ class TestKmeans:
 
     def test_dimension_mismatch(self):
         cm = ClusterModel("kmeans", 1, np.zeros((1, 2)), np.array([1]), np.array([0]))
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match=re.escape(
+                "embedding must be 2-D, of shape (N >= 1, 2), not (3, 5)")):
             assign(cm, np.zeros((3, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -530,8 +534,24 @@ class TestElbow:
 
     def test_init_shape_checked(self):
         E, _ = blobs(2, n_per=10)
-        with pytest.raises(ValueError, match="init must have shape"):
+        with pytest.raises(ValueError, match=re.escape(
+                "init must be 2-D, of shape (3, 2), not (2, 2)")):
             fit_kmeans(E, 3, init=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("method", ["dbscan", "Kmeans", None])
+    def test_unknown_method_rejected(self, method):
+        E, _ = blobs(2, n_per=10)
+        with pytest.raises(ValueError, match=re.escape(
+                f"method must be one of ('kmeans', 'agglomerative'), not {method!r}")):
+            select_k_elbow(E, (2, 4, 1), method=method)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_init_values_checked(self, bad):
+        E, _ = blobs(2, n_per=10)
+        init = E[:3].copy()
+        init[1, 0] = bad
+        with pytest.raises(ValueError, match="^non-finite init values$"):
+            fit_kmeans(E, 3, init=init)
 
     @pytest.mark.parametrize("method", ["kmeans", "agglomerative"])
     def test_grid_models_match_single_fits(self, method):
