@@ -129,6 +129,12 @@ class CsvSpec:
     def __post_init__(self):
         if self.impute not in ("reject", "mean"):
             raise DataError(f"unknown impute mode {self.impute!r}")
+        for column, cmap in (self.category_maps or {}).items():
+            if not (isinstance(cmap, dict) and all(
+                    isinstance(s, str) and isinstance(v, int) and not isinstance(v, bool)
+                    for s, v in cmap.items())):
+                raise DataError(f"category_maps[{column!r}] must map strings to ints, "
+                                f"not {cmap!r}")
 
 
 def _read_csv(path, has_header=lambda first: True):

@@ -103,6 +103,13 @@ class TreeEnsemble:
     # Not part of the model: repr, == and so the written JSON leave it out
     train_margins: np.ndarray | None = field(default=None, repr=False, compare=False)
 
+    def __post_init__(self):
+        for i, tree in enumerate(self.trees):
+            node = int(tree.feature.argmax())       # a tree has at least one node
+            if tree.feature[node] >= self.n_features:
+                raise ValueError(f"tree {i}, node {node}: split feature {tree.feature[node]} "
+                                 f"is not below n_features {self.n_features}")
+
     def margins(self, X: np.ndarray) -> np.ndarray:
         X = self._check(X)
         out = np.full(len(X), self.base_score)

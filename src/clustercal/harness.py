@@ -28,9 +28,9 @@ from .metrics import (
     ece, mce, rejection_curve, scalar_metrics,
 )
 from .representation import (
-    EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel, EmbeddingOpts,
-    _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative, fit_kmeans,
-    select_k_elbow,
+    CLUSTER_METHODS, EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel,
+    EmbeddingOpts, _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative,
+    fit_kmeans, select_k_elbow,
 )
 from .scores import ScoreSet
 
@@ -93,7 +93,7 @@ class EmbeddingSpec:
 
 @dataclass(frozen=True)
 class ClusteringSpec:
-    method: Literal["kmeans", "agglomerative"] = "kmeans"
+    method: Literal[CLUSTER_METHODS] = "kmeans"
     k: int | None = None                    # None: pick k on the elbow grid
     elbow: tuple[int, ...] = (5, 100, 5)
     min_cluster_size: int = 0
@@ -110,21 +110,6 @@ class MetricSpec:
 class CclSpec:
     min_fit_size: int = DEFAULT_MIN_FIT_SIZE
 
-
-# The top-level keys a config may leave out, as JSON; config_hash covers them.
-DEFAULTS = {
-    "model": {"gbt": {}},
-    "split_ratios": (0.6, 0.2, 0.2),
-    "stratify": True,
-    "embedding": {"kind": EmbeddingSpec.kind, "opts": {}},
-    "clustering": {"method": ClusteringSpec.method, "k": 10},
-    "methods": PARAMETRIC_METHODS,
-    "metric_opts": {},
-    "ccl_opts": {},
-    "rejection_thresholds": REJECTION_THRESHOLDS,
-    "seed": 0,
-    "out": None,
-}
 
 _NOUNS = {bool: "a boolean", int: "an int", float: "a number", str: "a string",
           dict: "a JSON object", list: "a list", np.ndarray: "a list of numbers"}
@@ -157,9 +142,25 @@ def _int_key(key: str, k: str) -> int:
     raise ConfigError(f"{key} keys must be ints, not {k!r}")
 
 
+def _array(key: str, v: list) -> np.ndarray:
+    """JSON list ``v`` as an array whose dtype follows its numbers (``1`` int64,
+    ``1.0`` float64): rectangular, of numbers that are not bools, and finite."""
+    try:
+        a = np.asarray(v)
+    except ValueError:                      # ragged
+        a = None
+    if (a is None or a.dtype.kind not in "if"
+            or any(isinstance(x, bool) for x in np.asarray(v, dtype=object).flat)):
+        raise ConfigError(f"{key} must be a rectangular list of numbers")
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{key}: values must be finite")
+    return a
+
+
 def _value(key: str, tp, v, meta):
-    """``v`` as a value of annotation ``tp``; a list becomes a tuple, or an
-    array whose dtype follows its JSON numbers (``1`` int64, ``1.0`` float64)."""
+    """``v`` as a value of annotation ``tp``: a number as a float where ``tp``
+    is float, so that ``1`` and ``1.0`` parse alike; a list becomes a tuple,
+    or an array (``_array``)."""
     origin, args = get_origin(tp), get_args(tp)
     if is_dataclass(tp):
         return _section(tp, key, v)
@@ -175,17 +176,17 @@ def _value(key: str, tp, v, meta):
         if isinstance(v, (list, tuple)) and all(_is(args[0], x) for x in v):
             if not all(map(_finite, v)):
                 raise ConfigError(f"{key}: values must be finite")
-            return tuple(v)
+            return tuple(map(float, v)) if args[0] is float else tuple(v)
         raise ConfigError(f"{key} must be a list of {meta.get('items', args[0].__name__ + 's')}")
     if origin is dict and isinstance(v, dict):      # dict[int, X]: JSON keys are strings
         return {_int_key(key, k): _value(f"{key}.{k}", args[1], x, meta) for k, x in v.items()}
     if tp is np.ndarray and isinstance(v, list):
-        return np.asarray(v)
+        return _array(key, v)
     if not _is(origin or tp, v):
         raise ConfigError(f"{key} must be {_NOUNS[origin or tp]}, not {v!r}")
     if not _finite(v):
         raise ConfigError(f"{key} must be finite, not {v!r}")
-    return v
+    return float(v) if tp is float else v
 
 
 def _section(cls, key: str, value):
@@ -212,29 +213,27 @@ def _section(cls, key: str, value):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """An experiment config, checked whole by ``from_dict`` before any stage runs."""
+    """An experiment config, checked whole by ``from_dict`` before any stage runs.
+    Each field's default is the default of its key; only ``data`` is required."""
 
     data: DataSpec
-    model: ModelSpec
-    split_ratios: tuple[float, ...]
-    stratify: bool
-    embedding: EmbeddingSpec
-    clustering: ClusteringSpec
-    methods: tuple[str, ...] = field(metadata={"items": "method names"})
-    metric_opts: MetricSpec
-    ccl_opts: CclSpec
-    rejection_thresholds: tuple[float, ...]
-    seed: int
-    out: str | None
-    # the config as given, with DEFAULTS for absent keys: what config_hash covers
-    payload: dict = field(default=None, init=False, repr=False, compare=False)
+    model: ModelSpec = ModelSpec(gbt=GBTParams())
+    split_ratios: tuple[float, ...] = (0.6, 0.2, 0.2)
+    stratify: bool = True
+    embedding: EmbeddingSpec = EmbeddingSpec()
+    clustering: ClusteringSpec = ClusteringSpec(k=10)   # a given section without k: elbow
+    methods: tuple[str, ...] = field(default=PARAMETRIC_METHODS,
+                                     metadata={"items": "method names"})
+    metric_opts: MetricSpec = MetricSpec()
+    ccl_opts: CclSpec = CclSpec()
+    rejection_thresholds: tuple[float, ...] = REJECTION_THRESHOLDS
+    seed: int = 0
+    out: str | None = None
 
     @classmethod
     def from_dict(cls, d: dict, **overrides) -> "ExperimentConfig":
         """Parse and check ``d`` with ``overrides`` (such as ``seed`` or ``out``) applied."""
-        payload = {**DEFAULTS, **_object("config", d), **overrides}
-        cfg = _section(cls, "", payload)
-        object.__setattr__(cfg, "payload", payload)
+        cfg = _section(cls, "", {**_object("config", d), **overrides})
         cfg.validate()
         return cfg
 
@@ -288,9 +287,10 @@ class ExperimentConfig:
             raise ConfigError(f"methods repeat: {repeated}")
 
     def config_hash(self) -> str:
-        """SHA-256 of every top-level key but ``out``, the part that shapes the results."""
-        payload = {k: v for k, v in self.payload.items() if k != "out"}
-        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        """SHA-256 of the parsed config, defaults filled in, but ``out``: the part
+        that shapes the results, as the JSON artifacts' rule writes it."""
+        shaping = {k: v for k, v in _jsonable(self).items() if k != "out"}
+        return hashlib.sha256(json.dumps(shaping, sort_keys=True).encode()).hexdigest()
 
 
 @dataclass
@@ -521,10 +521,10 @@ def _jsonable(o):
     return o
 
 
-def _write_json(path, payload):
-    """Write ``_jsonable(payload)`` as sorted, indented JSON."""
+def _write_json(path, obj):
+    """Write ``_jsonable(obj)`` as sorted, indented JSON."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(_jsonable(payload), fh, sort_keys=True, indent=1)
+        json.dump(_jsonable(obj), fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 

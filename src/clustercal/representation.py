@@ -112,6 +112,12 @@ class ClusterModel:
     seed: int = 0
     inertia: float = 0.0
 
+    def __post_init__(self):
+        counts = (len(self.centroids), len(self.sizes), len(self.positives))
+        if counts != (self.k,) * 3:
+            raise ValueError(f"k is {self.k}, but there are {counts[0]} centroids, "
+                             f"{counts[1]} sizes and {counts[2]} positive counts")
+
 
 @dataclass(frozen=True)
 class ClusterDiagnostics:

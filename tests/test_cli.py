@@ -281,6 +281,21 @@ class TestExitCodes:
         assert err.startswith(f"error: {data}: cannot read the file") and reason in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmap", [{"red": "x"}, ["red"], 3, {"red": True}],
+                             ids=["string-code", "list", "int", "bool-code"])
+    def test_category_maps_of_the_wrong_type_exit_1_and_write_nothing(self, tmp_path, capsys,
+                                                                      cmap):
+        data = tmp_path / "data.csv"
+        data.write_text("a,y\nred,0\nblue,1\n")
+        cfg = write_config(tmp_path, {"data": {"csv": {
+            "path": str(data), "label_column": "y", "category_maps": {"a": cmap}}},
+            "model": {"gbt": {}}})
+        out = tmp_path / "out"
+        assert main(["train", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (f"error: data.csv: category_maps['a'] must map "
+                                           f"strings to ints, not {cmap!r}\n")
+        assert not out.exists()
+
     # input file -> (config change, given its path; exit code; the stage the message names)
     INPUT_FILES = {
         "data": (lambda p: {"data": {"csv": {"path": p, "label_column": "y"}},
@@ -368,6 +383,15 @@ class TestArtifacts:
         assert selection["selected"] in {r for r in
                                          ("base", "platt_unified", "platt_ccl")}
         assert capsys.readouterr().out.strip()
+
+    def test_select_reuses_a_report_whose_config_spells_out_a_default(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["report", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        stamp = (out / "eval_report.json").stat().st_mtime_ns
+        spelled = write_config(tmp_path, {"metric_opts": {"n_bins": 10}, "stratify": True},
+                               name="spelled.json")
+        assert main(["select", "--config", spelled, "--out", str(out)]) == 0
+        assert (out / "eval_report.json").stat().st_mtime_ns == stamp
 
     def test_select_ignores_a_report_from_another_config(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -213,24 +213,46 @@ class TestConfig:
             assert (changed == base) == (key == "out"), key
 
     def test_config_hash_pins(self):
-        # the hashed payload is the config as given plus the absent keys' defaults
+        # the hash covers the parsed config, its defaults filled in, but out
         golden = ExperimentConfig.from_json_file(str(GOLDEN_CONFIG))
         assert golden.config_hash() == (
-            "56ca7f8b9053a3a738d3d95ee6bbdf83109c1a09349446d8f19fff6e5d95f36b")
+            "cae4efb11b4b70a966b3b27c0d627d46b36ab3989eb6a02b373bcc198ed4af3f")
         for name, digest in HASHES.items():
             assert ExperimentConfig.from_dict(workloads.config(name, 0)).config_hash() == digest
         # a config that gives only its data hashes every top-level default
         minimal = {"data": {"synthetic": {"n_subpops": 2, "samples_per_subpop": 50}}}
         assert ExperimentConfig.from_dict(minimal).config_hash() == (
-            "0526a658c7c359c329f4dba66dc92c2d91e3be6b1c696731e26017e33f25d632")
+            "e3064538d70ce88108616d83efd8a89b6e450c546b364fb3bcabb618bcdd48b2")
+
+    # each list: edits of the golden config (None drops the key) that parse to one config
+    @pytest.mark.parametrize("spellings", [
+        [{"clustering": None}, {"clustering": {"k": 10}},
+         {"clustering": {"method": "kmeans", "k": 10, "elbow": [5, 100, 5],
+                         "min_cluster_size": 0}}],
+        [{}, {"metric_opts": {"n_bins": 10}}],
+        [{}, {"model": {"gbt": {"n_trees": 6, "max_depth": 3, "lambda_l2": 1}}},
+         {"model": {"gbt": {"n_trees": 6, "max_depth": 3, "lambda_l2": 1.0}}}],
+    ], ids=["clustering", "metric_opts", "int-for-float"])
+    def test_equal_parsed_configs_hash_equal(self, spellings):
+        golden = json.loads(GOLDEN_CONFIG.read_text())
+        cfgs = [ExperimentConfig.from_dict({k: v for k, v in {**golden, **s}.items()
+                                            if v is not None}) for s in spellings]
+        assert all(cfg == cfgs[0] for cfg in cfgs)
+        assert {cfg.config_hash() for cfg in cfgs} == {cfgs[0].config_hash()}
+
+    def test_a_replaced_config_runs_and_hashes_as_parsed(self):
+        cfg = dataclasses.replace(synth_config(), seed=4)
+        report = run_experiment(cfg)
+        parsed = ExperimentConfig.from_dict(synth_dict(), seed=4)
+        assert report.provenance == {"config_hash": parsed.config_hash(), "seed": 4}
 
 
 # config_hash of each perfbench workload's input 0
 HASHES = {
-    "shap_d4": "4d980a99f329f3182a0ef008189f73536fd1e463af6b274903030cfd4c33027f",
-    "shap_d8": "6262614da8c51a177de9c3ee1110b34319b321ae9c400a4b97a60534d1c363c8",
-    "gbt_raw": "6509e9ecbf3a192b68cb20b4cbcec549a2eb51388ffe2b8d2af4012f6fdbfcc9",
-    "elbow_k": "e5cf56a72951314edec5c8cd670217db7acf04e264190b94f3ce48ae8f574bd1",
+    "shap_d4": "722a540e951cf2d9d0d05a442d08c5a07df8b5d63cf56eb9d47012fd57a34898",
+    "shap_d8": "68ef1e09e87eb847bad6d36bba98e6d9bbf8b007d42b37bd1e4371614c924079",
+    "gbt_raw": "98b760fa74803d32fe54c81bff3d7f78bf47a889f94fa2c40a9107c9b70c1bcf",
+    "elbow_k": "13982bcf072f9636e7499a034fd88acf820fa7f1cae9be6650c044c0222c2701",
 }
 
 

@@ -529,5 +529,5 @@ class TestRejection:
     def test_default_thresholds_are_the_config_default(self):
         curve = rejection_curve(np.array([0.3, 0.8]), np.array([0, 1]))
         assert curve.thresholds.tolist() == [0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
-        assert tuple(curve.thresholds) == REJECTION_THRESHOLDS == harness.DEFAULTS[
-            "rejection_thresholds"]
+        assert tuple(curve.thresholds) == REJECTION_THRESHOLDS == (
+            harness.ExperimentConfig.rejection_thresholds)

@@ -348,3 +348,42 @@ def test_keys_with_defaults_may_be_absent(tmp_path):
                                                       drop=("diagnostics",)))
     assert (ens.train_loss, cm.seed, cm.inertia, ccl.cluster_meta, cal.diagnostics) == (
         (), 0, 0.0, {}, {})
+
+
+def test_a_split_feature_beyond_n_features_is_named(tmp_path):
+    # predict would index past the feature matrix's last column
+    d = json.loads((GOLDEN / "report" / "ensemble.json").read_text())
+    d["trees"][1]["feature"][0] = 99
+    path = write_golden_without(tmp_path, "ensemble.json", **d)
+    with pytest.raises(ConfigError, match=r"ensemble.json: tree 1, node 0: split feature 99 "
+                                          r"is not below n_features 3$"):
+        _read_json(TreeEnsemble, path)
+
+
+@pytest.mark.parametrize("edit", [{"k": 99}, {"sizes": [75, 138, 6]}, {"positives": [0] * 5}])
+def test_a_cluster_model_whose_counts_disagree_is_named(tmp_path, edit):
+    path = write_golden_without(tmp_path, "clusters.json", **edit)
+    with pytest.raises(ConfigError, match=r"clusters.json: k is \d+, but there are 4 centroids"):
+        _read_json(ClusterModel, path)
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("ensemble.json", lambda d: d["trees"][0]["threshold"].__setitem__(0, math.nan),
+     r"trees\[0\].threshold: values must be finite"),
+    ("clusters.json", lambda d: d["centroids"][2].__setitem__(1, math.inf),
+     r"centroids: values must be finite"),
+    ("clusters.json", lambda d: d["centroids"][1].pop(), r"centroids must be a rectangular"),
+    ("clusters.json", lambda d: d.update(sizes=["a", "b", "c", "d"]),
+     r"sizes must be a rectangular"),
+    ("clusters.json", lambda d: d.update(sizes=[75, True, 6, 101]), r"sizes must be a rectangular"),
+    ("clusters.json", lambda d: d.update(positives=[False] * 4),
+     r"positives must be a rectangular"),
+], ids=["nan-threshold", "inf-centroid", "ragged-centroids", "string-sizes", "bool-size",
+        "bool-positives"])
+def test_an_array_must_be_rectangular_numeric_and_finite(tmp_path, name, edit, message):
+    # a NaN threshold would send every row right at its split without a word
+    d = json.loads((GOLDEN / "report" / name).read_text())
+    edit(d)
+    path = write_golden_without(tmp_path, name, **d)
+    with pytest.raises(ConfigError, match=rf"{name}\.{message}"):
+        _read_json(TreeEnsemble if name == "ensemble.json" else ClusterModel, path)
