@@ -30,8 +30,8 @@ class ClusteredCalibrator:
 
     cluster_model: ClusterModel
     method: str
-    calibrators: dict[int, Calibrator]
-    fallback: Calibrator
+    calibrators: dict[int, Calibrator]      # only the clusters with their own calibrator
+    fallback: Calibrator                    # every other cluster's
     min_fit_size: int
     cluster_meta: dict[int, dict] = field(default_factory=dict)
 
@@ -82,13 +82,11 @@ def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str
                 "used_fallback": False, "used_constant": False}
         if n_c == 0:
             info["used_fallback"] = True
-            calibrators[c] = fallback
         elif (y[mask] == y[mask][0]).all():
             calibrators[c] = _constant(_laplace_rate(y[mask]), note="homogeneous")
             info["used_constant"] = True
         elif n_c < min_fit_size:
             info["used_fallback"] = True
-            calibrators[c] = fallback
         else:
             sub, y_sub = scores.take(mask), y[mask]
             init = (fallback.params["A"], fallback.params["B"]) if method == "platt" else None

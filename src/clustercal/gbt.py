@@ -22,7 +22,7 @@ __all__ = ["Tree", "TreeEnsemble", "GBTParams", "fit_gbt", "predict", "leaf_indi
 GAIN_EPS = 1e-12
 # Cap on the (features x rows) cells one split-scan block holds; a node with
 # more cells is scanned in several feature blocks.
-SCAN_BLOCK_CELLS = 1 << 16
+SCAN_BLOCK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)

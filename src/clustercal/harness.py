@@ -29,8 +29,8 @@ from .metrics import (
 )
 from .representation import (
     CLUSTER_METHODS, EMBEDDING_KINDS, ENSEMBLE_KINDS, ClusterDiagnostics, ClusterModel,
-    EmbeddingOpts, _elbow_grid, assign, build_embedding, diagnostics, fit_agglomerative,
-    fit_kmeans, select_k_elbow,
+    EmbeddingOpts, _elbow_grid, _standardize_rule, assign, build_embedding, diagnostics,
+    fit_agglomerative, fit_kmeans, select_k_elbow,
 )
 from .scores import ScoreSet
 
@@ -132,6 +132,14 @@ def _finite(v) -> bool:
     return not isinstance(v, float) or math.isfinite(v)
 
 
+def _float(key: str, v) -> float:
+    """JSON number ``v`` as a float; an int too large for one names ``key``."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{key} must fit a float, not an int of {v.bit_length()} bits") from None
+
+
 def _int_key(key: str, k: str) -> int:
     """JSON object key ``k`` as the int whose ``str`` it is."""
     try:
@@ -176,7 +184,7 @@ def _value(key: str, tp, v, meta):
         if isinstance(v, (list, tuple)) and all(_is(args[0], x) for x in v):
             if not all(map(_finite, v)):
                 raise ConfigError(f"{key}: values must be finite")
-            return tuple(map(float, v)) if args[0] is float else tuple(v)
+            return tuple(_float(key, x) for x in v) if args[0] is float else tuple(v)
         raise ConfigError(f"{key} must be a list of {meta.get('items', args[0].__name__ + 's')}")
     if origin is dict and isinstance(v, dict):      # dict[int, X]: JSON keys are strings
         return {_int_key(key, k): _value(f"{key}.{k}", args[1], x, meta) for k, x in v.items()}
@@ -186,7 +194,7 @@ def _value(key: str, tp, v, meta):
         raise ConfigError(f"{key} must be {_NOUNS[origin or tp]}, not {v!r}")
     if not _finite(v):
         raise ConfigError(f"{key} must be finite, not {v!r}")
-    return float(v) if tp is float else v
+    return _float(key, v) if tp is float else v
 
 
 def _section(cls, key: str, value):
@@ -269,6 +277,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be {'positive' if least else '>= 0'}, not {value}")
         # the rules the library applies to these values when it uses them
         for key, rule in (("split_ratios", lambda: _ratios(self.split_ratios)),
+                          ("embedding.opts.standardize",
+                           lambda: _standardize_rule(emb.kind, emb.opts)),
                           ("clustering.elbow", lambda: _elbow_grid(clu.elbow)),
                           ("rejection_thresholds",    # rejection_curve's thresholds rule
                            lambda: _probabilities(_aligned(values=self.rejection_thresholds)[0],

@@ -71,6 +71,14 @@ class EmbeddingOpts:
             raise ValueError(f"topk_fraction must be in (0, 1], not {self.topk_fraction!r}")
 
 
+def _standardize_rule(kind: str, opts: EmbeddingOpts) -> None:
+    """``opts.standardize`` must not ask to standardize a leaf one-hot or an
+    external embedding, which ``build_embedding`` returns as they are."""
+    if opts.standardize and kind in ("leaf", "external"):
+        raise ValueError(f"the {kind} embedding is never standardized, so "
+                         "standardize must be false or null")
+
+
 def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
                     opts: EmbeddingOpts = EmbeddingOpts(), vectors=None) -> np.ndarray:
     """Build the requested per-sample representation, an (N, m) array with
@@ -78,6 +86,7 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
     rows of an ``"external"`` one."""
     if kind in ENSEMBLE_KINDS and ens is None:
         raise ValueError(f"{kind} embedding requires a fitted ensemble")
+    _standardize_rule(kind, opts)
     if kind == "shap":
         phi, _ = shap_values(ens, ds.features)
         V = _standardize(phi) if opts.standardize else phi
@@ -104,19 +113,27 @@ def build_embedding(kind: str, ens: TreeEnsemble | None, ds: Dataset,
 
 @dataclass(frozen=True)
 class ClusterModel:
+    """k clusters, one per centroid. ``sizes`` and ``inertia`` describe the
+    fit's training partition: Lloyd's last assignment for k-means, the Ward
+    cut for agglomerative. Every later stage assigns rows, the training rows
+    too, to their nearest centroid (``assign``); a Ward cluster may hold rows
+    nearer another centroid, so its size can differ from ``assign``'s count.
+    """
+
     method: str                 # kmeans | agglomerative
-    k: int
     centroids: np.ndarray       # (k, m)
     sizes: np.ndarray           # training cluster sizes
-    positives: np.ndarray       # training positive counts (0 when labels unknown)
     seed: int = 0
     inertia: float = 0.0
 
     def __post_init__(self):
-        counts = (len(self.centroids), len(self.sizes), len(self.positives))
-        if counts != (self.k,) * 3:
-            raise ValueError(f"k is {self.k}, but there are {counts[0]} centroids, "
-                             f"{counts[1]} sizes and {counts[2]} positive counts")
+        if len(self.sizes) != len(self.centroids):
+            raise ValueError(f"there are {len(self.centroids)} centroids, "
+                             f"but {len(self.sizes)} sizes")
+
+    @property
+    def k(self) -> int:
+        return len(self.centroids)
 
 
 @dataclass(frozen=True)
@@ -269,8 +286,7 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
         labels = new_labels
         if converged:
             break
-    return ClusterModel("kmeans", k, C, sizes, np.zeros(k, dtype=np.int64), seed,
-                        _inertia(V, C, labels))
+    return ClusterModel("kmeans", C, sizes, seed, _inertia(V, C, labels))
 
 
 def _ward(V):
@@ -302,18 +318,17 @@ def _cut_ward(V, k: int, Z) -> ClusterModel:
         seen = {}
         for i, c in enumerate(raw):
             labels[i] = seen.setdefault(int(c), len(seen))
-    k_eff = int(labels.max()) + 1
-    sizes = np.bincount(labels, minlength=k_eff)
+    sizes = np.bincount(labels)
     C = _centroids(np.ascontiguousarray(V.T), labels, sizes)
-    return ClusterModel("agglomerative", k_eff, C, sizes,
-                        np.zeros(k_eff, dtype=np.int64), 0, _inertia(V, C, labels))
+    return ClusterModel("agglomerative", C, sizes, 0, _inertia(V, C, labels))
 
 
 def _elbow_grid(k_range) -> tuple:
     """``k_range`` as (k_min, k_max, step), when k_min >= 2, step >= 1 and the
     grid holds at least 3 points."""
+    # the grid has (k_max - k_min) // step + 1 points; len(range) fails past 2^63
     if (len(k_range) != 3 or k_range[0] < 2 or k_range[2] < 1
-            or len(range(k_range[0], k_range[1] + 1, k_range[2])) < 3):
+            or (k_range[1] - k_range[0]) // k_range[2] < 2):
         raise ValueError("elbow grid must be (k_min >= 2, k_max, step >= 1) with at least "
                          f"3 grid points, not {k_range!r}")
     return tuple(k_range)

@@ -76,6 +76,15 @@ BAD_CONFIGS = [
     ({"clustering": {"method": "kmeans", "k": 4, "min_cluster_size": -3}},
      "clustering.min_cluster_size must be >= 0"),
     ({"rejection_thresholds": []}, "rejection_thresholds: values must be aligned"),
+    # json.load parses any int literal, however long; none of this size fits a float
+    ({"model": {"gbt": {"learning_rate": 10**400}}}, "model.gbt.learning_rate must fit a float"),
+    ({"split_ratios": [0.6, 10**400, 0.2]}, "split_ratios must fit a float"),
+    # a leaf one-hot or an external embedding is used as it is
+    ({"embedding": {"kind": "leaf", "opts": {"standardize": True}}},
+     "embedding.opts.standardize: the leaf embedding"),
+    ({"embedding": {"kind": "external", "path": str(GOLDEN / "embed" / "embedding.csv"),
+                    "opts": {"standardize": True}}},
+     "embedding.opts.standardize: the external embedding"),
 ]
 
 
@@ -448,6 +457,6 @@ class TestDeterminism:
         cfg = write_config(tmp_path, {"clustering": {"method": "agglomerative", "k": 3}})
         a, _ = _run_twice("report", cfg, tmp_path)
         clusters = json.loads((a / "clusters.json").read_text())
-        assert (clusters["method"], clusters["k"]) == ("agglomerative", 3)
+        assert (clusters["method"], len(clusters["centroids"])) == ("agglomerative", 3)
         report = json.loads((a / "eval_report.json").read_text())
         assert report["cluster_diagnostics"]["elbow_curve"] is None

@@ -61,8 +61,7 @@ class TestTrainClustered:
     def test_single_cluster_equals_unified(self):
         ds, sp, scores, E, _ = synth_setup()
         V = E[sp.calibration]
-        cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
-                           np.array([len(V)]), np.array([0]))
+        cm1 = ClusterModel("kmeans", V.mean(axis=0, keepdims=True), np.array([len(V)]))
         ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
         uni = fit("platt", scores.take(sp.calibration), ds.labels[sp.calibration])
         p_ccl, _ = ccl.infer(scores.take(sp.test), E[sp.test])
@@ -74,8 +73,7 @@ class TestTrainClustered:
         V = np.r_[np.zeros((40, 1)), np.full((8, 1), 50.0)]
         y = np.r_[np.random.default_rng(0).integers(0, 2, 40), np.ones(8, dtype=int)]
         margins = np.random.default_rng(1).normal(size=48)
-        cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
-                          np.array([40, 8]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.array([[0.0], [50.0]]), np.array([40, 8]))
         ccl = train(ScoreSet.from_margins(margins), V, cm, "platt", y)
         cal = ccl.resolve(1)
         assert cal.method == "constant"
@@ -87,19 +85,17 @@ class TestTrainClustered:
         rng = np.random.default_rng(2)
         y = rng.integers(0, 2, 65)
         y[60:] = [0, 1, 0, 1, 0]  # mixed labels but below the fit floor
-        cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
-                          np.array([60, 5]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.array([[0.0], [50.0]]), np.array([60, 5]))
         ccl = train(ScoreSet.from_margins(rng.normal(size=65)), V, cm, "platt", y)
         assert ccl.cluster_meta[1]["used_fallback"]
-        assert ccl.resolve(1).params == ccl.fallback.params
+        assert 1 not in ccl.calibrators and ccl.resolve(1) is ccl.fallback
 
     def test_min_fit_size_option(self):
         V = np.r_[np.zeros((60, 1)), np.full((5, 1), 50.0)]
         rng = np.random.default_rng(2)
         y = rng.integers(0, 2, 65)
         y[60:] = [0, 1, 0, 1, 0]
-        cm = ClusterModel("kmeans", 2, np.array([[0.0], [50.0]]),
-                          np.array([60, 5]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.array([[0.0], [50.0]]), np.array([60, 5]))
         ccl = train(ScoreSet.from_margins(rng.normal(size=65)), V, cm,
                     "platt", y, min_fit_size=4)
         assert not ccl.cluster_meta[1]["used_fallback"]
@@ -130,7 +126,7 @@ class TestTrainClustered:
         rng = np.random.default_rng(4)
         scores = ScoreSet.from_margins(rng.normal(size=60))
         y = (rng.random(60) < 0.5).astype(int)
-        cm = ClusterModel("kmeans", 2, np.zeros((2, 1)), np.array([30, 30]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.zeros((2, 1)), np.array([30, 30]))
         fallback = fit("temperature", scores, y)
         ccl = train_clustered(scores, y, np.repeat([0, 1], 30), cm, "temperature", fallback)
         kept = ccl.resolve(0)
@@ -144,11 +140,10 @@ class TestTrainClustered:
         rng = np.random.default_rng(6)
         scores = ScoreSet.from_margins(rng.normal(size=60))
         y = rng.integers(0, 2, 60)
-        cm = ClusterModel("kmeans", 3, np.zeros((3, 1)), np.array([30, 30, 1]),
-                          np.array([0, 0, 0]))
+        cm = ClusterModel("kmeans", np.zeros((3, 1)), np.array([30, 30, 1]))
         fallback = fit("platt", scores, y)
         ccl = train_clustered(scores, y, np.repeat([0, 2], 30), cm, "platt", fallback)
-        assert ccl.calibrators[1] is fallback
+        assert 1 not in ccl.calibrators and ccl.resolve(1) is fallback
         assert ccl.cluster_meta[1] == {"size": 0, "positive_rate": 0.0,
                                        "used_fallback": True, "used_constant": False}
 
@@ -197,8 +192,7 @@ class TestImprovedFraction:
     def test_bounded_and_zero_for_identical_models(self):
         ds, sp, scores, E, _ = synth_setup(seed=6)
         V = E[sp.calibration]
-        cm1 = ClusterModel("kmeans", 1, V.mean(axis=0, keepdims=True),
-                           np.array([len(V)]), np.array([0]))
+        cm1 = ClusterModel("kmeans", V.mean(axis=0, keepdims=True), np.array([len(V)]))
         ccl = train(scores.take(sp.calibration), V, cm1, "platt", ds.labels[sp.calibration])
         uni = fit("platt", scores.take(sp.calibration), ds.labels[sp.calibration])
         te_s = scores.take(sp.test)

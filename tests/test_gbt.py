@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import hashlib
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -317,7 +318,7 @@ class TestPresortedSplitSearch:
 
     def test_matches_when_a_node_spans_several_feature_blocks(self):
         n, d = 3000, 30
-        assert n * d > SCAN_BLOCK_CELLS  # the root is scanned in two feature blocks
+        assert n * d > SCAN_BLOCK_CELLS  # the root is scanned in three feature blocks
         ds = tied_dataset(n, d, 7)
         # the last two columns copy the first two, so the root's tie between
         # feature 0 (or 1) and its copy spans two feature blocks
@@ -344,10 +345,12 @@ class TestPresortedSplitSearch:
         that block's `tie_free` flags."""
         blocks, real = [], gbt._best_split
 
-        def record(X, order, tie_free, *args):
+        def record(*args, **kwargs):
+            a = inspect.signature(real).bind(*args, **kwargs).arguments
+            order, tie_free = a["order"], a["tie_free"]
             step = max(1, gbt.SCAN_BLOCK_CELLS // order.shape[1])
             blocks.extend(tie_free[j0:j0 + step] for j0 in range(0, len(order), step))
-            return real(X, order, tie_free, *args)
+            return real(*args, **kwargs)
         monkeypatch.setattr(gbt, "_best_split", record)
         return blocks
 

@@ -181,6 +181,11 @@ class TestConfig:
             ExperimentConfig.from_dict(synth_dict(**{key: value}))
         assert str(info.value).startswith(message)
 
+    def test_an_elbow_grid_past_any_data_size_is_valid(self):
+        # k_max stops at the number of rows; a grid this long has no len()
+        cfg = synth_config(clustering={"method": "kmeans", "elbow": [5, 10**400, 5]})
+        assert cfg.clustering.elbow == (5, 10**400, 5)
+
     def test_absent_sections_take_their_defaults(self):
         cfg = ExperimentConfig.from_dict({"data": synth_dict()["data"]})
         assert (cfg.model.gbt, cfg.embedding.kind) == (GBTParams(), "shap")

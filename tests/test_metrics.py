@@ -153,7 +153,7 @@ RULE_P = np.array([0.2, 0.7, 0.4, 0.9])
 RULE_Y = np.array([0, 1, 0, 1])
 RULE_IDS = np.array([0, 1, 1, 0])
 RULE_SCORES = ScoreSet.from_probabilities(RULE_P)
-RULE_CM = ClusterModel("kmeans", 2, np.zeros((2, 1)), np.array([2, 2]), np.array([0, 1]))
+RULE_CM = ClusterModel("kmeans", np.zeros((2, 1)), np.array([2, 2]))
 
 
 def rule_train(y, clusters):
@@ -279,7 +279,7 @@ def _rule_dataset(X):
 
 RULE_X = np.array([[0.0, 1.0], [0.5, -1.0], [2.0, 0.0], [3.0, 2.5]])
 RULE_ENS = fit_gbt(_rule_dataset(RULE_X), GBTParams(n_trees=2, max_depth=2))
-RULE_CM2 = ClusterModel("kmeans", 2, RULE_X[:2], np.array([2, 2]), np.array([0, 1]))
+RULE_CM2 = ClusterModel("kmeans", RULE_X[:2], np.array([2, 2]))
 RULE_CCL = ClusteredCalibrator(RULE_CM2, "platt", {}, fit("platt", RULE_SCORES, RULE_Y), 30)
 
 

@@ -199,7 +199,7 @@ WRITTEN_FIELDS = {
     "TreeEnsemble": {"trees", "base_score", "n_features", "params", "train_loss"},
     "Tree": {"feature", "threshold", "left", "right", "value", "cover"},
     "GBTParams": {"n_trees", "max_depth", "learning_rate", "min_child_weight", "lambda_l2"},
-    "ClusterModel": {"method", "k", "centroids", "sizes", "positives", "seed", "inertia"},
+    "ClusterModel": {"method", "centroids", "sizes", "seed", "inertia"},
     "Calibrator": {"method", "params", "diagnostics"},
     "ClusteredCalibrator": {"cluster_model", "method", "calibrators", "fallback",
                             "min_fit_size", "cluster_meta"},
@@ -228,8 +228,7 @@ def test_json_values_are_plain_and_keys_strings(state):
 
 def test_cluster_keys_are_written_in_string_order(tmp_path):
     k = 12
-    cm = ClusterModel("kmeans", k, np.zeros((k, 2)), np.ones(k, dtype=np.int64),
-                      np.zeros(k, dtype=np.int64))
+    cm = ClusterModel("kmeans", np.zeros((k, 2)), np.ones(k, dtype=np.int64))
     const = Calibrator("constant", {"p0": 0.5})
     ccl = ClusteredCalibrator(cm, "platt", {c: const for c in range(k)}, const, 10,
                               {c: {"n": 1} for c in range(k)})
@@ -272,8 +271,7 @@ def test_read_back_arrays_take_their_dtype_from_the_json():
         assert {f: getattr(tree, f).dtype.name for f in want} == want
     assert ens.train_margins is None
     cm = _read_json(ClusterModel, GOLDEN / "report" / "clusters.json")
-    assert [a.dtype.name for a in (cm.sizes, cm.positives, cm.centroids)] == [
-        "int64", "int64", "float64"]
+    assert [a.dtype.name for a in (cm.sizes, cm.centroids)] == ["int64", "float64"]
     hist = _read_json(Calibrator, GOLDEN / "report" / "unified_histogram.json")
     assert [hist.params[k].dtype.name for k in ("edges", "outputs")] == ["float64"] * 2
     binned = _read_json(Calibrator, GOLDEN / "report" / "unified_platt_bin.json")
@@ -360,10 +358,18 @@ def test_a_split_feature_beyond_n_features_is_named(tmp_path):
         _read_json(TreeEnsemble, path)
 
 
-@pytest.mark.parametrize("edit", [{"k": 99}, {"sizes": [75, 138, 6]}, {"positives": [0] * 5}])
+@pytest.mark.parametrize("edit", [{"sizes": [75, 138, 6]}, {"sizes": [75, 138, 6, 101, 1]},
+                                  {"sizes": []}])
 def test_a_cluster_model_whose_counts_disagree_is_named(tmp_path, edit):
     path = write_golden_without(tmp_path, "clusters.json", **edit)
-    with pytest.raises(ConfigError, match=r"clusters.json: k is \d+, but there are 4 centroids"):
+    with pytest.raises(ConfigError, match=r"clusters.json: there are 4 centroids, but \d sizes"):
+        _read_json(ClusterModel, path)
+
+
+def test_a_cluster_file_from_before_k_and_positives_were_dropped_is_named(tmp_path):
+    # such a file wrote k beside its centroids and positives that were never counted
+    path = write_golden_without(tmp_path, "clusters.json", k=4, positives=[0] * 4)
+    with pytest.raises(ConfigError, match=r"unknown .*clusters.json keys: \['k', 'positives'\]"):
         _read_json(ClusterModel, path)
 
 
@@ -376,10 +382,7 @@ def test_a_cluster_model_whose_counts_disagree_is_named(tmp_path, edit):
     ("clusters.json", lambda d: d.update(sizes=["a", "b", "c", "d"]),
      r"sizes must be a rectangular"),
     ("clusters.json", lambda d: d.update(sizes=[75, True, 6, 101]), r"sizes must be a rectangular"),
-    ("clusters.json", lambda d: d.update(positives=[False] * 4),
-     r"positives must be a rectangular"),
-], ids=["nan-threshold", "inf-centroid", "ragged-centroids", "string-sizes", "bool-size",
-        "bool-positives"])
+], ids=["nan-threshold", "inf-centroid", "ragged-centroids", "string-sizes", "bool-size"])
 def test_an_array_must_be_rectangular_numeric_and_finite(tmp_path, name, edit, message):
     # a NaN threshold would send every row right at its split without a word
     d = json.loads((GOLDEN / "report" / name).read_text())

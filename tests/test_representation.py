@@ -90,10 +90,21 @@ class TestEmbeddings:
         with pytest.raises(ValueError, match="unknown embedding"):
             build_embedding("pca", None, ds)
 
+    @pytest.mark.parametrize("kind", ["leaf", "external"])
+    def test_a_kind_that_is_never_standardized_rejects_standardize_true(self, kind):
+        ds, ens = fitted_model()
+        V = np.arange(ds.n * 2.0).reshape(ds.n, 2)
+        plain = build_embedding(kind, ens, ds, vectors=V)
+        for standardize in (None, False):
+            E = build_embedding(kind, ens, ds, EmbeddingOpts(standardize), V)
+            assert E.tobytes() == plain.tobytes()
+        with pytest.raises(ValueError, match=rf"^the {kind} embedding is never standardized, "
+                                             r"so standardize must be false or null$"):
+            build_embedding(kind, ens, ds, EmbeddingOpts(standardize=True), V)
+
 
 # every boundary that takes an embedding applies one rule: 2-D and finite
-_CM2 = ClusterModel("kmeans", 2, np.array([[0.0, 0.0], [1.0, 1.0]]),
-                    np.array([2, 2]), np.array([0, 0]))
+_CM2 = ClusterModel("kmeans", np.array([[0.0, 0.0], [1.0, 1.0]]), np.array([2, 2]))
 
 
 def _infer(V):
@@ -174,21 +185,19 @@ class TestKmeans:
         assert sorted(assign(cm, E).tolist()) == list(range(6))
 
     def test_assign_nearest_centroid(self):
-        cm = ClusterModel("kmeans", 2, np.array([[0.0], [10.0]]),
-                          np.array([1, 1]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.array([[0.0], [10.0]]), np.array([1, 1]))
         labels = assign(cm, np.array([[1.0], [9.0], [5.0]]))
         assert labels.tolist() == [0, 1, 0]  # exact tie goes to the lower id
 
     def test_dimension_mismatch(self):
-        cm = ClusterModel("kmeans", 1, np.zeros((1, 2)), np.array([1]), np.array([0]))
+        cm = ClusterModel("kmeans", np.zeros((1, 2)), np.array([1]))
         with pytest.raises(ValueError, match=re.escape(
                 "embedding must be 2-D, of shape (N >= 1, 2), not (3, 5)")):
             assign(cm, np.zeros((3, 5)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_assign_rejects_non_finite_rows(self, bad):
-        cm = ClusterModel("kmeans", 2, np.array([[0.0], [10.0]]),
-                          np.array([1, 1]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.array([[0.0], [10.0]]), np.array([1, 1]))
         with pytest.raises(ValueError, match="finite"):
             assign(cm, np.array([[1.0], [bad]]))
 
@@ -510,6 +519,14 @@ class TestAgglomerative:
         cm = fit_agglomerative(np.zeros((1, 2)), 1)
         assert cm.k == 1
 
+    def test_sizes_count_the_ward_cut_not_the_nearest_centroids(self):
+        # the Ward cut leaves some rows nearer another cluster's centroid, so
+        # assign, which every later stage uses, moves them
+        E, _ = blobs(2, n_per=100, seed=5)
+        cm = fit_agglomerative(E, 6)
+        assert cm.k == 6 and cm.sizes.tolist() == [22, 61, 17, 42, 43, 15]
+        assert np.bincount(assign(cm, E), minlength=6).tolist() == [23, 57, 20, 41, 42, 17]
+
 
 class TestElbow:
     def test_picks_true_k(self):
@@ -587,8 +604,7 @@ class TestElbow:
 
 class TestDiagnostics:
     def test_hand_values(self):
-        cm = ClusterModel("kmeans", 3, np.zeros((3, 1)),
-                          np.array([2, 2, 0]), np.array([0, 0, 0]))
+        cm = ClusterModel("kmeans", np.zeros((3, 1)), np.array([2, 2, 0]))
         labels = np.array([0, 0, 1, 1])
         y = np.array([1, 1, 0, 1])
         diag = diagnostics(cm, labels, y)
@@ -598,7 +614,7 @@ class TestDiagnostics:
         assert diag.table[0] == {"cluster": 0, "size": 2, "positive_rate": 1.0}
 
     def test_alignment_checked(self):
-        cm = ClusterModel("kmeans", 1, np.zeros((1, 1)), np.array([1]), np.array([0]))
+        cm = ClusterModel("kmeans", np.zeros((1, 1)), np.array([1]))
         with pytest.raises(ValueError, match="aligned"):
             diagnostics(cm, np.array([0, 0]), np.array([1]))
 
@@ -610,6 +626,6 @@ class TestDiagnostics:
         ([[0, 1]], [[0, 1]], "aligned, non-empty"),
     ])
     def test_rejects_bad_input(self, labels, y, match):
-        cm = ClusterModel("kmeans", 2, np.zeros((2, 1)), np.array([3, 2]), np.array([0, 0]))
+        cm = ClusterModel("kmeans", np.zeros((2, 1)), np.array([3, 2]))
         with pytest.raises(ValueError, match=match):
             diagnostics(cm, np.array(labels), np.array(y))
