@@ -11,17 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from . import calibrators as cal_mod
+from . import calibrators as cal_mod, metrics
 from .calibrators import Calibrator, PARAMETRIC_METHODS, _constant, _laplace_rate
-from .metrics import _aligned, _cluster_ids, _labels, ece
+from .metrics import _aligned, _cluster_ids, _cluster_eces, _labels, _probabilities
 from .representation import ClusterModel, assign
 from .scores import ScoreSet
 
 __all__ = ["ClusteredCalibrator", "train_clustered", "improved_sample_fraction"]
 
 DEFAULT_MIN_FIT_SIZE = 30
+
+ece = metrics.ece   # nothing here calls it; perfbench/spans.py patches this name
 
 
 @dataclass
@@ -34,6 +34,18 @@ class ClusteredCalibrator:
     fallback: Calibrator                    # every other cluster's
     min_fit_size: int
     cluster_meta: dict[int, dict] = field(default_factory=dict)
+
+    def __post_init__(self):
+        k = self.cluster_model.k
+        for name, ids in (("calibrators", self.calibrators), ("cluster_meta", self.cluster_meta)):
+            outside = sorted(c for c in ids if not 0 <= c < k)
+            if outside:
+                raise ValueError(f"{name} has cluster ids outside [0, {k}): {outside}")
+        for c, info in self.cluster_meta.items():
+            if (c in self.calibrators) == bool(info.get("used_fallback")):
+                raise ValueError(f"cluster {c} {'has' if c in self.calibrators else 'lacks'} "
+                                 f"a calibrator of its own, but its used_fallback is "
+                                 f"{info.get('used_fallback')}")
 
     def resolve(self, cluster_id: int) -> Calibrator:
         return self.calibrators.get(int(cluster_id), self.fallback)
@@ -107,13 +119,9 @@ def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10,
     the cluster ids and ``y`` the 0/1 labels, all aligned, non-empty and 1-D."""
     p_cluster, p_unified, labels, y = _aligned(p_cluster=p_cluster, p_unified=p_unified,
                                                labels=labels, y=y)
-    labels = _cluster_ids(labels)
-    improved = 0
-    for c in np.unique(labels):
-        mask = labels == c
-        m = min(n_bins, int(mask.sum()))
-        e_ccl, _ = ece(p_cluster[mask], y[mask], m, scheme)
-        e_uni, _ = ece(p_unified[mask], y[mask], m, scheme)
-        if e_ccl < e_uni:
-            improved += int(mask.sum())
-    return improved / len(y)
+    labels, y = _cluster_ids(labels), _labels(y, "y")
+    p_cluster, p_unified = _probabilities(p_cluster, "p_cluster"), _probabilities(p_unified,
+                                                                                  "p_unified")
+    e_ccl, sizes = _cluster_eces(p_cluster, y, labels, n_bins, scheme)
+    e_uni, _ = _cluster_eces(p_unified, y, labels, n_bins, scheme)
+    return int(sizes[e_ccl < e_uni].sum()) / len(y)

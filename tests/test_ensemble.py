@@ -9,6 +9,7 @@ from clustercal.calibrators import fit
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
 from clustercal.harness import _jsonable, _section
+from clustercal.metrics import _cluster_eces, ece
 from clustercal.representation import ClusterModel, assign, fit_kmeans
 from clustercal.scores import ScoreSet
 
@@ -168,7 +169,57 @@ class TestTrainClustered:
         assert back.cluster_meta == ccl.cluster_meta
 
 
+def reference_improved_fraction(p_cluster, p_unified, labels, y, n_bins, scheme):
+    """The per-cluster loop of two ``ece`` calls that one grouped binning replaced."""
+    improved = 0
+    for c in np.unique(labels):
+        mask = labels == c
+        m = min(n_bins, int(mask.sum()))
+        if ece(p_cluster[mask], y[mask], m, scheme)[0] < ece(p_unified[mask], y[mask], m,
+                                                               scheme)[0]:
+            improved += int(mask.sum())
+    return improved / len(y)
+
+
 class TestImprovedFraction:
+    # case -> (rows, the cluster ids a row may take)
+    ORACLE_CASES = {
+        "many_rows": (400, np.arange(6)),
+        "clusters_below_n_bins": (25, np.arange(5)),
+        "single_cluster": (40, np.array([0])),
+        "unused_ids_between": (60, np.array([1, 4, 9])),
+    }
+
+    @pytest.mark.parametrize("scheme", ["equal_width", "equal_mass"])
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_equals_the_per_cluster_ece_loop(self, case, scheme):
+        n, ids = self.ORACLE_CASES[case]
+        rng = np.random.default_rng([len(case), n])
+        for draw in range(40):
+            labels = rng.choice(ids, size=n)
+            y = rng.integers(0, 2, size=n)
+            p_unified = rng.uniform(size=n)
+            p_cluster = np.clip(p_unified + rng.normal(0, 0.2, size=n), 0, 1)
+            if draw % 2:        # ties, and the edges 0 and 1
+                p_unified, p_cluster = np.round(p_unified * 6) / 6, np.round(p_cluster * 6) / 6
+            n_bins = int(rng.integers(1, 16))
+            eces, sizes = _cluster_eces(p_cluster, y, labels, n_bins, scheme)
+            assert len(eces) == len(sizes) == len(np.unique(labels))
+            for e, size, c in zip(eces, sizes, np.unique(labels)):
+                mask = labels == c
+                assert size == mask.sum()
+                assert e == ece(p_cluster[mask], y[mask], min(n_bins, int(size)), scheme)[0]
+            got = improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins, scheme)
+            assert got == reference_improved_fraction(p_cluster, p_unified, labels, y,
+                                                      n_bins, scheme)
+
+    def test_bins_and_scheme_are_checked(self):
+        p, ids, y = np.array([0.2, 0.7]), np.array([0, 1]), np.array([0, 1])
+        with pytest.raises(ValueError, match="^need at least one bin$"):
+            improved_sample_fraction(p, p, ids, y, 0)
+        with pytest.raises(ValueError, match="^unknown binning scheme 'quantile'$"):
+            improved_sample_fraction(p, p, ids, y, 10, "quantile")
+
     def test_hand_example(self):
         # cluster 0: the clustered probabilities are calibrated, the unified ones
         # are not; cluster 1: both are the same, so it is not strictly improved

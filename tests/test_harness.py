@@ -16,7 +16,7 @@ from clustercal.harness import (
 )
 from clustercal.ensemble import DEFAULT_MIN_FIT_SIZE, improved_sample_fraction
 from clustercal.gbt import GBTParams
-from clustercal.metrics import auc, cece, ece
+from clustercal.metrics import ada_ece, auc, cece, ece, mce, scalar_metrics
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN_CONFIG = ROOT / "tests" / "golden" / "report_config.json"
@@ -326,6 +326,30 @@ class TestRunExperiment:
             p, y = rows[:, 0], rows[:, 1].astype(int)
             assert ece(p, y, 10)[0] == pytest.approx(row["ECE"], abs=1e-12)
             assert auc(p, y) == pytest.approx(row["AUC"], abs=1e-12)
+
+    @pytest.mark.parametrize("metric_opts", [
+        None, {"n_bins": 7, "scheme": "equal_mass", "cece_base": "adaece"}])
+    def test_rows_equal_the_public_metrics_one_by_one(self, metric_opts):
+        d = json.loads(GOLDEN_CONFIG.read_text())
+        if metric_opts:
+            d["metric_opts"] = metric_opts
+        cfg = ExperimentConfig.from_dict(d)
+        met = cfg.metric_opts
+        r = run_stages(cfg)
+        y_te = r.ds.labels[r.splits.test]
+        assert [row["variant"] for row in r.report.rows] == list(r.calibrated)
+        for row in r.report.rows:
+            p = r.calibrated[row["variant"]]
+            want = {"CECE": cece(p, y_te, r.te_clusters, met.cece_base)[0],
+                    "ECE": ece(p, y_te, met.n_bins, met.scheme)[0],
+                    "MCE": mce(p, y_te, met.n_bins, met.scheme)[0],
+                    "AdaECE": ada_ece(p, y_te, min(met.n_bins, len(p)))[0],
+                    "AUC": auc(p, y_te), **scalar_metrics(p, y_te)}
+            assert {c: row[c] for c in METRIC_COLUMNS} == want
+            bins = r.bins[row["variant"]]
+            want_bins = ece(p, y_te, met.n_bins, met.scheme)[1]
+            for field in ("counts", "obs_rate", "mean_pred"):
+                assert getattr(bins, field).tolist() == getattr(want_bins, field).tolist()
 
     def test_improved_fractions_use_the_report_bins(self):
         r = run_stages(synth_config(methods=("platt", "beta"), metric_opts={"n_bins": 5}))

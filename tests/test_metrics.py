@@ -81,6 +81,14 @@ class TestEce:
         assert stats.counts[1] == 1
         assert stats.counts[9] == 1
 
+    def test_equal_width_ids_stay_in_range_at_the_edges(self):
+        # p in [0, 1] keeps ceil(p * M) in [0, M], so the ids need no upper clip
+        for m in range(1, 61):
+            p = np.r_[0.0, -0.0, np.nextafter(0.0, 1.0), 1.0, np.nextafter(1.0, 0.0),
+                      np.arange(m + 1) / m]
+            want = np.clip(np.ceil(p * m).astype(np.int64) - 1, 0, m - 1)
+            assert _bin_ids(p, m, "equal_width").tolist() == want.tolist()
+
     def test_zero_for_bin_constant_prediction(self):
         p = np.full(100, 0.35)
         y = np.r_[np.ones(35, dtype=int), np.zeros(65, dtype=int)]
@@ -107,6 +115,17 @@ class TestEce:
             ece(np.array([0.5]), np.array([1]), 0)
         with pytest.raises(ValueError):
             ece(np.array([0.5]), np.array([1]), 2, "quantile")
+
+    def test_equal_mass_ids_are_array_splits_blocks(self):
+        rng = np.random.default_rng(9)
+        for n in range(1, 61):
+            p = np.round(rng.uniform(size=n) * 4) / 4      # ties keep their row order
+            order = np.argsort(p, kind="stable")
+            for m in range(1, n + 1):
+                want = np.empty(n, dtype=np.int64)
+                for i, chunk in enumerate(np.array_split(order, m)):
+                    want[chunk] = i
+                assert _bin_ids(p, m, "equal_mass").tolist() == want.tolist()
 
     def test_ada_ece_more_bins_than_samples(self):
         with pytest.raises(ValueError):
@@ -174,6 +193,12 @@ class TestSharedInputRules:
         "nll_of_probs": (lambda p, y: nll_of_probs(p, y), "y", "p"),
         "paired_resample_test": (lambda p, y: paired_resample_test(p, np.full(len(p), 0.5), y),
                                  "y", "scores_a"),
+        "improved_sample_fraction[p_cluster]": (
+            lambda p, y: improved_sample_fraction(p, np.full(len(p), 0.5), RULE_IDS, y),
+            "y", "p_cluster"),
+        "improved_sample_fraction[p_unified]": (
+            lambda p, y: improved_sample_fraction(np.full(len(p), 0.5), p, RULE_IDS, y),
+            "y", "p_unified"),
     }
     # score CSV layouts with a probability column: boundary -> (header, row)
     CSV_LAYOUTS = {
@@ -516,6 +541,28 @@ class TestRejection:
             if mask.any():
                 assert curve.error_rate[i] == pytest.approx(
                     float(((p[mask] >= 0.5).astype(int) != y[mask]).mean()), abs=1e-12)
+
+    @pytest.mark.parametrize("thresholds", [
+        np.arange(0.0, 0.91, 0.1),
+        [0.5, 0.1, 0.9, 0.1, 0.0, 1.0, 0.5],        # unsorted and repeated
+        [0.1, 0.5, 0.2],
+    ])
+    def test_equals_the_mask_loop(self, thresholds):
+        rng = np.random.default_rng(len(thresholds))
+        for draw in range(30):
+            n = int(rng.integers(1, 80))
+            p = rng.uniform(size=n)
+            if draw % 2:        # uncertainties exactly at a threshold: u = 2 * 0.05 = 0.1
+                p[: n // 2] = rng.choice([0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0], size=n // 2)
+            y = rng.integers(0, 2, size=n)
+            curve = rejection_curve(p, y, thresholds)
+            u = 2.0 * np.minimum(p, 1.0 - p)
+            wrong = (p >= 0.5).astype(np.int64) != y
+            for i, t in enumerate(np.asarray(thresholds, dtype=np.float64)):
+                mask = u <= t
+                assert curve.accepted[i] == mask.sum()
+                assert curve.error_rate[i] == (float(wrong[mask].mean()) if mask.any() else 0.0)
+                assert curve.rejection_rate[i] == 1.0 - mask.sum() / n
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +320,39 @@ def test_a_cluster_id_that_is_not_an_int_is_named(tmp_path, key):
     path = write_golden_without(tmp_path, "ccl_platt.json", **d)
     with pytest.raises(ConfigError, match=rf"ccl_platt.json.calibrators keys must be ints, not '{key}'"):
         _read_json(ClusteredCalibrator, path)
+
+
+# an edit of the golden ccl_platt.json -> the message `_read_json` gives for it
+CCL_EDITS = {
+    "calibrator_id_99": (lambda d: d["calibrators"].update({"99": d["calibrators"]["0"]}),
+                         r"calibrators has cluster ids outside \[0, 4\): \[99\]"),
+    "meta_id_42": (lambda d: d["cluster_meta"].update({"42": d["cluster_meta"]["0"]}),
+                   r"cluster_meta has cluster ids outside \[0, 4\): \[42\]"),
+    "fallback_with_calibrator": (
+        lambda d: d["cluster_meta"]["1"].update(used_fallback=True),
+        r"cluster 1 has a calibrator of its own, but its used_fallback is True"),
+    "fitted_without_calibrator": (
+        lambda d: d["calibrators"].pop("1"),
+        r"cluster 1 lacks a calibrator of its own, but its used_fallback is False"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CCL_EDITS))
+def test_cluster_ids_at_odds_with_the_model_or_the_meta_are_named(tmp_path, edit):
+    d = json.loads((GOLDEN / "report" / "ccl_platt.json").read_text())
+    change, message = CCL_EDITS[edit]
+    change(d)
+    path = write_golden_without(tmp_path, "ccl_platt.json", **d)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: {message}$"):
+        _read_json(ClusteredCalibrator, path)
+
+
+def test_a_fallback_cluster_reads_back_without_a_calibrator(tmp_path):
+    d = json.loads((GOLDEN / "report" / "ccl_platt.json").read_text())
+    for edit in ("fallback_with_calibrator", "fitted_without_calibrator"):
+        CCL_EDITS[edit][0](d)
+    ccl = _read_json(ClusteredCalibrator, write_golden_without(tmp_path, "ccl_platt.json", **d))
+    assert ccl.resolve(1) is ccl.fallback
 
 
 @pytest.mark.parametrize("edit,message", [
