@@ -105,8 +105,10 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_subpops < 1 or self.samples_per_subpop < 1 or self.d < 1:
-            raise DataError("counts must be >= 1")
+        for name, least in (("n_subpops", 1), ("samples_per_subpop", 1), ("d", 1),
+                            ("noise", 0), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise DataError(f"{name} must be >= {least}, not {getattr(self, name)}")
         if len(self.base_rates) != self.n_subpops or len(self.miscal_offsets) != self.n_subpops:
             raise DataError("per-subpop arrays must have length n_subpops")
         if not all(0.0 < r < 1.0 for r in self.base_rates):
@@ -186,8 +188,8 @@ def _check_ids(path, ids, expected_ids) -> None:
 
 def load_csv(spec: CsvSpec) -> Dataset:
     """Read the CSV that ``spec`` describes into a Dataset; feature columns
-    keep file order, excluding the label and id columns. A sample id may not
-    hold a comma, quote or line break, which the artifact CSVs write raw."""
+    keep file order, excluding the label and id columns. A sample id, the key
+    of the artifact CSVs' rows, may not repeat or hold a comma, quote or line break."""
     path, label_column, label_map = spec.path, spec.label_column, spec.label_map
     category_maps = spec.category_maps or {}
     header, rows = _read_csv(path)
@@ -219,13 +221,15 @@ def load_csv(spec: CsvSpec) -> Dataset:
 
     X = np.empty((len(rows), len(feat_js)))
     y = np.empty(len(rows), dtype=np.int64)
-    ids = []
+    ids = {}                                # sample id -> its row; in file order
     for i, row in enumerate(rows):
         y[i] = parse_label(row[label_j], i)
-        ids.append(row[id_j] if id_j is not None else str(i))
-        if _UNWRITABLE_ID.search(ids[-1]):
+        sid = row[id_j] if id_j is not None else str(i)
+        if _UNWRITABLE_ID.search(sid):
             raise DataError(f"{path}: row {i + 2}, column {spec.id_column!r}: sample id "
-                            f"{ids[-1]!r} holds a comma, quote or line break")
+                            f"{sid!r} holds a comma, quote or line break")
+        if ids.setdefault(sid, i) != i:
+            raise DataError(f"{path}: row {i + 2}: sample id {sid!r} repeats row {ids[sid] + 2}")
         for k, j in enumerate(feat_js):
             cell = row[j].strip()
             cmap = category_maps.get(header[j])

@@ -271,7 +271,7 @@ class ExperimentConfig:
             raise ConfigError(f"embedding.kind {emb.kind!r} needs a gbt model")
         if emb.kind == "external" and emb.path is None:
             raise ConfigError("embedding.kind 'external' needs embedding.path")
-        for key, value, least in (("clustering.k", clu.k, 1),
+        for key, value, least in (("seed", self.seed, 0), ("clustering.k", clu.k, 1),
                                   ("metric_opts.n_bins", self.metric_opts.n_bins, 1),
                                   ("clustering.min_cluster_size", clu.min_cluster_size, 0),
                                   ("ccl_opts.min_fit_size", self.ccl_opts.min_fit_size, 0)):
@@ -503,6 +503,13 @@ def _write_csv(path, header, columns):
         fh.writelines(map(row.format, *columns))
 
 
+def _write_stacked(path, header, tables):
+    """Write ``tables`` (variant -> columns of one length) stacked in order, under a
+    ``variant`` column; a table's shortest column sets its rows, so unequal ones fail."""
+    _write_csv(path, ("variant", *header), [[v for v, cols in tables.items() for _ in zip(*cols)]]
+               + [np.concatenate(c).tolist() for c in zip(*tables.values())])
+
+
 def _jsonable(o):
     """``o`` as JSON values: the one rule of every JSON artifact.
 
@@ -561,25 +568,17 @@ def _persist(r: RunState):
     _write_csv(os.path.join(out, "metrics.csv"), header,
                [[row[c] for row in r.report.rows] for c in header])
 
-    te_idx = r.splits.test
-    te_ids = [r.ds.sample_ids[i] for i in te_idx]
-    y_te = r.ds.labels[te_idx].tolist()
-    variants = sorted(r.calibrated)
-    for variant in variants:
-        _write_csv(os.path.join(out, f"calibrated_scores_{variant}.csv"),
-                   ("sample_id", "probability", "label"),
-                   [te_ids, r.calibrated[variant].tolist(), y_te])
-        bins = r.bins[variant]
-        _write_csv(os.path.join(out, f"bins_{variant}.csv"),
-                   ("bin", "count", "obs_rate", "mean_pred"),
-                   [list(range(len(bins.counts))), bins.counts.tolist(),
-                    bins.obs_rate.tolist(), bins.mean_pred.tolist()])
-    curves = [r.rejection[v] for v in variants]
-    _write_csv(os.path.join(out, "rejection.csv"),
-               ("variant", "threshold", "accepted", "error_rate", "rejection_rate"),
-               [[v for v, c in zip(variants, curves) for _ in c.thresholds]]
-               + [np.concatenate([getattr(c, f) for c in curves]).tolist()
-                  for f in ("thresholds", "accepted", "error_rate", "rejection_rate")])
+    te_idx, variants = r.splits.test, sorted(r.calibrated)
+    _write_csv(os.path.join(out, "calibrated_scores.csv"), ("sample_id", "label", *variants),
+               [[r.ds.sample_ids[i] for i in te_idx], r.ds.labels[te_idx].tolist()]
+               + [r.calibrated[v].tolist() for v in variants])
+    _write_stacked(os.path.join(out, "bins.csv"), ("bin", "count", "obs_rate", "mean_pred"),
+                   {v: (np.arange(len(b.counts)), b.counts, b.obs_rate, b.mean_pred)
+                    for v, b in sorted(r.bins.items())})
+    _write_stacked(os.path.join(out, "rejection.csv"),
+                   ("threshold", "accepted", "error_rate", "rejection_rate"),
+                   {v: (c.thresholds, c.accepted, c.error_rate, c.rejection_rate)
+                    for v, c in sorted(r.rejection.items())})
 
 
 # analysis ----------------------------------------------------------------

@@ -236,11 +236,10 @@ def test_criterion_08_rejection(tmp_path):
         "seed": 3, "out": out,
     })
     run_experiment(cfg)
-    scores = {}
-    for variant in ("base", "platt_unified", "platt_ccl"):
-        arr = np.loadtxt(os.path.join(out, f"calibrated_scores_{variant}.csv"),
-                         delimiter=",", skiprows=1, usecols=(1, 2), ndmin=2)
-        scores[variant] = (arr[:, 0], arr[:, 1].astype(int))
+    table = np.genfromtxt(os.path.join(out, "calibrated_scores.csv"), delimiter=",",
+                          names=True, ndmin=1)
+    scores = {variant: (table[variant], table["label"].astype(int))
+              for variant in ("base", "platt_unified", "platt_ccl")}
     recompute_err = 0.0
     with open(os.path.join(out, "rejection.csv")) as fh:
         next(fh)

@@ -69,6 +69,9 @@ BAD_CONFIGS = [
     ({"metric_opts": {"cece_base": "bogus"}}, "metric_opts.cece_base"),
     ({"rejection_thresholds": [1.5]}, "rejection_thresholds"),
     ({"seed": "x"}, "seed"),
+    ({"seed": -2}, "seed must be >= 0, not -2"),
+    (_synthetic_with(seed=-1), "data.synthetic: seed must be >= 0, not -1"),
+    (_synthetic_with(noise=-1.0), "data.synthetic: noise must be >= 0, not -1.0"),
     ({"stratify": "no"}, "stratify"),
     ({"methods": ["platt", "platt"]}, "methods repeat: ['platt']"),
     (lambda cfg: [1], "config must be a JSON object"),
@@ -232,6 +235,25 @@ class TestExitCodes:
         assert err.startswith("error: ") and key in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["report", "cluster"])
+    @pytest.mark.parametrize("argv, change, message", [
+        (["--seed", "-2"], {}, "seed must be >= 0, not -2"),
+        (["--out", ""], {}, "an output directory is required"),
+        ([], {"out": ""}, "an output directory is required"),
+    ], ids=["seed-override", "out-override", "config-out"])
+    def test_bad_command_line_value_exits_1_and_writes_nothing(self, tmp_path, capsys,
+                                                               monkeypatch, command, argv,
+                                                               change, message):
+        def stage_ran(*args, **kwargs):
+            raise AssertionError("a stage ran")
+        monkeypatch.setattr(harness, "gen_synthetic_full", stage_ran)
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, {"out": "out", **change})
+        assert main([command, "--config", cfg, *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
     def test_seed_override_replaces_the_config_seed_before_the_check(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({**CONFIG, "seed": "x"}))
@@ -274,6 +296,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "row 7, column 'id': sample id 'p5,v'" in err, err
         assert not out.exists()
+
+    def test_repeated_sample_id_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        # sample_id is the key of scores.csv's and calibrated_scores.csv's rows
+        lines = ["id,a,b,y"] + [f"p{i},{i % 7},{i % 3},{i % 2}" for i in range(40)]
+        lines[9] = "p2,1,1,1"
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, {"data": {"csv": {"path": str(data), "label_column": "y",
+                                                         "id_column": "id"}},
+                                      "model": {"gbt": {"n_trees": 2, "max_depth": 2}}})
+        out = tmp_path / "out"
+        for command in ("train", "report"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: {data}: row 10: sample id 'p2' repeats row 4\n"
+            assert not out.exists()
 
     @pytest.mark.parametrize("make, reason", [
         (lambda p: p.mkdir(), "Is a directory"),
@@ -338,10 +376,16 @@ class TestArtifacts:
         assert main(["report", "--config", cfg, "--out", str(out)]) == 0
         for name in ("eval_report.json", "metrics.csv", "clusters.json", "clusters.csv",
                      "rejection.csv", "selection.json", "unified_platt.json",
-                     "ccl_platt.json", "calibrated_scores_base.csv",
-                     "calibrated_scores_platt_unified.csv",
-                     "calibrated_scores_platt_ccl.csv", "bins_platt_ccl.csv"):
+                     "ccl_platt.json", "calibrated_scores.csv", "bins.csv"):
             assert (out / name).exists(), name
+        variants = ["base", "platt_ccl", "platt_unified"]
+        scores = (out / "calibrated_scores.csv").read_text().splitlines()
+        assert scores[0] == ",".join(["sample_id", "label"] + variants)
+        assert len(scores) == 1 + 120        # one row per test sample
+        bins = [line.split(",") for line in (out / "bins.csv").read_text().splitlines()]
+        assert bins[0] == ["variant", "bin", "count", "obs_rate", "mean_pred"]
+        assert [row[:2] for row in bins[1:]] == [[v, str(b)] for v in variants for b in range(10)]
+        assert not list(out.glob("calibrated_scores_*")) and not list(out.glob("bins_*"))
 
     def test_train_writes_scores_and_splits(self, tmp_path):
         cfg = write_config(tmp_path)

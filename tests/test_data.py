@@ -98,6 +98,13 @@ class TestLoadCsv:
         with pytest.raises(DataError, match=re.escape(msg)):
             load_csv(CsvSpec(path, "y", id_column="id"))
 
+    def test_repeated_sample_id_is_named(self, tmp_path):
+        # the repeat is named even where impute="reject" would drop one of the two rows
+        path = self.write(tmp_path, "id,a,y\nr0,1,0\ndup,2,1\nr2,3,0\ndup,,1\n")
+        msg = f"{path}: row 5: sample id 'dup' repeats row 3"
+        with pytest.raises(DataError, match=f"^{re.escape(msg)}$"):
+            load_csv(CsvSpec(path, "y", id_column="id"))
+
     def test_missing_label_column(self, tmp_path):
         path = self.write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(DataError, match="missing label column"):
@@ -303,3 +310,13 @@ class TestSynthetic:
             SyntheticSpec(2, 10, base_rates=(0.5,), miscal_offsets=(0.0, 0.0))
         with pytest.raises(DataError):
             SyntheticSpec(2, 10, base_rates=(0.0, 0.5), miscal_offsets=(0.0, 0.0))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"n_subpops": 0}, "n_subpops must be >= 1, not 0"),
+        ({"d": 0}, "d must be >= 1, not 0"),
+        ({"noise": -1.0}, "noise must be >= 0, not -1.0"),
+        ({"seed": -2}, "seed must be >= 0, not -2"),
+    ])
+    def test_a_count_or_scale_out_of_range_is_named(self, change, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            SyntheticSpec(**{"n_subpops": 2, "samples_per_subpop": 10, **change})

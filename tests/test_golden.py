@@ -6,9 +6,11 @@ embedding, k-means with k=4, all seven calibration methods) whose per-cluster
 fits include a homogeneous constant, beta fits clamped on one and on both
 coefficients and temperature fits at the upper T bound. `golden/<command>/`
 holds the artifacts each command wrote from it; regenerate them only for an
-intended change:
+intended change. Each directory is cleared first, so that a file a command
+no longer writes does not stay behind:
 
     for c in train embed cluster report; do
+        rm -rf tests/golden/$c
         PYTHONPATH=src python -m clustercal.cli $c \\
             --config tests/golden/report_config.json --out tests/golden/$c
     done
@@ -82,10 +84,37 @@ def _assert_csv_close(got: str, want: str, where):
                 assert g == w, f"{where} row {r} col {c}: {g!r} != {w!r}"
 
 
+def _variant_view(text: str, name: str) -> str:
+    """One variant's part of report's stacked CSVs, named as its own file:
+    `calibrated_scores_<v>.csv` is the sample_id, label and `<v>` columns of
+    `calibrated_scores.csv`, `bins_<v>.csv` the `<v>` rows of `bins.csv`."""
+    lines = text.splitlines()
+    if name.startswith("calibrated_scores_"):
+        col = lines[0].split(",").index(name[len("calibrated_scores_"):-len(".csv")])
+        return "\n".join(",".join(c for i, c in enumerate(line.split(",")) if i in (0, 1, col))
+                         for line in lines)
+    variant = name[len("bins_"):-len(".csv")]
+    rows = [line.split(",", 1)[1] for line in lines[1:] if line.split(",", 1)[0] == variant]
+    assert rows, f"{name}: no rows for variant {variant!r}"
+    return "\n".join([lines[0].split(",", 1)[1], *rows])
+
+
+def _read_artifact(directory: Path, name: str) -> str:
+    if name.startswith(("calibrated_scores_", "bins_")):
+        stacked = "calibrated_scores.csv" if name.startswith("calibrated") else "bins.csv"
+        return _variant_view((directory / stacked).read_text(encoding="utf-8"), name)
+    return (directory / name).read_text(encoding="utf-8")
+
+
 COMMANDS = ("train", "embed", "cluster", "report")
-# report's artifacts keep their bare file names as test ids
-CASES = [pytest.param(c, p.name, id=p.name if c == "report" else f"{c}/{p.name}")
-         for c in COMMANDS for p in sorted((GOLDEN / c).iterdir())]
+VARIANTS = (GOLDEN / "report" / "calibrated_scores.csv").read_text(
+    encoding="utf-8").splitlines()[0].split(",")[2:]
+# report's artifacts keep their bare file names as test ids; each variant's
+# part of the two stacked CSVs is also a case of its own
+CASES = ([pytest.param(c, p.name, id=p.name if c == "report" else f"{c}/{p.name}")
+          for c in COMMANDS for p in sorted((GOLDEN / c).iterdir())]
+         + [pytest.param("report", f"{stem}_{v}.csv", id=f"{stem}_{v}.csv")
+            for stem in ("bins", "calibrated_scores") for v in VARIANTS])
 
 
 @pytest.fixture(scope="module")
@@ -115,8 +144,8 @@ def test_same_artifact_files(output_dir):
 
 @pytest.mark.parametrize("command, name", CASES)
 def test_artifact_matches_golden(output_dir, command, name):
-    got = (output_dir(command) / name).read_text(encoding="utf-8")
-    want = (GOLDEN / command / name).read_text(encoding="utf-8")
+    got = _read_artifact(output_dir(command), name)
+    want = _read_artifact(GOLDEN / command, name)
     if name.endswith(".json"):
         _assert_json_close(json.loads(got), json.loads(want), f"{command}/{name}")
     else:

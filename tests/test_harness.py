@@ -319,11 +319,11 @@ class TestRunExperiment:
         with open(os.path.join(out, "eval_report.json")) as fh:
             persisted = json.load(fh)
         assert persisted["rows"] == json.loads(json.dumps(_jsonable(report)))["rows"]
+        table = np.genfromtxt(os.path.join(out, "calibrated_scores.csv"), delimiter=",",
+                              names=True, ndmin=1)
+        y = table["label"].astype(int)
         for row in report.rows:
-            path = os.path.join(out, f"calibrated_scores_{row['variant']}.csv")
-            rows = np.loadtxt(path, delimiter=",", skiprows=1,
-                              usecols=(1, 2), ndmin=2)
-            p, y = rows[:, 0], rows[:, 1].astype(int)
+            p = table[row["variant"]]
             assert ece(p, y, 10)[0] == pytest.approx(row["ECE"], abs=1e-12)
             assert auc(p, y) == pytest.approx(row["AUC"], abs=1e-12)
 

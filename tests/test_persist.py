@@ -30,7 +30,7 @@ from clustercal.ensemble import ClusteredCalibrator
 from clustercal.gbt import TreeEnsemble
 from clustercal.harness import (
     METRIC_COLUMNS, ConfigError, EvalReport, ExperimentConfig, _jsonable, _read_json, _section,
-    _write_csv, _write_json, run_stages, select_model,
+    _write_csv, _write_json, _write_stacked, run_stages, select_model,
 )
 from clustercal.representation import ClusterModel
 
@@ -104,22 +104,21 @@ def oracle_report(out, r):
                ("variant", "method") + METRIC_COLUMNS,
                [[row["variant"], row["method"]] + [row[c] for c in METRIC_COLUMNS]
                 for row in r.report.rows])
-    te_idx = r.splits.test
-    te_ids = [r.ds.sample_ids[i] for i in te_idx]
-    y_te = r.ds.labels[te_idx]
-    rej_rows = []
-    for variant, p in sorted(r.calibrated.items()):
-        oracle_csv(os.path.join(out, f"calibrated_scores_{variant}.csv"),
-                   ("sample_id", "probability", "label"),
-                   [[sid, pi, int(yi)] for sid, pi, yi in zip(te_ids, p, y_te)])
-        oracle_csv(os.path.join(out, f"bins_{variant}.csv"),
-                   ("bin", "count", "obs_rate", "mean_pred"),
-                   [[b["bin"], b["count"], b["obs_rate"], b["mean_pred"]]
-                    for b in r.bins[variant].as_rows()])
+    variants = sorted(r.calibrated)
+    oracle_csv(os.path.join(out, "calibrated_scores.csv"),
+               ("sample_id", "label") + tuple(variants),
+               [[r.ds.sample_ids[i], int(r.ds.labels[i])] + [r.calibrated[v][k] for v in variants]
+                for k, i in enumerate(r.splits.test)])
+    bin_rows, rej_rows = [], []
+    for variant in variants:
+        for b in r.bins[variant].as_rows():
+            bin_rows.append([variant, b["bin"], b["count"], b["obs_rate"], b["mean_pred"]])
         curve = r.rejection[variant]
         for t, acc_n, err, rej in zip(curve.thresholds, curve.accepted,
                                       curve.error_rate, curve.rejection_rate):
             rej_rows.append([variant, t, int(acc_n), err, rej])
+    oracle_csv(os.path.join(out, "bins.csv"),
+               ("variant", "bin", "count", "obs_rate", "mean_pred"), bin_rows)
     oracle_csv(os.path.join(out, "rejection.csv"),
                ("variant", "threshold", "accepted", "error_rate", "rejection_rate"),
                rej_rows)
@@ -191,6 +190,22 @@ def test_int_and_float_columns_keep_their_type(tmp_path):
 def test_rejects_columns_that_do_not_fit_the_header(tmp_path, columns):
     with pytest.raises(ValueError, match="columns of one length"):
         _write_csv(tmp_path / "x.csv", ("a", "b"), columns)
+
+
+def test_stacked_tables_put_the_variant_in_front(tmp_path):
+    _write_stacked(tmp_path / "x.csv", ("n", "x"),
+                   {"b": (np.array([0, 1]), np.array([0.5, 1.0])), "a": ([2], [np.nan])})
+    assert (tmp_path / "x.csv").read_text() == "variant,n,x\nb,0,0.5\nb,1,1.0\na,2,nan\n"
+
+
+@pytest.mark.parametrize("tables", [
+    {"a": ([1, 2], [0.5]), "b": ([3], [0.5, 0.25])},    # equal in total, not per variant
+    {"a": ([1], [0.5]), "b": ([2],)},
+])
+def test_stacked_tables_reject_columns_that_do_not_fit(tmp_path, tables):
+    with pytest.raises(ValueError, match="x.csv"):
+        _write_stacked(tmp_path / "x.csv", ("n", "x"), tables)
+    assert not (tmp_path / "x.csv").exists()
 
 
 # the JSON rule -----------------------------------------------------------
