@@ -111,7 +111,7 @@ def main(argv=None) -> int:
     overrides = {k: v for k, v in (("seed", args.seed), ("out", args.out)) if v is not None}
     try:
         cfg = ExperimentConfig.from_json_file(args.config, **overrides)
-        if not cfg.out:                     # None, or "" (no directory)
+        if cfg.out is None:                 # the config's check refuses ""
             raise ConfigError("an output directory is required (--out or config 'out')")
     except (OSError, ValueError) as exc:     # a bad config, or a file it cannot read
         print(f"error: {exc}", file=sys.stderr)

@@ -255,6 +255,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         """The range rules and the rules between sections; the types hold already."""
         data, model, emb, clu = self.data, self.model, self.embedding, self.clustering
+        if self.out == "":
+            raise ConfigError("an output directory is required: out must not be empty")
         if (data.csv is None) == (data.synthetic is None):
             raise ConfigError("config needs exactly one data source: csv or synthetic")
         if data.csv is not None and not os.path.exists(data.csv.path):
@@ -478,7 +480,7 @@ def run_experiment(cfg: ExperimentConfig) -> EvalReport:
     artifacts are persisted there; nothing is written on failure.
     """
     r = run_stages(cfg)
-    if cfg.out:
+    if cfg.out is not None:
         _persist(r)
     return r.report
 

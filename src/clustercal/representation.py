@@ -144,9 +144,24 @@ class ClusterDiagnostics:
     table: list = field(default_factory=list)  # per-cluster {cluster, size, positive_rate}
 
 
+def _reach(V, C, n):
+    """The squared norms of V's rows, and the largest norm of a row or of a
+    centroid in ``C`` (None: none yet). A squared distance between them, and
+    each partial sum computing it, is at most (1 + gamma) 4 reach^2 <= 8 reach^2,
+    and an inertia adds ``n`` of them: ValueError unless 8 n reach^2 is finite."""
+    with np.errstate(over="ignore"):        # an overflow reads inf and fails below
+        vv = (V * V).sum(axis=1)
+        reach = np.sqrt(max(vv.max(), 0.0 if C is None else (C * C).sum(axis=1).max()))
+    if not reach <= np.sqrt(np.finfo(np.float64).max / (8 * n)):
+        raise ValueError("embedding values too large: squared distances between "
+                         f"its rows could overflow (largest norm {reach:.3g})")
+    return vv, reach
+
+
 def _dists(V, C):
-    # squared Euclidean distances (N, k), built in place in one (N, k) buffer
-    vv = (V * V).sum(axis=1)
+    # squared Euclidean distances (N, k), built in place in one (N, k) buffer;
+    # ValueError if they could overflow
+    vv, _ = _reach(V, C, 1)
     cc = (C * C).sum(axis=1)
     d = (2.0 * V) @ C.T
     np.subtract(vv[:, None], d, out=d)
@@ -155,8 +170,8 @@ def _dists(V, C):
     return d
 
 
-def _assign_nearest(V, C):
-    d = _dists(V, C)
+def _assign_nearest(X, B):
+    d = X @ B.T     # rows [v, ||v||^2, 1] . centroids [-2c, 1, ||c||^2], unclamped
     return d.argmin(axis=1), d
 
 
@@ -197,10 +212,10 @@ def _kmeans_pp_init(V, k, rng):
 def _own_and_next(d, labels):
     """Each row's squared distance in ``d`` to its labelled centroid, and to
     the nearest other one (inf when k is 1); overwrites ``d``."""
-    r = np.arange(len(d))
-    own = d[r, labels]
-    d[r, labels] = np.inf
-    return own, d[r, d.argmin(axis=1)]     # argmin is faster than min on short rows
+    flat = np.arange(0, d.size, d.shape[1])       # through flat indices: take is faster
+    own = d.take(flat + labels)
+    np.put(d, flat + labels, np.inf)
+    return own, d.take(flat + d.argmin(axis=1))   # argmin is faster than min on short rows
 
 
 def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
@@ -216,28 +231,34 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
 
     Each step recomputes only the rows whose nearest centroid may have
     changed (Hamerly's bounds), and the labels, centroids and inertia are
-    bit-identical to those of computing every row at every step.
+    bit-identical to those of ``_dists`` on every row at every step.
+    ValueError if squared distances could overflow (``_reach``).
     """
     V = _matrix(V, "embedding")
-    if k < 1 or k > len(V):
-        raise ValueError(f"k={k} out of range for {len(V)} samples")
-    if init is None:
+    n, m = V.shape
+    if k < 1 or k > n:
+        raise ValueError(f"k={k} out of range for {n} samples")
+    # AT: the rows augmented to [v, ||v||^2, 1], feature-major, so that
+    # bincount reads AT[:m] column by column
+    AT = np.ones((m + 2, n))
+    AT[:m] = V.T
+    C = None if init is None else _matrix(init, "init", rows=k, columns=m)
+    AT[m], reach = _reach(V, C, n)      # k-means++ draws rows, whose norms are in AT[m]
+    if C is None:
         C = _kmeans_pp_init(V, k, np.random.default_rng(seed))
-    else:
-        C = _matrix(init, "init", rows=k, columns=V.shape[1])
-    # Rounding bound of _dists. With u = 2^-53 and gamma_n = n u / (1 - n u),
-    # the m-term sums ||v||^2, ||c||^2 and 2 v.c are each off by at most
-    # gamma_m times ||v||^2, ||c||^2 and 2 ||v|| ||c||, and the subtraction
-    # and the addition round once each, so every computed squared distance,
-    # clamped at 0 or not, is within eps = gamma_{m+3} (||v|| + ||c||)^2 of
-    # the exact one, whatever BLAS kernel computed it. Every centroid is a
-    # row, an init centroid or a mean of rows, so ||c|| <= reach, and
-    # eps_i = s_i^2 with s_i = sqrt(gamma_{m+3}) (||v_i|| + reach).
-    norms = np.sqrt((V * V).sum(axis=1))
-    reach = max(norms.max(), np.sqrt((C * C).sum(axis=1)).max())
-    n_terms = V.shape[1] + 3
+    # Rounding bound of a step. With u = 2^-53 and gamma_j = j u / (1 - j u),
+    # the m-term sums ||v||^2 and ||c||^2 are off by at most gamma_m times
+    # themselves, and the augmented product [v, ||v||^2, 1].[-2c, 1, ||c||^2]
+    # adds m rounded products and two exact ones, so it is off by at most
+    # gamma_{m+2} times 2 ||v|| ||c|| + ||v||^2 + ||c||^2, whatever BLAS
+    # kernel computed it. Every computed squared distance, clamped at 0 or
+    # not, is therefore within eps = gamma_{2m+2} (||v|| + ||c||)^2 of the
+    # exact one, and so is _dists' (gamma_{m+3} <= gamma_{2m+2}). Every
+    # centroid is a row, an init centroid or a mean of rows, so ||c|| <= reach,
+    # and eps_i = s_i^2 with s_i = sqrt(gamma_{2m+2}) (||v_i|| + reach).
+    n_terms = 2 * m + 2
     unit = np.finfo(np.float64).eps / 2
-    s = np.sqrt(n_terms * unit / (1 - n_terms * unit)) * (norms + reach)
+    s = np.sqrt(n_terms * unit / (1 - n_terms * unit)) * (np.sqrt(AT[m]) + reach)
     # Hamerly's bounds: upper_i, set to the square root of row i's computed
     # squared distance to its centroid, is within s_i of the exact distance
     # (|sqrt(a) - sqrt(b)| <= sqrt(|a - b|)), and so is lower_i, set from the
@@ -245,33 +266,34 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
     # centroid's shift and lower_i shrinks by the largest shift. While
     # lower_i - upper_i > margin_i = 4 s_i, the exact distances to the other
     # centroids exceed the one to its own by more than sqrt(2) s_i, so their
-    # squares by more than 2 eps_i, and any rounding of _dists keeps the
-    # row's label; the (2 - sqrt(2)) s_i left over covers the rounding of the
-    # bounds themselves. Only gap = lower - upper - margin is kept, and the
-    # rows with gap <= 0 are recomputed.
+    # squares by more than 2 eps_i, and any rounding keeps the row's label;
+    # the (2 - sqrt(2)) s_i left over covers the rounding of the bounds
+    # themselves. Only gap = lower - upper - margin is kept, and the rows with
+    # gap <= 0 are recomputed.
     margin, tie = 4.0 * s, 4.0 * s * s
-    VT = np.ascontiguousarray(V.T)  # bincount reads each column contiguously
-    labels = np.full(len(V), -1)
-    gap = np.full(len(V), -np.inf)     # the first step computes every row
+    B = np.ones((k, m + 2))
+    labels = np.full(n, -1)
+    gap = np.full(n, -np.inf)       # the first step computes every row
     for _ in range(KMEANS_MAX_ITER):
         rows = np.flatnonzero(~(gap > 0))     # a NaN gap is recomputed too
-        full = len(rows) == len(V)
-        near, d = _assign_nearest(V if full else V[rows], C)
+        np.multiply(C, -2.0, out=B[:, :m])
+        B[:, m + 1] = (C * C).sum(axis=1)
+        near, d = _assign_nearest((AT if len(rows) == n else AT.take(rows, axis=1)).T, B)
         own, nxt = _own_and_next(d, near)
         new_labels = labels.copy()
         new_labels[rows] = near
         sizes = np.bincount(new_labels, minlength=k)
-        # The BLAS kernel, chosen by the row count, may round a subset's
-        # distances unlike the full array's. Both are within eps_i of the
-        # exact ones, so a label the subset picks by more than 4 eps_i is the
-        # full array's too. A near tie, or an empty cluster, whose re-seed
-        # reads every row, needs every row's distances.
-        if not (full or sizes.all() and (nxt - own > tie[rows]).all()):
+        # Both this step's and _dists' distances are within eps_i of the
+        # exact ones, so a label picked here by more than 4 eps_i is _dists'
+        # too. A near tie, or an empty cluster, whose re-seed reads every
+        # row, takes every row's distances from _dists.
+        if not (sizes.all() and (nxt - own > tie[rows]).all()):
             rows, d = slice(None), _dists(V, C)
             new_labels = d.argmin(axis=1)
             own, nxt = _own_and_next(d, new_labels)
             sizes = np.bincount(new_labels, minlength=k)
-        gap[rows] = np.sqrt(nxt) - np.sqrt(own) - margin[rows]
+        # the clamp keeps the bound; an augmented distance can be just below 0
+        gap[rows] = np.sqrt(np.maximum(nxt, 0.0)) - np.sqrt(np.maximum(own, 0.0)) - margin[rows]
         for j in np.flatnonzero(sizes == 0):    # only in a step that computed every row
             idx = int(np.argmax(np.where(sizes[new_labels] > 1, own, -1.0)))
             sizes[new_labels[idx]] -= 1
@@ -279,7 +301,7 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
             new_labels[idx] = j
             gap[idx] = -np.inf       # its bounds were for its old centroid
         prev = C
-        C = _centroids(VT, new_labels, sizes)
+        C = _centroids(AT[:m], new_labels, sizes)
         moved = np.sqrt(np.square(C - prev).sum(axis=1))
         gap -= moved[new_labels] + moved.max()
         converged = (new_labels == labels).all()
@@ -353,6 +375,7 @@ def select_k_elbow(V, k_range, seed: int = 0,
     # the grid shares its start: k-means++ draws centroid j from the same
     # generator state whatever k is, and Ward's hierarchy does not depend on k
     if method == "kmeans":
+        _reach(V, None, len(V))
         init = _kmeans_pp_init(V, ks[-1], np.random.default_rng(seed)) if ks else None
         models = {k: fit_kmeans(V, k, seed, init[:k]) for k in ks}
     else:
@@ -370,10 +393,10 @@ def select_k_elbow(V, k_range, seed: int = 0,
 
 def assign(cm: ClusterModel, V) -> np.ndarray:
     """Nearest-centroid cluster ids of V's rows, which obey ``metrics._matrix``
-    with one column per centroid coordinate; ties break to the lowest cluster id."""
+    with one column per centroid coordinate; ties break to the lowest cluster id.
+    ValueError if squared distances could overflow (``_dists``)."""
     V = _matrix(V, "embedding", columns=cm.centroids.shape[1])
-    labels, _ = _assign_nearest(V, cm.centroids)
-    return labels
+    return _dists(V, cm.centroids).argmin(axis=1)
 
 
 def diagnostics(cm: ClusterModel, labels, y) -> ClusterDiagnostics:

@@ -203,6 +203,20 @@ class TestExitCodes:
         assert "stage 'embedding' failed: non-finite embedding values" in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("clustering", [{"k": 3}, {"elbow": [2, 6, 2]}])
+    def test_embedding_whose_distances_could_overflow_exits_2_at_the_clustering_stage(
+            self, tmp_path, capsys, clustering):
+        # finite rows whose squared distances overflow a float
+        vectors = tmp_path / "vectors.csv"
+        vectors.write_text("".join(f"{i % 7}e154,{i % 5}e154\n" for i in range(600)))
+        cfg = write_config(tmp_path, {"embedding": {"kind": "external", "path": str(vectors)},
+                                      "clustering": {"method": "kmeans", **clustering}})
+        out = tmp_path / "out"
+        assert main(["cluster", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "stage 'clustering' failed: embedding values too large" in err, err
+        assert not out.exists()
+
     def test_external_embedding_ids_must_match_the_data(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
         assert main(["embed", "--config", cfg, "--out", str(tmp_path / "a")]) == 0

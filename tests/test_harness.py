@@ -175,6 +175,7 @@ class TestConfig:
          "clustering.min_cluster_size must be >= 0, not -3"),
         ("rejection_thresholds", [], "rejection_thresholds: values must be aligned, non-empty "
                                      "1-D arrays"),
+        ("out", "", "an output directory is required"),
     ])
     def test_bad_value_names_its_key(self, key, value, message):
         with pytest.raises(ConfigError) as info:

@@ -195,6 +195,38 @@ class TestKmeans:
                 "embedding must be 2-D, of shape (N >= 1, 2), not (3, 5)")):
             assign(cm, np.zeros((3, 5)))
 
+    @staticmethod
+    def two_blobs():
+        # 60 rows in two blobs 5 apart
+        rng = np.random.default_rng(0)
+        return np.concatenate([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 5])
+
+    def test_rejects_embeddings_whose_squared_distances_could_overflow(self):
+        # finite rows, but their squared distances overflow: without the check
+        # the fit warned, returned sizes [49, 11] and an inertia of inf
+        V = self.two_blobs()
+        np.testing.assert_array_equal(fit_kmeans(V, 2, 0).sizes, [30, 30])
+        cm = fit_kmeans(V * 1e150, 2, 0)
+        np.testing.assert_array_equal(cm.sizes, [30, 30])
+        np.testing.assert_array_equal(assign(cm, V * 1e150), assign(fit_kmeans(V, 2, 0), V))
+        message = "embedding values too large: squared distances between its rows could overflow"
+        for fit in (lambda W: fit_kmeans(W, 2, 0), lambda W: select_k_elbow(W, (2, 6, 2)),
+                    lambda W: fit_kmeans(V, 2, 0, init=W[[0, 59]]), lambda W: assign(cm, W)):
+            for scale in (1e154, 1e200):
+                with pytest.raises(ValueError, match=message):
+                    fit(V * scale)
+
+    def test_overflow_threshold_counts_the_inertia_rows(self):
+        # 8 n reach^2 must be finite: at reach 2^506, n must be below 2^9
+        for n, ok in ((400, True), (600, False)):
+            V = np.zeros((n, 1))
+            V[0, 0] = 2.0 ** 506
+            if ok:
+                assert fit_kmeans(V, 1, 0).sizes.tolist() == [n]
+            else:
+                with pytest.raises(ValueError, match="could overflow"):
+                    fit_kmeans(V, 1, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_assign_rejects_non_finite_rows(self, bad):
         cm = ClusterModel("kmeans", np.array([[0.0], [10.0]]), np.array([1, 1]))
@@ -428,6 +460,26 @@ def _assert_same_fit(cm, want):
     assert cm.inertia == inertia
 
 
+def _rounds_up(monkeypatch, when):
+    """Make each Lloyd step whose rows ``when`` picks round its even distance
+    columns one ulp up; record each step's and each ``_dists`` call's row count."""
+    calls, dists = [], rep._dists
+
+    def step(X, B):
+        calls.append(("step", len(X)))
+        d = X @ B.T
+        if when(X):
+            d[:, ::2] = np.nextafter(d[:, ::2], np.inf)
+        return d.argmin(axis=1), d
+
+    def exact(V, C):
+        calls.append(("dists", len(V)))
+        return dists(V, C)
+    monkeypatch.setattr(rep, "_assign_nearest", step)
+    monkeypatch.setattr(rep, "_dists", exact)
+    return calls
+
+
 class TestKmeansPruning:
     """Each Lloyd step recomputes only the rows whose label may change, and
     fits bit-identical to the unpruned loop, with one distance call per step."""
@@ -458,49 +510,112 @@ class TestKmeansPruning:
         assert len(rows) > 2
         assert sum(rows) < len(rows) * len(V)
 
+    # Clusters around (0, 0) and (4, 0); (2, 1) is exactly between them and
+    # stays in cluster 0, whose mean (-2, -1) keeps at (0, 0).
+    TIE_ROWS = np.array([[-1, 0], [0, 0], [1, 0], [2, 1], [-2, -1], [3, 0], [4, 0], [5, 0]],
+                        dtype=np.float64)
+    TIE_INIT = np.array([[0.0, 0.0], [4.0, 0.0]])
+
     def test_a_tie_in_a_subset_rounded_differently_keeps_the_full_label(self, monkeypatch):
         # A BLAS kernel chosen by the row count may round a subset's distances
         # unlike the full array's. Here a subset's even columns round one ulp
-        # up, which turns an exact tie with column 1 the other way. Clusters
-        # around (0, 0) and (4, 0); (2, 1) is exactly between them and stays
-        # in cluster 0, whose mean (-2, -1) keeps at (0, 0).
-        V = np.array([[-1, 0], [0, 0], [1, 0], [2, 1], [-2, -1], [3, 0], [4, 0], [5, 0]],
-                     dtype=np.float64)
-        init = np.array([[0.0, 0.0], [4.0, 0.0]])
+        # up, which turns an exact tie with column 1 the other way.
+        V, init = self.TIE_ROWS, self.TIE_INIT
         want = _lloyd_oracle(V, 2, 0, init)
         np.testing.assert_array_equal(want[1], [5, 3])
-        rows = []
-
-        def rounds_up(V_rows, C):
-            rows.append(len(V_rows))
-            d = _dists(V_rows, C)
-            if len(V_rows) < len(V):
-                d[:, ::2] = np.nextafter(d[:, ::2], np.inf)
-            return d.argmin(axis=1), d
-        monkeypatch.setattr(rep, "_assign_nearest", rounds_up)
+        steps = _rounds_up(monkeypatch, lambda X: len(X) < len(V))
         _assert_same_fit(fit_kmeans(V, 2, 0, init), want)
-        assert rows == [8, 1]      # the second step computes only the tied row
+        # each step falls back to _dists: the first on the exact tie, the
+        # second, which computes only the tied row, on the rounded one
+        assert steps == [("step", 8), ("dists", 8), ("step", 1), ("dists", 8)]
 
-    @pytest.mark.parametrize("name", ["narrow", "wide", "onehot", "leaf1080"])
-    def test_subset_distances_are_within_the_rounding_bound(self, name):
-        # The bound the pruning margin is built on: every computed squared
-        # distance is within gamma_{m+3} (||v|| + reach)^2 of the exact one,
-        # for every subset size the loop can pass (1 row takes numpy's gemv path)
-        V = PRUNING_EMBEDDINGS[name]
+    def test_a_tie_in_the_first_step_falls_back_to_exact_distances(self, monkeypatch):
+        # Every step's even columns rounded one ulp up: the first step, which
+        # computes every row, labels (2, 1) 1, not 0, by one ulp, so it must
+        # take its labels from _dists as the others do.
+        V, init = self.TIE_ROWS, self.TIE_INIT
+        want = _lloyd_oracle(V, 2, 0, init)
+        steps = _rounds_up(monkeypatch, lambda X: True)
+        _assert_same_fit(fit_kmeans(V, 2, 0, init), want)
+        assert steps == [("step", 8), ("dists", 8), ("step", 1), ("dists", 8)]
+
+    def test_elbow_grid_matches_unpruned_loop(self):
+        # the elbow's shape: one k-means++ draw for the largest k, whose
+        # prefixes start the fits of the smaller ones
+        V, _ = blobs(8, n_per=50, d=4, seed=9, sep=4.0)
+        init = _kmeans_pp_init(V, 40, np.random.default_rng(3))
+        for k in range(4, 41, 4):
+            _assert_same_fit(fit_kmeans(V, k, 3, init[:k]), _lloyd_oracle(V, k, 3, init[:k]))
+
+    def test_a_row_on_its_centroid_far_from_the_origin(self, monkeypatch):
+        # rows 1e6 +- 1; k-means++ starts each centroid on a row, and a row on
+        # its centroid has a one-matmul squared distance that cancels to about
+        # 0 and here rounds below it, which the square root must not see
+        rng = np.random.default_rng(4)
+        V = 1e6 + rng.uniform(-1, 1, size=(60, 3))
+        own, inner = [], rep._assign_nearest
+
+        def record(X, B):
+            near, d = inner(X, B)
+            own.append(d[np.arange(len(d)), near].min())
+            return near, d
+        monkeypatch.setattr(rep, "_assign_nearest", record)
+        for k, seed in ((8, 1), (20, 2), (60, 0)):
+            _assert_same_fit(fit_kmeans(V, k, seed), _lloyd_oracle(V, k, seed))
+        assert min(own) < 0
+
+    # "far": rows 1e6 +- 1, where the sums of squared norms cancel the most
+    BOUND_CASES = ["narrow", "wide", "onehot", "leaf1080", "far"]
+
+    @staticmethod
+    def bound_case(name, n_terms):
+        """An embedding, 8 centroids (5 rows and 3 means of rows), the exact
+        squared distances between them and the bound gamma_n (||v|| + reach)^2
+        of n = ``n_terms(m)`` terms."""
         rng = np.random.default_rng(0)
+        V = (1e6 + rng.uniform(-1, 1, size=(200, 4)) if name == "far"
+             else PRUNING_EMBEDDINGS[name])
         C = np.vstack([V[rng.choice(len(V), 10, replace=False)[:5]],
                        [V[rng.choice(len(V), 12, replace=False)].mean(axis=0) for _ in range(3)]])
         Vl, Cl = V.astype(np.longdouble), C.astype(np.longdouble)
         exact = ((Vl[:, None, :] - Cl[None, :, :]) ** 2).sum(axis=2)
         norms = np.sqrt((V * V).sum(axis=1))
         reach = max(norms.max(), np.sqrt((C * C).sum(axis=1)).max())
-        n = V.shape[1] + 3
+        n = n_terms(V.shape[1])
         u = np.finfo(np.float64).eps / 2
-        eps = (n * u / (1 - n * u) * (norms + reach) ** 2)[:, None]
+        return V, C, exact, (n * u / (1 - n * u) * (norms + reach) ** 2)[:, None], rng
+
+    @pytest.mark.parametrize("name", BOUND_CASES)
+    def test_subset_distances_are_within_the_rounding_bound(self, name):
+        # The bound of _dists: every computed squared distance is within
+        # gamma_{m+3} (||v|| + reach)^2 of the exact one, for every subset
+        # size the loop can pass (1 row takes numpy's gemv path)
+        V, C, exact, eps, rng = self.bound_case(name, lambda m: m + 3)
         assert (np.abs(_dists(V, C) - exact) <= eps).all()
         for size in range(1, len(V) + 1):
             idx = np.sort(rng.choice(len(V), size, replace=False))
             assert (np.abs(_dists(V[idx], C) - exact[idx]) <= eps[idx]).all(), size
+
+    @pytest.mark.parametrize("name", BOUND_CASES)
+    def test_step_distances_are_within_the_rounding_bound(self, monkeypatch, name):
+        # The bound the pruning margin is built on: every squared distance a
+        # Lloyd step computes from one matmul of the augmented rows and
+        # centroids is within gamma_{2m+2} (||v|| + reach)^2 of the exact one,
+        # for the rows as fit_kmeans lays them out and every subset size
+        V, C, exact, eps, rng = self.bound_case(name, lambda m: 2 * m + 2)
+        seen, inner = [], rep._assign_nearest
+
+        def first_step(X, B):
+            seen.append((X, B.copy()))     # B is rewritten each step
+            return inner(X, B)
+        monkeypatch.setattr(rep, "_assign_nearest", first_step)
+        fit_kmeans(V, len(C), 0, C)
+        X, B = seen[0]
+        assert len(X) == len(V)
+        assert (np.abs(X @ B.T - exact) <= eps).all()
+        for size in range(1, len(V) + 1):
+            idx = np.sort(rng.choice(len(V), size, replace=False))
+            assert (np.abs(X.T.take(idx, axis=1).T @ B.T - exact[idx]) <= eps[idx]).all(), size
 
 
 class TestAgglomerative:
