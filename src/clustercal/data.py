@@ -169,15 +169,30 @@ def _cell_error(path, header, i, j, cell) -> DataError:
     return DataError(f"{path}: row {row}, column {column!r}: unparseable cell {cell!r}")
 
 
-def _numbers(path, header, rows, columns) -> np.ndarray:
-    """The cells of ``rows`` in ``columns`` as a float matrix."""
+def _numbers(path, header, rows, columns, category_maps=None) -> np.ndarray:
+    """The cells of ``rows`` in ``columns`` as a float matrix, each read by
+    ``float``, one column at a time. With a data file's ``category_maps``, a
+    cell is first stripped, then coded by its column's map, and a blank one
+    reads NaN. A fault names the first unparseable cell in row order."""
+    def cells(j):
+        raw = (row[j] for row in rows)
+        if category_maps is None:
+            return raw
+        cmap = category_maps.get(header[j], {})
+        return (cmap.get(c, c or math.nan) for c in map(str.strip, raw))
+
     out = np.empty((len(rows), len(columns)))
-    for i, row in enumerate(rows):
+    try:
         for k, j in enumerate(columns):
-            try:
-                out[i, k] = float(row[j])
-            except ValueError:
-                raise _cell_error(path, header, i, j, row[j]) from None
+            out[:, k] = np.fromiter(map(float, cells(j)), np.float64, len(rows))
+    except ValueError:
+        for i, row in enumerate(zip(*map(cells, columns))):
+            for j, cell in zip(columns, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise _cell_error(path, header, i, j, cell) from None
+        raise
     return out
 
 
@@ -189,7 +204,8 @@ def _check_ids(path, ids, expected_ids) -> None:
 def load_csv(spec: CsvSpec) -> Dataset:
     """Read the CSV that ``spec`` describes into a Dataset; feature columns
     keep file order, excluding the label and id columns. A sample id, the key
-    of the artifact CSVs' rows, may not repeat or hold a comma, quote or line break."""
+    of the artifact CSVs' rows, may not repeat or hold a comma, quote or line
+    break. Every row's label and id are checked before any feature cell."""
     path, label_column, label_map = spec.path, spec.label_column, spec.label_map
     category_maps = spec.category_maps or {}
     header, rows = _read_csv(path)
@@ -219,7 +235,6 @@ def load_csv(spec: CsvSpec) -> Dataset:
             raise DataError(f"{path}: row {i + 2}: label {raw!r} not in {{0,1}}")
         return int(fv)
 
-    X = np.empty((len(rows), len(feat_js)))
     y = np.empty(len(rows), dtype=np.int64)
     ids = {}                                # sample id -> its row; in file order
     for i, row in enumerate(rows):
@@ -230,16 +245,7 @@ def load_csv(spec: CsvSpec) -> Dataset:
                             f"{sid!r} holds a comma, quote or line break")
         if ids.setdefault(sid, i) != i:
             raise DataError(f"{path}: row {i + 2}: sample id {sid!r} repeats row {ids[sid] + 2}")
-        for k, j in enumerate(feat_js):
-            cell = row[j].strip()
-            cmap = category_maps.get(header[j])
-            if cmap is not None and cell in cmap:
-                X[i, k] = float(cmap[cell])
-                continue
-            try:
-                X[i, k] = float(cell) if cell else math.nan
-            except ValueError:
-                raise _cell_error(path, header, i, j, cell) from None
+    X = _numbers(path, header, rows, feat_js, category_maps)
 
     finite = np.isfinite(X)
     bad = ~finite.all(axis=1)

@@ -153,8 +153,10 @@ def _reach(V, C, n):
         vv = (V * V).sum(axis=1)
         reach = np.sqrt(max(vv.max(), 0.0 if C is None else (C * C).sum(axis=1).max()))
     if not reach <= np.sqrt(np.finfo(np.float64).max / (8 * n)):
+        # the norms again, without squaring, so the message names a finite value
+        largest = max(np.hypot.reduce(W, axis=1).max() for W in (V, C) if W is not None)
         raise ValueError("embedding values too large: squared distances between "
-                         f"its rows could overflow (largest norm {reach:.3g})")
+                         f"its rows could overflow (largest norm {largest:.3g})")
     return vv, reach
 
 
@@ -312,9 +314,11 @@ def fit_kmeans(V, k: int, seed: int = 0, init=None) -> ClusterModel:
 
 
 def _ward(V):
-    """The Ward linkage of V's rows, or None for a single row."""
+    """The Ward linkage of V's rows, or None for a single row; ValueError if
+    squared distances could overflow (``_reach``)."""
     from scipy.cluster.hierarchy import linkage   # ~0.6 s to import; only Ward needs it
 
+    _reach(V, None, len(V))
     return linkage(V, method="ward") if len(V) > 1 else None
 
 

@@ -1,6 +1,9 @@
 """Dataset ingestion, splitting and synthetic generation."""
 
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +225,116 @@ class TestReader:
         path.write_text("1.0,2.0\n3.0,x\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: row 2, column 2: unparseable")):
             load_vectors(str(path), None)
+
+
+# a number as a CSV cell may spell it, with the padding float() ignores
+NUMBER = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "Infinity", "-INFINITY", "+1.5", "-0",
+                     "1e3", "-2.5E-4", "1E+308", "1e999", "1_000", ".5", "5."]),
+)
+PADDED = st.builds("".join, st.tuples(st.sampled_from(["", " ", "  "]), NUMBER,
+                                      st.sampled_from(["", " ", "\t"])))
+FINITE = st.builds("".join, st.tuples(st.sampled_from(["", " "]),
+                                      st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                                      st.sampled_from(["", " "])))
+BLANK = st.sampled_from(["", " ", "   "])
+CATEGORIES = {"": 7, "red": 0, "blue": 5}
+
+
+def data_cell(cell, cmap):
+    """A data file's cell rule: strip, then the category code, then blank -> NaN."""
+    cell = cell.strip()
+    if cell in cmap:
+        return float(cmap[cell])
+    return float(cell) if cell else math.nan
+
+
+def write_rows(path, rows):
+    Path(path).write_text("".join(",".join(cells) + "\n" for cells in rows))
+
+
+class TestCellRules:
+    """Every input file's cells become floats as ``float`` reads them; a data
+    file's are stripped, coded and blank-as-NaN first. A fault names the first
+    bad cell in row order."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.one_of(PADDED, BLANK),
+                              st.one_of(st.sampled_from(["red", " blue ", "", "  "]), PADDED),
+                              st.sampled_from(["0", "1", " 1 "])),
+                    min_size=1, max_size=8))
+    def test_data_file_cells(self, rows):
+        expected = np.array([[data_cell(a, {}), data_cell(c, CATEGORIES)] for a, c, _ in rows])
+        labels = [int(y) for _, _, y in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/d.csv"
+            write_rows(path, [("a", "col", "y"), *rows])
+            spec = CsvSpec(path, "y", category_maps={"col": CATEGORIES})
+            keep = np.isfinite(expected).all(axis=1)
+            if not keep.any():
+                with pytest.raises(DataError, match="all rows contain non-finite values"):
+                    load_csv(spec)
+                return
+            ds = load_csv(spec)
+        assert ds.features.tobytes() == expected[keep].tobytes()
+        assert ds.labels.tolist() == [y for y, k in zip(labels, keep) if k]
+        assert ds.sample_ids == tuple(str(i) for i in np.flatnonzero(keep))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(PADDED, min_size=2, max_size=2), min_size=1, max_size=8))
+    def test_embedding_cells(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_rows(f"{tmp}/v.csv", rows)
+            got = load_vectors(f"{tmp}/v.csv", None)
+        assert got.tobytes() == np.array([[float(c) for c in r] for r in rows]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(FINITE, min_size=1, max_size=8))
+    def test_score_cells(self, margins):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_rows(f"{tmp}/s.csv", [("sample_id", "margin"),
+                                        *((str(i), m) for i, m in enumerate(margins))])
+            got = load_external_scores(f"{tmp}/s.csv")
+        assert got.margins.tobytes() == np.array([float(m) for m in margins]).tobytes()
+
+    @pytest.mark.parametrize("kind", INPUT_FILES)
+    def test_the_earlier_row_is_named_whatever_the_column(self, tmp_path, kind):
+        # row 3's bad cell is in a later column than row 4's
+        header, row, read = INPUT_FILES[kind]
+        path = tmp_path / f"{kind}.csv"
+        write_rows(path, [header, row, row[:2] + ["x2"], row[:1] + ["x1"] + row[2:]])
+        message = f"{path}: row 3, column {header[2]!r}: unparseable cell 'x2'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            read(str(path))
+
+    def test_a_headerless_embedding_names_the_earlier_row(self, tmp_path):
+        path = tmp_path / "v.csv"
+        write_rows(path, [["1", "2"], ["3", "x2"], ["x1", "4"]])
+        with pytest.raises(DataError, match=re.escape(f"{path}: row 2, column 2: unparseable "
+                                                      "cell 'x2'")):
+            load_vectors(str(path), None)
+
+    def test_the_stripped_data_cell_is_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_rows(path, [["a", "y"], ["1", "0"], ["  bad ", "1"]])
+        message = f"{path}: row 3, column 'a': unparseable cell 'bad'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(CsvSpec(str(path), "y"))
+
+    @pytest.mark.parametrize("row5, message", [
+        (["r4", "4", "maybe"], "row 5, column 'y': unparseable label 'maybe'"),
+        (["r0", "4", "1"], "row 5: sample id 'r0' repeats row 2"),
+    ], ids=["label", "id"])
+    def test_a_label_or_id_fault_is_named_before_a_feature_fault(self, tmp_path, row5, message):
+        # labels and ids are read before the features: a bad feature cell in
+        # an earlier row does not hide the later row's label or id fault
+        path = tmp_path / "d.csv"
+        write_rows(path, [["id", "a", "y"], ["r0", "1", "0"], ["r1", "bad", "1"],
+                          ["r2", "2", "0"], row5])
+        with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_csv(CsvSpec(str(path), "y", id_column="id"))
 
 
 class TestSplit:

@@ -216,6 +216,18 @@ class TestKmeans:
                 with pytest.raises(ValueError, match=message):
                     fit(V * scale)
 
+    def test_overflow_message_names_the_largest_norm(self):
+        # its square overflows, so a norm taken from the squared norms read inf
+        big = np.array([[3e154, 4e154], [0.0, 0.0]])
+        small = np.array([[3.0, 4.0], [0.0, 0.0]])
+        cm = fit_kmeans(small, 2, 0)
+        message = re.escape("could overflow (largest norm 5e+154)")
+        for fit in (lambda: fit_kmeans(big, 2, 0), lambda: fit_kmeans(small, 2, 0, init=big),
+                    lambda: assign(cm, big), lambda: fit_agglomerative(big, 2),
+                    lambda: fit_kmeans(np.array([[-5e154], [0.0]]), 2, 0)):
+            with pytest.raises(ValueError, match=message):
+                fit()
+
     def test_overflow_threshold_counts_the_inertia_rows(self):
         # 8 n reach^2 must be finite: at reach 2^506, n must be below 2^9
         for n, ok in ((400, True), (600, False)):
@@ -633,6 +645,21 @@ class TestAgglomerative:
     def test_single_point(self):
         cm = fit_agglomerative(np.zeros((1, 2)), 1)
         assert cm.k == 1
+
+    @pytest.mark.parametrize("fit", [
+        lambda W: fit_agglomerative(W, 2),
+        lambda W: select_k_elbow(W, (2, 4, 1), method="agglomerative")[0],
+    ], ids=["fit", "elbow"])
+    def test_rejects_what_k_means_rejects(self, fit):
+        # two clusters of two rows 1 apart: an inertia of 1 at k = 2; scaled
+        # by 1e153, scipy's linkage fitted it and by 1e154 raised its own error
+        V = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
+        cm = fit(V * 1e152)
+        assert cm.k == 2 and cm.inertia == pytest.approx(1e304, rel=1e-15)
+        for scale in (1e153, 1e154):
+            with pytest.raises(ValueError, match="^embedding values too large: squared "
+                                                 "distances between its rows could overflow"):
+                fit(V * scale)
 
     def test_sizes_count_the_ward_cut_not_the_nearest_centroids(self):
         # the Ward cut leaves some rows nearer another cluster's centroid, so
