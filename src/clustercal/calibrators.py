@@ -11,7 +11,9 @@ saturate to 0.0 without a warning on every objective evaluation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -33,25 +35,49 @@ MAX_ITER = 1000
 T_BOUNDS = (0.01, 100.0)
 GOLDEN_ITER = 220
 PARAMETRIC_METHODS = ("platt", "temperature", "beta", "dirichlet2")
-ALL_METHODS = PARAMETRIC_METHODS + ("histogram", "isotonic", "platt_bin", "constant")
+# method -> the keys of its params; those in ARRAY_PARAMS are float64 arrays,
+# "bins" a list of calibrators, and the others numbers
+PARAM_KEYS = {"platt": ("A", "B"), "temperature": ("T",), "beta": ("a", "b", "c"),
+              "dirichlet2": ("w1", "w2", "c"), "histogram": ("edges", "outputs"),
+              "isotonic": ("breakpoints", "values"), "platt_bin": ("edges", "bins"),
+              "constant": ("p0",)}
+ARRAY_PARAMS = ("edges", "outputs", "breakpoints", "values")
+ALL_METHODS = tuple(PARAM_KEYS)
 N_BINS = 10     # the equal-mass bins of histogram and platt_bin fits, at most one per row
 
 
 @dataclass
 class Calibrator:
-    method: str
+    """A fitted calibrator: its method and params, whose keys are the method's
+    ``PARAM_KEYS``. A number must be finite, an array 1-D and finite; params
+    read back from JSON, whose arrays are lists and bins dicts, become floats,
+    float64 arrays and calibrators. A ValueError names a bad key."""
+
+    method: Literal[ALL_METHODS]
     params: dict
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        # params read back from JSON hold lists and dicts: make them arrays and calibrators
+        keys = PARAM_KEYS.get(self.method)
+        if keys is None:
+            raise ValueError(f"unknown calibration method {self.method!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"params must be a JSON object, not {self.params!r}")
         q = self.params = dict(self.params)
-        if "bins" in q:
-            q["bins"] = [Calibrator(**_bin_fields(i, b)) if isinstance(b, dict) else b
-                         for i, b in enumerate(q["bins"])]
-        for k in ("edges", "outputs", "breakpoints", "values"):
-            if k in q:
-                q[k] = np.asarray(q[k], dtype=np.float64)
+        unknown, missing = sorted(set(q) - set(keys)), [k for k in keys if k not in q]
+        if unknown:
+            raise ValueError(f"unknown params keys: {unknown}")
+        if missing:
+            raise ValueError(f"params needs keys: {missing}")
+        for k in keys:
+            if k == "bins":
+                if not isinstance(q[k], list):
+                    raise ValueError(f"params.bins must be a list, not {q[k]!r}")
+                q[k] = [_bin(i, b) for i, b in enumerate(q[k])]
+            elif k in ARRAY_PARAMS:
+                q[k] = _float_array(f"params.{k}", q[k])
+            else:
+                q[k] = _number(f"params.{k}", q[k])
 
     def _beta_coefs(self) -> tuple:
         """(a, b, c) of sigmoid(a ln p - b ln(1 - p) + c); dirichlet2's is (w1, -w2, c)."""
@@ -76,15 +102,13 @@ class Calibrator:
             a, b, c = self._beta_coefs()
             return sigmoid(a * np.log(p) - b * np.log1p(-p) + c)
         if self.method == "histogram":
-            idx = _bin_lookup(np.asarray(q["edges"]), scores.probabilities)
-            return np.asarray(q["outputs"])[idx]
+            return q["outputs"][_bin_lookup(q["edges"], scores.probabilities)]
         if self.method == "isotonic":
-            bp = np.asarray(q["breakpoints"])
-            vals = np.asarray(q["values"])
+            bp, vals = q["breakpoints"], q["values"]
             idx = np.clip(np.searchsorted(bp, scores.probabilities, side="right") - 1, 0, len(vals) - 1)
             return vals[idx]
         if self.method == "platt_bin":
-            idx = _bin_lookup(np.asarray(q["edges"]), scores.probabilities)
+            idx = _bin_lookup(q["edges"], scores.probabilities)
             return _apply_by_group(idx, lambda b: q["bins"][b], scores)
         if self.method == "constant":
             return np.full(len(scores), q["p0"])
@@ -95,15 +119,51 @@ class Calibrator:
         return nll_of_probs(self.apply(clipped), y)
 
 
-def _bin_fields(i: int, b: dict) -> dict:
-    """Bin ``i`` of a platt_bin read back from JSON, when its keys are a Calibrator's."""
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _number(key: str, v) -> float:
+    """Param ``v`` as a finite float."""
+    if not _is_number(v):
+        raise ValueError(f"{key} must be a number, not {v!r}")
+    try:
+        f = float(v)
+    except OverflowError:
+        raise ValueError(f"{key} must fit a float, not an int of {v.bit_length()} bits") from None
+    if not math.isfinite(f):
+        raise ValueError(f"{key} must be finite, not {v!r}")
+    return f
+
+
+def _float_array(key: str, v) -> np.ndarray:
+    """Param ``v``, an array or a list of numbers, as a finite 1-D float64 array."""
+    ok = (v.dtype.kind in "iuf" if isinstance(v, np.ndarray)
+          else isinstance(v, (list, tuple)) and all(map(_is_number, v)))
+    a = np.asarray(v, dtype=np.float64) if ok else None
+    if a is None or a.ndim != 1:
+        raise ValueError(f"{key} must be a 1-D list of numbers")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{key}: values must be finite")
+    return a
+
+
+def _bin(i: int, b) -> Calibrator:
+    """Bin ``i`` of a platt_bin: a calibrator, or its fields read back from JSON."""
+    if isinstance(b, Calibrator):
+        return b
+    if not isinstance(b, dict):
+        raise ValueError(f"params.bins[{i}] must be a JSON object, not {b!r}")
     unknown = sorted(set(b) - {"method", "params", "diagnostics"})
     if unknown:
         raise ValueError(f"unknown params.bins[{i}] keys: {unknown}")
     missing = [k for k in ("method", "params") if k not in b]
     if missing:
         raise ValueError(f"params.bins[{i}] needs keys: {missing}")
-    return b
+    try:
+        return Calibrator(**b)
+    except ValueError as exc:
+        raise ValueError(f"params.bins[{i}]: {exc}") from None
 
 
 def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:

@@ -137,6 +137,12 @@ class CsvSpec:
                     for s, v in cmap.items())):
                 raise DataError(f"category_maps[{column!r}] must map strings to ints, "
                                 f"not {cmap!r}")
+            for s, v in cmap.items():
+                try:
+                    float(v)                # a cell's code becomes a float feature
+                except OverflowError:
+                    raise DataError(f"category_maps[{column!r}][{s!r}] must fit a float, "
+                                    f"not an int of {v.bit_length()} bits") from None
 
 
 def _read_csv(path, has_header=lambda first: True):
@@ -314,7 +320,8 @@ def _ratios(ratios) -> tuple:
 
 
 def split(ds: Dataset, ratios, seed: int = 0, stratify: bool = True) -> SplitIndices:
-    """Deterministic (optionally label-stratified) train/calibration/test split."""
+    """Deterministic (optionally label-stratified) train/calibration/test split;
+    a part left empty is a ``DataError`` that names it."""
     ratios = _ratios(ratios)
     rng = np.random.default_rng(seed)
 
@@ -333,14 +340,16 @@ def split(ds: Dataset, ratios, seed: int = 0, stratify: bool = True) -> SplitInd
             for p, chunk in zip(parts, carve(sub)):
                 p.append(chunk)
         tr, cal, te = (np.sort(np.concatenate(p)) for p in parts)
-        if len(tr) == 0 or len(cal) == 0 or len(te) == 0:
-            raise DataError("a split received zero samples")
-        for part, name in ((tr, "train"), (cal, "calibration"), (te, "test")):
-            labs = ds.labels[part]
-            if len(part) and (labs == labs[0]).all() and len(np.unique(ds.labels)) == 2:
-                raise DataError(f"stratified split left the {name} set single-class")
     else:
         tr, cal, te = (np.sort(c) for c in carve(np.arange(ds.n)))
+    named = ((tr, "train"), (cal, "calibration"), (te, "test"))
+    for part, name in named:
+        if len(part) == 0:
+            raise DataError(f"the {name} split received zero samples")
+    if stratify and len(np.unique(ds.labels)) == 2:
+        for part, name in named:
+            if (ds.labels[part] == ds.labels[part[0]]).all():
+                raise DataError(f"stratified split left the {name} set single-class")
     out = SplitIndices(tr, cal, te, seed)
     out.check_partition(ds.n)
     return out

@@ -473,43 +473,47 @@ def run_stages(cfg: ExperimentConfig, last: str = "evaluate") -> RunState:
     return r
 
 
-def run_experiment(cfg: ExperimentConfig) -> EvalReport:
-    """Full pipeline: split, model, embed, cluster, calibrate, evaluate.
-
-    Deterministic given config and seed. When ``cfg.out`` is set, all
-    artifacts are persisted there; nothing is written on failure.
-    """
-    r = run_stages(cfg)
+def run_experiment(cfg: ExperimentConfig, last: str = "evaluate") -> EvalReport | None:
+    """Run the stages through ``last`` and, when ``cfg.out`` is set, write the files
+    of a run that ends there (``_persist``); nothing is written on failure.
+    Deterministic given config and seed. Returns the report, None before ``evaluate``."""
+    if last not in _ARTIFACTS:
+        raise ValueError(f"last must be one of {list(_ARTIFACTS)}, not {last!r}")
+    r = run_stages(cfg, last)
     if cfg.out is not None:
-        _persist(r)
+        _persist(r, last)
     return r.report
 
 
-# persistence -------------------------------------------------------------
+# persistence: one writer per file ----------------------------------------
+CSV_BLOCK_ROWS = 1024       # rows turned into Python scalars at a time
+
 
 def _write_csv(path, header, columns):
-    """Write a CSV file from ``header`` and one list per column.
+    """Write a CSV file from ``header`` and one array or list per column.
 
-    Every column holds Python scalars (``ndarray.tolist()``, ids, or ints
-    cast beforehand) and has one entry per row. Each cell is written with
+    Every column has one entry per row. ``CSV_BLOCK_ROWS`` rows at a time
+    become Python scalars (``ndarray.tolist()``), each cell written with
     ``str``: a float as its shortest round-trip ``repr`` (``0.1``, ``1.0``,
-    ``-0.0``, ``1e-05``, ``nan``), an int without a decimal point, so a
-    count column must be passed as ints. Rows are streamed, not joined into
-    one string.
+    ``-0.0``, ``1e-05``, ``nan``), an int without a decimal point, so a count
+    column must hold ints.
     """
     if len(columns) != len(header) or len({len(c) for c in columns}) > 1:
         raise ValueError(f"{path}: need {len(header)} columns of one length")
     row = ",".join(["{}"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(map(row.format, *columns))
+        for i in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+            block = (c[i:i + CSV_BLOCK_ROWS] for c in columns)
+            fh.writelines(map(row.format, *(b.tolist() if isinstance(b, np.ndarray) else b
+                                            for b in block)))
 
 
 def _write_stacked(path, header, tables):
     """Write ``tables`` (variant -> columns of one length) stacked in order, under a
     ``variant`` column; a table's shortest column sets its rows, so unequal ones fail."""
     _write_csv(path, ("variant", *header), [[v for v, cols in tables.items() for _ in zip(*cols)]]
-               + [np.concatenate(c).tolist() for c in zip(*tables.values())])
+               + [np.concatenate(c) for c in zip(*tables.values())])
 
 
 def _jsonable(o):
@@ -544,6 +548,23 @@ def _read_json(cls, path):
         return _section(cls, str(path), json.load(fh))
 
 
+def _write_ensemble(out: str, r: RunState):
+    if r.ens is not None:
+        _write_json(os.path.join(out, "ensemble.json"), r.ens)
+
+
+def _write_scores(out: str, r: RunState):
+    """splits.json and scores.csv (every row's margin and probability)."""
+    _write_json(os.path.join(out, "splits.json"), r.splits)
+    _write_csv(os.path.join(out, "scores.csv"), ("sample_id", "margin", "probability"),
+               [r.ds.sample_ids, r.scores.margins, r.scores.probabilities])
+
+
+def _write_embedding(out: str, r: RunState):
+    _write_csv(os.path.join(out, "embedding.csv"),
+               ("sample_id", *(f"e{j}" for j in range(r.E.shape[1]))), [r.ds.sample_ids, *r.E.T])
+
+
 def _write_clusters(out: str, r: RunState):
     """clusters.json (the cluster model) and clusters.csv (per-cluster table)."""
     _write_json(os.path.join(out, "clusters.json"), r.cm)
@@ -555,13 +576,14 @@ def _write_clusters(out: str, r: RunState):
                 [float(np.linalg.norm(r.cm.centroids[j])) for j in ids]])
 
 
-def _persist(r: RunState):
-    out = r.cfg.out
-    os.makedirs(out, exist_ok=True)
+def _write_diagnostics(out: str, r: RunState):
+    _write_json(os.path.join(out, "diagnostics.json"),
+                {**vars(r.diag), "elbow_curve": r.elbow_curve})
+
+
+def _write_evaluation(out: str, r: RunState):
+    """eval_report.json, each calibrator's JSON and the metric and per-variant tables."""
     _write_json(os.path.join(out, "eval_report.json"), r.report)
-    if r.ens is not None:
-        _write_json(os.path.join(out, "ensemble.json"), r.ens)
-    _write_clusters(out, r)
     for method, ccl in r.ccl.items():
         _write_json(os.path.join(out, f"ccl_{method}.json"), ccl)
     for method, cal in r.unified.items():
@@ -569,11 +591,10 @@ def _persist(r: RunState):
     header = ("variant", "method") + METRIC_COLUMNS
     _write_csv(os.path.join(out, "metrics.csv"), header,
                [[row[c] for row in r.report.rows] for c in header])
-
     te_idx, variants = r.splits.test, sorted(r.calibrated)
     _write_csv(os.path.join(out, "calibrated_scores.csv"), ("sample_id", "label", *variants),
-               [[r.ds.sample_ids[i] for i in te_idx], r.ds.labels[te_idx].tolist()]
-               + [r.calibrated[v].tolist() for v in variants])
+               [[r.ds.sample_ids[i] for i in te_idx], r.ds.labels[te_idx]]
+               + [r.calibrated[v] for v in variants])
     _write_stacked(os.path.join(out, "bins.csv"), ("bin", "count", "obs_rate", "mean_pred"),
                    {v: (np.arange(len(b.counts)), b.counts, b.obs_rate, b.mean_pred)
                     for v, b in sorted(r.bins.items())})
@@ -581,6 +602,30 @@ def _persist(r: RunState):
                    ("threshold", "accepted", "error_rate", "rejection_rate"),
                    {v: (c.thresholds, c.accepted, c.error_rate, c.rejection_rate)
                     for v, c in sorted(r.rejection.items())})
+
+
+def _persist_selection(out: str, report: EvalReport) -> dict:
+    """selection.json: ``select_model``'s CECE pick of the report's rows, returned."""
+    selection = select_model(report, "CECE")
+    _write_json(os.path.join(out, "selection.json"), selection)
+    return selection
+
+
+# stage a run ends at -> the writers of the files it leaves in the output directory
+_ARTIFACTS = {
+    "model": (_write_ensemble, _write_scores),
+    "embedding": (_write_embedding,),
+    "clustering": (_write_clusters, _write_diagnostics),
+    "evaluate": (_write_evaluation, _write_ensemble, _write_clusters,
+                 lambda out, r: _persist_selection(out, r.report)),
+}
+
+
+def _persist(r: RunState, last: str):
+    """Write the files of a run that ends at stage ``last`` into ``r.cfg.out``."""
+    os.makedirs(r.cfg.out, exist_ok=True)
+    for write in _ARTIFACTS[last]:
+        write(r.cfg.out, r)
 
 
 # analysis ----------------------------------------------------------------

@@ -357,6 +357,29 @@ class TestExitCodes:
                                            f"strings to ints, not {cmap!r}\n")
         assert not out.exists()
 
+    def test_a_category_code_too_large_for_a_float_exits_1_and_writes_nothing(self, tmp_path,
+                                                                              capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("c,y\nred,0\nblue,1\n")
+        cfg = write_config(tmp_path, {"data": {"csv": {
+            "path": str(data), "label_column": "y", "category_maps": {"c": {"red": 10**400}}}},
+            "model": {"gbt": {}}})
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ("error: data.csv: category_maps['c']['red'] must fit "
+                                           "a float, not an int of 1329 bits\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stratify, empty", [(True, "calibration"), (False, "test")])
+    def test_an_empty_split_exits_1_either_way(self, tmp_path, capsys, stratify, empty):
+        cfg = write_config(tmp_path, {"data": {"synthetic": {
+            "n_subpops": 1, "samples_per_subpop": 3, "base_rates": [0.5], "miscal_offsets": [0.0]}},
+            "clustering": {"k": 1}, "stratify": stratify})
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: the {empty} split received zero samples\n"
+        assert not out.exists()
+
     # input file -> (config change, given its path; exit code; the stage the message names)
     INPUT_FILES = {
         "data": (lambda p: {"data": {"csv": {"path": p, "label_column": "y"}},

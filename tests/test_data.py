@@ -61,6 +61,14 @@ class TestLoadCsv:
         assert ds.labels.tolist() == [0, 1]
         np.testing.assert_allclose(ds.features, [[1, 2], [3, 4]])
 
+    def test_a_category_code_too_large_for_a_float_is_named(self, tmp_path):
+        path = self.write(tmp_path, "c,y\nred,0\nblue,1\n")
+        with pytest.raises(DataError, match=r"^category_maps\['c'\]\['red'\] must fit a float, "
+                                            r"not an int of 1329 bits$"):
+            load_csv(CsvSpec(path, "y", category_maps={"c": {"red": 10**400, "blue": 1}}))
+        ds = load_csv(CsvSpec(path, "y", category_maps={"c": {"red": 2**1023, "blue": -1}}))
+        assert ds.features[:, 0].tolist() == [2.0**1023, -1.0]
+
     def test_id_column_and_label_map(self, tmp_path):
         path = self.write(tmp_path, "id,a,y\nr1,1,no\nr2,2,yes\n")
         ds = load_csv(CsvSpec(path, "y", id_column="id", label_map={"no": 0, "yes": 1}))
@@ -368,6 +376,12 @@ class TestSplit:
         ds = make_ds(50)
         sp = split(ds, (0.6, 0.2, 0.2), 0, stratify=False)
         sp.check_partition(50)
+
+    @pytest.mark.parametrize("stratify, empty", [(True, "calibration"), (False, "test")])
+    def test_an_empty_part_is_named_either_way(self, stratify, empty):
+        ds = make_ds(3)
+        with pytest.raises(DataError, match=f"^the {empty} split received zero samples$"):
+            split(ds, (0.6, 0.2, 0.2), 0, stratify)
 
     def test_bad_ratios(self):
         ds = make_ds()

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,12 @@ import pytest
 
 from clustercal import harness
 from clustercal.calibrators import Calibrator
-from clustercal.cli import PREFIX_COMMANDS
+from clustercal.cli import COMMANDS, main
 from clustercal.ensemble import ClusteredCalibrator
 from clustercal.gbt import TreeEnsemble
 from clustercal.harness import (
     METRIC_COLUMNS, ConfigError, EvalReport, ExperimentConfig, _jsonable, _read_json, _section,
-    _write_csv, _write_json, _write_stacked, run_stages, select_model,
+    _write_csv, _write_json, _write_stacked, run_experiment, run_stages, select_model,
 )
 from clustercal.representation import ClusterModel
 
@@ -125,15 +126,13 @@ def oracle_report(out, r):
     oracle_json(os.path.join(out, "selection.json"), select_model(r.report, "CECE"))
 
 
-def write_report(out, r):
-    """What `clustercal report` writes: `_persist` plus `selection.json`."""
-    harness._persist(dataclasses.replace(r, cfg=dataclasses.replace(r.cfg, out=str(out))))
-    harness._write_json(os.path.join(out, "selection.json"), select_model(r.report, "CECE"))
+def persist(r, out, last):
+    """What a run of ``r``'s config that ends at stage ``last`` writes into ``out``."""
+    harness._persist(dataclasses.replace(r, cfg=dataclasses.replace(r.cfg, out=str(out))), last)
 
 
 ORACLES = {"train": oracle_train, "embed": oracle_embed, "cluster": oracle_cluster,
            "report": oracle_report}
-WRITERS = dict({c: write for c, (_, write) in PREFIX_COMMANDS.items()}, report=write_report)
 
 
 # golden run --------------------------------------------------------------
@@ -148,13 +147,72 @@ def test_artifacts_match_oracle_byte_for_byte(state, tmp_path, command):
     got, want = tmp_path / "got", tmp_path / "want"
     got.mkdir()
     want.mkdir()
-    WRITERS[command](got, state)
+    persist(state, got, COMMANDS[command][0])
     ORACLES[command](want, state)
     names = sorted(os.listdir(want))
     assert names == sorted(p.name for p in (GOLDEN / command).iterdir())
     assert sorted(os.listdir(got)) == names
     differ = [n for n in names if (got / n).read_bytes() != (want / n).read_bytes()]
     assert differ == []
+
+
+@pytest.mark.parametrize("command", sorted(ORACLES))
+def test_the_library_writes_what_the_command_writes(tmp_path, command):
+    config = str(GOLDEN / "report_config.json")
+    assert main([command, "--config", config, "--out", str(tmp_path / "cli")]) == 0
+    run_experiment(ExperimentConfig.from_json_file(config, out=str(tmp_path / "lib")),
+                   COMMANDS[command][0])
+    names = sorted(os.listdir(tmp_path / "cli"))
+    assert sorted(os.listdir(tmp_path / "lib")) == names
+    differ = [n for n in names
+              if (tmp_path / "lib" / n).read_bytes() != (tmp_path / "cli" / n).read_bytes()]
+    assert differ == []
+
+
+def test_a_library_run_writes_the_report_set_with_its_selection(tmp_path):
+    report = run_experiment(ExperimentConfig.from_json_file(str(GOLDEN / "report_config.json"),
+                                                            out=str(tmp_path)))
+    assert sorted(os.listdir(tmp_path)) == sorted(p.name for p in (GOLDEN / "report").iterdir())
+    assert json.loads((tmp_path / "selection.json").read_text()) == json.loads(
+        json.dumps(select_model(report, "CECE")))
+
+
+@pytest.mark.parametrize("last", ["data", "calibrate", "report"])
+def test_a_run_must_end_at_a_stage_that_writes(tmp_path, last):
+    cfg = ExperimentConfig.from_json_file(str(GOLDEN / "report_config.json"), out=str(tmp_path))
+    with pytest.raises(ValueError, match=rf"last must be one of \['model', 'embedding', "
+                                         rf"'clustering', 'evaluate'\], not '{last}'"):
+        run_experiment(cfg, last)
+    assert os.listdir(tmp_path) == []
+
+
+def test_small_blocks_write_the_same_report(state, tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", 7)      # 80 test rows: 12 blocks
+    persist(state, tmp_path / "got", "evaluate")
+    (tmp_path / "want").mkdir()
+    oracle_report(tmp_path / "want", state)
+    names = sorted(os.listdir(tmp_path / "want"))
+    assert sorted(os.listdir(tmp_path / "got")) == names
+    assert [n for n in names if (tmp_path / "got" / n).read_bytes()
+            != (tmp_path / "want" / n).read_bytes()] == []
+
+
+def test_the_report_peak_does_not_grow_with_test_rows_times_variants(state, tmp_path):
+    # each added test row may cost its id's list slot and its label, but no
+    # Python float per variant (the golden run has 12 variants)
+    def peak(reps):
+        r = dataclasses.replace(
+            state, splits=dataclasses.replace(state.splits, test=np.tile(state.splits.test, reps)),
+            calibrated={v: np.tile(p, reps) for v, p in state.calibrated.items()})
+        tracemalloc.start()
+        try:
+            persist(r, tmp_path / str(reps), "evaluate")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    added = 250 * len(state.splits.test)
+    assert (peak(251) - peak(1)) / added < 64
 
 
 # edge cells --------------------------------------------------------------
@@ -184,6 +242,24 @@ def test_int_and_float_columns_keep_their_type(tmp_path):
     got, want = write_both(tmp_path, ("n", "x"), [counts.tolist(), counts.astype(float).tolist()],
                            [[int(c), c] for c in counts])
     assert got == want == "n,x\n0,0.0\n1,1.0\n3,3.0\n"
+
+
+# the kinds of column `_write_csv` takes
+COLUMN_KINDS = {"array": np.asarray, "list": lambda c: np.asarray(c).tolist(),
+                "tuple": lambda c: tuple(np.asarray(c).tolist())}
+
+
+@pytest.mark.parametrize("kind", sorted(COLUMN_KINDS))
+@pytest.mark.parametrize("block", [1, 3, 4, 7])
+def test_arrays_lists_and_tuples_write_the_same_bytes_across_blocks(tmp_path, monkeypatch,
+                                                                    kind, block):
+    monkeypatch.setattr(harness, "CSV_BLOCK_ROWS", block)
+    ids = [f"s{i}" for i in range(7)]
+    counts = np.arange(7, dtype=np.int64)
+    x = np.array([-0.0, 0.1, 1e-05, 1e16, math.nan, math.inf, 2.5e-300])
+    columns = [COLUMN_KINDS[kind](c) for c in (ids, counts, x)]
+    got, want = write_both(tmp_path, ("id", "n", "x"), columns, zip(ids, counts.tolist(), x))
+    assert got == want
 
 
 @pytest.mark.parametrize("columns", [[[1, 2], [0.5]], [[1, 2]], [[1], [2], [3]], []])
@@ -382,6 +458,53 @@ def test_a_bad_platt_bin_bin_is_named(tmp_path, edit, message):
     path = write_golden_without(tmp_path, "unified_platt_bin.json", **d)
     with pytest.raises(ConfigError, match=r"unified_platt_bin.json: " + message):
         _read_json(Calibrator, path)
+
+
+# golden unified_<method>.json, edit -> the key and the message `_read_json` gives for it
+CALIBRATOR_EDITS = {
+    "bogus-method": ("platt", lambda d: d.update(method="bogus"),
+                     r"\.method must be one of \['platt', .*\], not 'bogus'"),
+    "extra-param": ("platt", lambda d: d["params"].update(Z=1.0),
+                    r": unknown params keys: \['Z'\]"),
+    "missing-param": ("platt", lambda d: d["params"].pop("B"), r": params needs keys: \['B'\]"),
+    "string-param": ("platt", lambda d: d["params"].update(A="x"),
+                     r": params.A must be a number, not 'x'"),
+    "bool-param": ("temperature", lambda d: d["params"].update(T=True),
+                   r": params.T must be a number, not True"),
+    "huge-param": ("platt", lambda d: d["params"].update(A=10**400),
+                   r": params.A must fit a float, not an int of 1329 bits"),
+    "nan-param": ("beta", lambda d: d["params"].update(c=math.nan),
+                  r": params.c must be finite, not nan"),
+    "nan-output": ("histogram", lambda d: d["params"]["outputs"].__setitem__(1, math.nan),
+                   r": params.outputs: values must be finite"),
+    "bool-output": ("histogram", lambda d: d["params"]["outputs"].__setitem__(1, True),
+                    r": params.outputs must be a 1-D list of numbers"),
+    "nested-values": ("isotonic", lambda d: d["params"].update(values=[[0.5]]),
+                      r": params.values must be a 1-D list of numbers"),
+    "bin-nan-param": ("platt_bin", lambda d: d["params"]["bins"][1]["params"].update(A=math.nan),
+                      r": params.bins\[1\]: params.A must be finite, not nan"),
+    "bin-not-an-object": ("platt_bin", lambda d: d["params"]["bins"].__setitem__(1, 3),
+                          r": params.bins\[1\] must be a JSON object, not 3"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(CALIBRATOR_EDITS))
+def test_a_bad_calibrator_file_is_named(tmp_path, edit):
+    method, change, message = CALIBRATOR_EDITS[edit]
+    name = f"unified_{method}.json"
+    d = json.loads((GOLDEN / "report" / name).read_text())
+    change(d)
+    path = write_golden_without(tmp_path, name, **d)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}{message}$"):
+        _read_json(Calibrator, path)
+
+
+def test_a_bad_calibrator_inside_an_ensemble_file_is_named(tmp_path):
+    d = json.loads((GOLDEN / "report" / "ccl_platt.json").read_text())
+    d["fallback"]["params"]["B"] = math.inf
+    path = write_golden_without(tmp_path, "ccl_platt.json", **d)
+    with pytest.raises(ConfigError, match=r"ccl_platt.json.fallback: params.B must be finite"):
+        _read_json(ClusteredCalibrator, path)
 
 
 def test_keys_with_defaults_may_be_absent(tmp_path):
