@@ -79,44 +79,12 @@ class Calibrator:
             else:
                 q[k] = _number(f"params.{k}", q[k])
 
-    def _beta_coefs(self) -> tuple:
-        """(a, b, c) of sigmoid(a ln p - b ln(1 - p) + c); dirichlet2's is (w1, -w2, c)."""
-        q = self.params
-        if self.method == "beta":
-            return q["a"], q["b"], q["c"]
-        return q["w1"], -q["w2"], q["c"]
-
     def apply(self, scores: ScoreSet) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            raw = self._transform(scores)
-        return np.clip(raw, APPLY_EPS, 1 - APPLY_EPS)
-
-    def _transform(self, scores: ScoreSet) -> np.ndarray:
-        q = self.params
-        if self.method == "platt":
-            return sigmoid(-(q["A"] * scores.margins + q["B"]))
-        if self.method == "temperature":
-            return sigmoid(scores.margins / q["T"])
-        if self.method in ("beta", "dirichlet2"):
-            p = np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS)
-            a, b, c = self._beta_coefs()
-            return sigmoid(a * np.log(p) - b * np.log1p(-p) + c)
-        if self.method == "histogram":
-            return q["outputs"][_bin_lookup(q["edges"], scores.probabilities)]
-        if self.method == "isotonic":
-            bp, vals = q["breakpoints"], q["values"]
-            idx = np.clip(np.searchsorted(bp, scores.probabilities, side="right") - 1, 0, len(vals) - 1)
-            return vals[idx]
-        if self.method == "platt_bin":
-            idx = _bin_lookup(q["edges"], scores.probabilities)
-            return _apply_by_group(idx, lambda b: q["bins"][b], scores)
-        if self.method == "constant":
-            return np.full(len(scores), q["p0"])
-        raise ValueError(f"unknown calibration method {self.method!r}")
+        return _apply(self.method, self.params, scores)
 
     def nll(self, scores: ScoreSet, y) -> float:
-        clipped = ScoreSet(scores.margins, np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS))
-        return nll_of_probs(self.apply(clipped), y)
+        y = _labels(_aligned(p=scores.probabilities, y=y)[1], "y").astype(np.float64)
+        return _calibrated_nlls(self.method, self.params, scores, y, (0, len(y)))[0]
 
 
 def _is_number(v) -> bool:
@@ -166,13 +134,62 @@ def _bin(i: int, b) -> Calibrator:
         raise ValueError(f"params.bins[{i}]: {exc}") from None
 
 
-def _apply_by_group(groups, calibrator_of, scores: ScoreSet) -> np.ndarray:
-    """Apply ``calibrator_of(g)`` to the rows of ``scores`` in each group ``g``."""
+def _apply(method: str, q: dict, scores: ScoreSet) -> np.ndarray:
+    """``apply`` of a ``method`` calibrator with params ``q``, whose numbers may
+    also be per-row arrays: every step of a transform is elementwise, so row i
+    gets the bytes of the calibrator with row i's params."""
+    with np.errstate(over="ignore"):
+        raw = _transform(method, q, scores)
+    return np.clip(raw, APPLY_EPS, 1 - APPLY_EPS)
+
+
+def _transform(method: str, q: dict, scores: ScoreSet) -> np.ndarray:
+    if method == "platt":
+        return sigmoid(-(q["A"] * scores.margins + q["B"]))
+    if method == "temperature":
+        return sigmoid(scores.margins / q["T"])
+    if method in ("beta", "dirichlet2"):
+        # beta's sigmoid(a ln p - b ln(1 - p) + c) is dirichlet2's with (w1, w2) = (a, -b)
+        a, b = (q["a"], q["b"]) if method == "beta" else (q["w1"], -q["w2"])
+        p = np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS)
+        return sigmoid(a * np.log(p) - b * np.log1p(-p) + q["c"])
+    if method == "histogram":
+        return q["outputs"][_bin_lookup(q["edges"], scores.probabilities)]
+    if method == "isotonic":
+        bp, vals = q["breakpoints"], q["values"]
+        idx = np.clip(np.searchsorted(bp, scores.probabilities, side="right") - 1, 0, len(vals) - 1)
+        return vals[idx]
+    if method == "platt_bin":
+        return _apply_each(q["bins"], _bin_lookup(q["edges"], scores.probabilities), scores)
+    if method == "constant":
+        return np.full(len(scores), q["p0"])
+    raise ValueError(f"unknown calibration method {method!r}")
+
+
+def _apply_each(calibrators, groups, scores: ScoreSet) -> np.ndarray:
+    """Row i of ``scores`` calibrated by ``calibrators[groups[i]]``, all of them
+    calibrators with number params (platt, temperature, beta, dirichlet2 or
+    constant). The rows of each method present take one pass, with each param
+    gathered per row from the row's calibrator."""
     out = np.empty(len(scores))
-    for g in np.unique(groups):
-        mask = groups == g
-        out[mask] = calibrator_of(g).apply(scores.take(mask))
+    methods = [cal.method for cal in calibrators]
+    for method in dict.fromkeys(methods):
+        rows = np.array([m == method for m in methods])[groups]
+        if not rows.any():
+            continue
+        g = groups[rows]
+        q = {k: np.array([cal.params[k] if cal.method == method else 0.0
+                          for cal in calibrators])[g] for k in PARAM_KEYS[method]}
+        out[rows] = _apply(method, q, scores if rows.all() else scores.take(rows))
     return out
+
+
+def _calibrated_nlls(method: str, q: dict, scores: ScoreSet, y, bounds) -> list[float]:
+    """``nll`` of a ``method`` calibrator with params ``q`` (numbers or per-row
+    arrays) on each slice [bounds[s], bounds[s + 1]) of ``scores`` and their
+    float 0/1 labels ``y``, from one pass over the rows."""
+    clipped = ScoreSet(scores.margins, np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS))
+    return _mean_nlls(_nll_terms(_apply(method, q, clipped), y, 1.0 - y), bounds)
 
 
 def nll_of_probs(p, y) -> float:
@@ -187,8 +204,15 @@ def _nll(p, y, y1) -> float:
     """``nll_of_probs`` on 1-D float64 ``p`` with float labels ``y`` and ``y1 = 1 - y``.
 
     The fit objectives convert the labels once per fit and call this directly.
-    It computes y*log(p) + (1-y)*log1p(-p) in two buffers and leaves ``p``
-    unchanged.
+    """
+    return _mean_nlls(_nll_terms(p, y, y1), (0, len(p)))[0]
+
+
+def _nll_terms(p, y, y1) -> np.ndarray:
+    """The per-row log-likelihoods y*log(p) + (1-y)*log1p(-p) of ``p`` clipped
+    to [APPLY_EPS, 1 - APPLY_EPS], with float labels ``y`` and ``y1 = 1 - y``.
+
+    It computes them in two buffers and leaves ``p`` unchanged.
     """
     q = np.maximum(p, APPLY_EPS)
     np.minimum(q, 1 - APPLY_EPS, out=q)
@@ -198,7 +222,14 @@ def _nll(p, y, y1) -> float:
     np.log1p(q, out=q)
     q *= y1
     a += q
-    return float(-(np.add.reduce(a) / len(a)))
+    return a
+
+
+def _mean_nlls(terms, bounds) -> list[float]:
+    """Minus the mean of each slice [bounds[s], bounds[s + 1]) of ``terms``: one
+    ``np.add.reduce`` per slice, which sums a slice as it sums a separate array."""
+    return [float(-(np.add.reduce(terms[lo:hi]) / (hi - lo)))
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 # fitting ----------------------------------------------------------------
@@ -302,47 +333,82 @@ def _fit_platt(margins, y, init=None) -> Calibrator:
 
 
 def _fit_temperature(margins, y) -> Calibrator:
-    """Golden-section search for log T over ``T_BOUNDS``, ``GOLDEN_ITER`` iterations.
+    return _fit_temperatures(margins, y, (0, len(y)))[0]
 
-    Each iteration is a deterministic map of the state (a, b, c, d, fc, fd).
+
+def _fit_temperatures(margins, y, bounds) -> list[Calibrator]:
+    """Temperature fits of the slices [bounds[s], bounds[s + 1]) of ``margins``
+    and their 0/1 labels ``y``: golden-section searches for log T over
+    ``T_BOUNDS``, ``GOLDEN_ITER`` iterations, all advanced together.
+
+    Each iteration is a deterministic map of a slice's state (a, b, c, d, fc, fd).
     Once a state equals the one two iterations earlier, the states alternate
     for good, so the bracket after the last iteration is the current state or
-    the previous one, by the parity of the iterations left. The loop stops
-    there (around iteration 80 in practice) and returns exactly the
+    the previous one, by the parity of the iterations left. The slice stops
+    there (around iteration 80 in practice) with exactly the
     ``GOLDEN_ITER``-iteration result, which is why ``iterations`` reports
-    ``GOLDEN_ITER``.
+    ``GOLDEN_ITER``. Each iteration evaluates the running slices' objectives in
+    one pass over their rows, which are gathered again when a slice stops.
+    Each T is ``math.exp`` of a slice's log T, as a fit of the slice alone
+    takes it.
     """
     lo, hi = math.log(T_BOUNDS[0]), math.log(T_BOUNDS[1])
+    bounds = [int(v) for v in bounds]
+    n = len(bounds) - 1
+    sizes = np.diff(bounds)
     yf = np.asarray(y, dtype=np.float64)
     y1 = 1.0 - yf
+    running = every = list(range(n))
+    run = (every, margins, yf, y1, sizes, bounds)       # the slices a pass covers
 
-    def objective(log_t):
-        return _nll(sigmoid(margins / math.exp(log_t)), yf, y1)
+    def objectives(slices, log_ts):
+        """The NLL of each of ``slices`` at its log T, from one pass over their rows."""
+        nonlocal run
+        if run[0] is not slices:
+            rows = np.repeat(np.isin(np.arange(n), slices), sizes)
+            run = (slices, margins[rows], yf[rows], y1[rows], sizes[slices],
+                   [0, *np.cumsum(sizes[slices]).tolist()])
+        _, m, yr, y1r, run_sizes, run_bounds = run
+        ts = [math.exp(v) for v in log_ts]
+        # a lone slice's T stays a number: the same quotients, without the repeat
+        t = ts[0] if len(ts) == 1 else np.repeat(ts, run_sizes)
+        return _mean_nlls(_nll_terms(sigmoid(m / t), yr, y1r), run_bounds)
 
     inv_phi = (math.sqrt(5.0) - 1) / 2
     a, b = lo, hi
     c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = objective(c), objective(d)
-    prev = older = None
+    states = [(a, b, c, d, fc, fd)
+              for fc, fd in zip(objectives(running, [c] * n), objectives(running, [d] * n))]
+    prev, older = [None] * n, [None] * n
+    brackets = [None] * n      # each stopped slice's final (a, b)
     for i in range(1, GOLDEN_ITER + 1):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = objective(d)
-        state = (a, b, c, d, fc, fd)
-        if state == older:
-            if (GOLDEN_ITER - i) % 2:
-                a, b = prev[0], prev[1]
-            break
-        older, prev = prev, state
-    log_t = (a + b) / 2
-    t = min(max(math.exp(log_t), T_BOUNDS[0]), T_BOUNDS[1])
-    return Calibrator("temperature", {"T": float(t)},
-                      {"final_nll": objective(math.log(t)), "iterations": GOLDEN_ITER})
+        moves, stopped = [], False   # each running slice's state, but for the new point's value
+        for s in running:
+            a, b, c, d, fc, fd = states[s]
+            if fc <= fd:
+                b, d, fd = d, c, fc
+                c = b - inv_phi * (b - a)
+                moves.append((a, b, c, d, None, fd))
+            else:
+                a, c, fc = c, d, fd
+                d = a + inv_phi * (b - a)
+                moves.append((a, b, c, d, fc, None))
+        f_new = objectives(running, [m[2] if m[4] is None else m[3] for m in moves])
+        for s, (a, b, c, d, fc, fd), f in zip(running, moves, f_new):
+            state = states[s] = (a, b, c, d, f, fd) if fc is None else (a, b, c, d, fc, f)
+            if state == older[s]:
+                brackets[s] = prev[s][:2] if (GOLDEN_ITER - i) % 2 else state[:2]
+                stopped = True
+            older[s], prev[s] = prev[s], state
+        if stopped:
+            running = [s for s in running if brackets[s] is None]
+            if not running:
+                break
+    for s in running:
+        brackets[s] = states[s][:2]
+    ts = [min(max(math.exp((a + b) / 2), T_BOUNDS[0]), T_BOUNDS[1]) for a, b in brackets]
+    return [Calibrator("temperature", {"T": float(t)}, {"final_nll": f, "iterations": GOLDEN_ITER})
+            for t, f in zip(ts, objectives(every, [math.log(t) for t in ts]))]
 
 
 def _fit_dirichlet2(probs, y, constrained: bool) -> Calibrator:

@@ -4,15 +4,18 @@ Training fits the base method independently on each cluster's held-out
 scores, with a constant for label-homogeneous clusters. Clusters too small
 to fit use the fallback: the global calibrator that the caller has already
 fitted on the same rows, so no calibrator is fitted twice. Inference assigns
-clusters by embedding and applies the resolved per-cluster calibrator.
+clusters by embedding and applies each row's cluster calibrator, in one pass
+per calibration method present.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import calibrators as cal_mod, metrics
-from .calibrators import Calibrator, PARAMETRIC_METHODS, _constant, _laplace_rate
+from .calibrators import Calibrator, PARAM_KEYS, PARAMETRIC_METHODS, _constant, _laplace_rate
 from .metrics import _aligned, _cluster_ids, _cluster_eces, _labels, _probabilities
 from .representation import ClusterModel, assign
 from .scores import ScoreSet
@@ -57,7 +60,8 @@ class ClusteredCalibrator:
         if len(labels) != len(scores):
             raise ValueError(f"embedding has {len(labels)} rows, expected one per score "
                              f"({len(scores)})")
-        return cal_mod._apply_by_group(labels, self.resolve, scores), labels
+        cals = [self.resolve(c) for c in range(self.cluster_model.k)]
+        return cal_mod._apply_each(cals, labels, scores), labels
 
 
 def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str,
@@ -71,8 +75,14 @@ def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str
     Homogeneous clusters get a Laplace-smoothed constant; clusters below
     ``min_fit_size`` use the fallback. Every per-cluster fit is compared
     against the fallback's parameters on that cluster and the lower-NLL fit
-    is kept, so the ensemble can never do worse than the global calibrator
-    on the data it was fitted on.
+    is kept, so on each fitted cluster the ensemble does no worse than the
+    global calibrator on the data it was fitted on. A homogeneous cluster's
+    constant is not compared, and the fallback can have the lower NLL there.
+
+    The rows are sorted by cluster once (stably), so each cluster is a slice
+    of one array. Temperature fits all clusters in one golden-section
+    search, and the NLL comparison takes one pass over the fitted rows for
+    the fallback and one for the clusters' own fits.
     """
     if method not in PARAMETRIC_METHODS:
         raise ValueError(
@@ -85,30 +95,63 @@ def train_clustered(scores: ScoreSet, y, clusters, cm: ClusterModel, method: str
     if fallback.method != expected:
         raise ValueError(f"fallback is a {fallback.method!r} calibrator, expected {expected!r}")
 
+    sizes = np.bincount(clusters, minlength=cm.k)
+    positives = np.bincount(clusters, weights=y, minlength=cm.k)
+    # stably sorted by cluster, cluster c is rows [bounds[c], bounds[c + 1])
+    order = np.argsort(clusters, kind="stable")
+    m, p, y = scores.margins[order], scores.probabilities[order], y[order]
+    bounds = np.r_[0, np.cumsum(sizes)].tolist()
+
     calibrators: dict[int, Calibrator] = {}
     meta: dict[int, dict] = {}
+    fitted = []
     for c in range(cm.k):
-        mask = clusters == c
-        n_c = int(mask.sum())
-        info = {"size": n_c, "positive_rate": float(y[mask].mean()) if n_c else 0.0,
+        n_c = int(sizes[c])
+        info = {"size": n_c, "positive_rate": float(positives[c] / n_c) if n_c else 0.0,
                 "used_fallback": False, "used_constant": False}
         if n_c == 0:
             info["used_fallback"] = True
-        elif (y[mask] == y[mask][0]).all():
-            calibrators[c] = _constant(_laplace_rate(y[mask]), note="homogeneous")
+        elif positives[c] in (0, n_c):
+            calibrators[c] = _constant(_laplace_rate(y[bounds[c]:bounds[c + 1]]),
+                                       note="homogeneous")
             info["used_constant"] = True
         elif n_c < min_fit_size:
             info["used_fallback"] = True
         else:
-            sub, y_sub = scores.take(mask), y[mask]
-            init = (fallback.params["A"], fallback.params["B"]) if method == "platt" else None
-            cal = cal_mod.fit(method, sub, y_sub, init)
-            if fallback.nll(sub, y_sub) < cal.nll(sub, y_sub):
-                cal = Calibrator(fallback.method, dict(fallback.params),
-                                 dict(fallback.diagnostics, refit="kept_global"))
-            calibrators[c] = cal
+            fitted.append(c)
         meta[c] = info
+    if fitted:
+        calibrators.update(_fit_clusters(ScoreSet(m, p), y, bounds, fitted, method, fallback))
     return ClusteredCalibrator(cm, method, calibrators, fallback, min_fit_size, meta)
+
+
+def _fit_clusters(scores: ScoreSet, y, bounds, fitted, method: str,
+                  fallback: Calibrator) -> dict[int, Calibrator]:
+    """The calibrators of the ``fitted`` clusters, each slice [bounds[c], bounds[c + 1])
+    of the cluster-sorted ``scores`` and labels ``y``: a ``method`` fit, or the
+    fallback's params where those have the lower NLL on the cluster. Temperature
+    fits all the clusters together; a Newton method fits each on its own."""
+    sizes = np.diff(bounds)
+    if sizes[fitted].sum() < len(y):    # keep the fitted clusters' rows only
+        rows = np.repeat(np.isin(np.arange(len(sizes)), fitted), sizes)
+        scores, y = scores.take(rows), y[rows]
+    bounds = np.r_[0, np.cumsum(sizes[fitted])].tolist()
+    with np.errstate(over="ignore"):
+        if method == "temperature":
+            cals = cal_mod._fit_temperatures(scores.margins, y, bounds)
+        else:
+            init = (fallback.params["A"], fallback.params["B"]) if method == "platt" else None
+            cals = [cal_mod.fit(method, scores.take(slice(lo, hi)), y[lo:hi], init)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
+        yf = y.astype(np.float64)
+        own = {k: np.repeat([cal.params[k] for cal in cals], np.diff(bounds))
+               for k in PARAM_KEYS[method]}
+        fallback_nll = cal_mod._calibrated_nlls(fallback.method, fallback.params, scores, yf,
+                                                bounds)
+        own_nll = cal_mod._calibrated_nlls(method, own, scores, yf, bounds)
+    return {c: Calibrator(fallback.method, dict(fallback.params),
+                          dict(fallback.diagnostics, refit="kept_global")) if f < o else cal
+            for c, cal, f, o in zip(fitted, cals, fallback_nll, own_nll)}
 
 
 def improved_sample_fraction(p_cluster, p_unified, labels, y, n_bins: int = 10,

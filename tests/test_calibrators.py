@@ -537,6 +537,32 @@ class TestKernelOracle:
             methods = ORACLE_METHODS if i % 10 == 0 else PARAMETRIC_METHODS
             _assert_fits_match_reference(*_random_fit_data(rng), methods)
 
+    def test_lockstep_temperature_fits_equal_separate_fits(self):
+        # each slice is one draw of random fit data, so the slices' searches
+        # stop on different iterations; some slices have all-equal margins
+        rng = np.random.default_rng(36)
+        running = []            # the running slices of each objective pass of a batch
+        for _ in range(40):
+            parts = [_random_fit_data(rng) for _ in range(rng.integers(1, 13))]
+            if rng.uniform() < 0.4:
+                j = int(rng.integers(len(parts)))
+                s, y = parts[j]
+                m = np.full(len(y), rng.choice([0.0, rng.uniform(-3.0, 3.0)]))
+                parts[j] = ScoreSet(m, s.probabilities), y
+            bounds = np.r_[0, np.cumsum([len(y) for _, y in parts])]
+            spy = mock.Mock(wraps=cal_mod._mean_nlls)
+            with mock.patch.object(cal_mod, "_mean_nlls", spy), np.errstate(over="ignore"):
+                got = cal_mod._fit_temperatures(np.concatenate([s.margins for s, _ in parts]),
+                                                np.concatenate([y for _, y in parts]), bounds)
+            running.append([len(call.args[1]) - 1 for call in spy.call_args_list])
+            assert len(got) == len(parts)
+            for cal, (s, y) in zip(got, parts):
+                want = _ref_fit_temperature(s.margins, y)
+                assert (json.dumps(_jsonable(cal), sort_keys=True)
+                        == json.dumps(_jsonable(want), sort_keys=True))
+        # in some batch, slices stopped on at least two iterations before the last ones
+        assert max(len(set(r[2:-1])) for r in running) >= 3
+
     @pytest.mark.parametrize("y", [[0, 1], [1, 0]])
     def test_two_rows(self, y):
         m = np.array([-1.3, 0.4])

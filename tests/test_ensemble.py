@@ -1,17 +1,19 @@
 """Per-cluster calibration ensemble behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
-from clustercal.calibrators import fit
+from clustercal import calibrators as cal_mod
+from clustercal.calibrators import APPLY_EPS, PARAMETRIC_METHODS, Calibrator, fit, nll_of_probs
 from clustercal.data import SyntheticSpec, gen_synthetic_full, split
 from clustercal.ensemble import ClusteredCalibrator, improved_sample_fraction, train_clustered
 from clustercal.harness import _jsonable, _section
 from clustercal.metrics import _cluster_eces, ece
 from clustercal.representation import ClusterModel, assign, fit_kmeans
-from clustercal.scores import ScoreSet
+from clustercal.scores import ScoreSet, sigmoid
 
 
 def synth_setup(seed=0, offsets=(2.0, -2.0, 1.0), rates=(0.2, 0.5, 0.8), n=500):
@@ -148,6 +150,39 @@ class TestTrainClustered:
         assert ccl.cluster_meta[1] == {"size": 0, "positive_rate": 0.0,
                                        "used_fallback": True, "used_constant": False}
 
+    def test_a_homogeneous_cluster_keeps_its_constant_unchecked(self):
+        # only a fitted cluster is checked against the fallback: three positives
+        # at margins 6-7 keep their Laplace constant 0.8, though the platt
+        # fallback has a far lower NLL on them
+        rng = np.random.default_rng(0)
+        m = np.r_[rng.normal(size=100) * 2, rng.uniform(6, 7, size=3)]
+        y = np.r_[(rng.random(100) < sigmoid(m[:100])).astype(int), 1, 1, 1]
+        scores = ScoreSet.from_margins(m)
+        cm = ClusterModel("kmeans", np.zeros((2, 1)), np.array([100, 3]))
+        fallback = fit("platt", scores, y)
+        ccl = train_clustered(scores, y, np.repeat([0, 1], [100, 3]), cm, "platt", fallback)
+        const, sub = ccl.resolve(1), scores.take(np.s_[100:])
+        assert (const.method, const.params["p0"]) == ("constant", 0.8)
+        assert const.nll(sub, y[100:]) == pytest.approx(-math.log(0.8))
+        assert fallback.nll(sub, y[100:]) < 0.01
+
+    def test_saturated_temperature_cluster_warns_of_no_overflow(self):
+        # pyproject turns every RuntimeWarning into an error; cluster 1 is
+        # separable at margins +-700, so its T is at the 0.01 bound, and
+        # sigmoid(m / T) overflows exp in the fits, the NLL check and infer
+        rng = np.random.default_rng(1)
+        m = np.r_[rng.normal(size=60), rng.choice([-700.0, 700.0], size=40)]
+        y = np.r_[(rng.random(60) < sigmoid(m[:60])).astype(int), m[60:] > 0]
+        y[:2] = [0, 1]
+        clusters = np.repeat([0, 1], [60, 40])
+        scores = ScoreSet.from_margins(m)
+        cm = ClusterModel("kmeans", np.array([[0.0], [1.0]]), np.array([60, 40]))
+        ccl = train_clustered(scores, y, clusters, cm, "temperature",
+                              fit("temperature", scores, y))
+        assert ccl.resolve(1).params["T"] == pytest.approx(0.01, rel=1e-6)
+        p, _ = ccl.infer(scores, cm.centroids[clusters])
+        assert (p[60:] == np.where(y[60:], 1 - APPLY_EPS, APPLY_EPS)).all()
+
     def test_infer_needs_one_embedding_row_per_score(self):
         ds, sp, scores, E, cm = synth_setup()
         ccl = train(scores.take(sp.calibration), E[sp.calibration], cm, "platt",
@@ -167,6 +202,109 @@ class TestTrainClustered:
         np.testing.assert_allclose(p_a, p_b, atol=1e-12)
         np.testing.assert_array_equal(l_a, l_b)
         assert back.cluster_meta == ccl.cluster_meta
+
+
+def _ref_nll(cal, scores, y):
+    """``Calibrator.nll`` as it was: the apply of one calibrator to one cluster's rows."""
+    clipped = ScoreSet(scores.margins, np.clip(scores.probabilities, APPLY_EPS, 1 - APPLY_EPS))
+    return nll_of_probs(cal.apply(clipped), y)
+
+
+def _ref_train_clustered(scores, y, clusters, cm, method, fallback, min_fit_size=30):
+    """The per-cluster loop of masks and fits that ``train_clustered`` replaced."""
+    calibrators, meta = {}, {}
+    for c in range(cm.k):
+        mask = clusters == c
+        n_c = int(mask.sum())
+        info = {"size": n_c, "positive_rate": float(y[mask].mean()) if n_c else 0.0,
+                "used_fallback": False, "used_constant": False}
+        if n_c == 0:
+            info["used_fallback"] = True
+        elif (y[mask] == y[mask][0]).all():
+            calibrators[c] = cal_mod._constant(cal_mod._laplace_rate(y[mask]), note="homogeneous")
+            info["used_constant"] = True
+        elif n_c < min_fit_size:
+            info["used_fallback"] = True
+        else:
+            sub, y_sub = scores.take(mask), y[mask]
+            init = (fallback.params["A"], fallback.params["B"]) if method == "platt" else None
+            cal = fit(method, sub, y_sub, init)
+            if _ref_nll(fallback, sub, y_sub) < _ref_nll(cal, sub, y_sub):
+                cal = Calibrator(fallback.method, dict(fallback.params),
+                                 dict(fallback.diagnostics, refit="kept_global"))
+            calibrators[c] = cal
+        meta[c] = info
+    return ClusteredCalibrator(cm, method, calibrators, fallback, min_fit_size, meta)
+
+
+def _random_labeling(rng, k=7):
+    """Scores, labels and cluster ids in which cluster 0 is empty, cluster 1
+    homogeneous and cluster 2 below the fit floor; the others are fitted, each
+    on rows with its own slope and shift of the true logit."""
+    sizes = [0, int(rng.integers(1, 12)), int(rng.integers(2, 30))]
+    sizes += rng.integers(30, 160, size=k - 3).tolist()
+    clusters = rng.permutation(np.repeat(np.arange(k), sizes))
+    margins = rng.normal(size=len(clusters)) * rng.uniform(0.2, 4.0)
+    slope, shift = rng.normal(size=k), rng.normal(size=k)
+    y = (rng.random(len(clusters)) < sigmoid(slope[clusters] * margins
+                                             + shift[clusters])).astype(int)
+    y[clusters == 1] = rng.integers(0, 2)
+    y[np.flatnonzero(clusters == 2)[:2]] = [0, 1]
+    return ScoreSet.from_margins(margins), y, clusters
+
+
+def _twin_labeling(rng):
+    """Two clusters of the same rows. Each cluster's fit and the global fit
+    have one optimum and differ by rounding, so some clusters keep the global
+    params."""
+    n = int(rng.integers(30, 200))
+    margins = rng.normal(size=n) * rng.uniform(0.2, 3.0)
+    y = (rng.random(n) < sigmoid(rng.normal() * margins + rng.normal())).astype(int)
+    y[:2] = [0, 1]
+    return ScoreSet.from_margins(np.r_[margins, margins]), np.r_[y, y], np.repeat([0, 1], n)
+
+
+def _json(obj):
+    return json.dumps(_jsonable(obj), sort_keys=True)
+
+
+class TestOneOrderedPass:
+    """``train_clustered`` on cluster-sorted rows, with its batched fits and
+    NLL checks, and ``infer``'s one pass per method give the bytes of the
+    per-cluster loop."""
+
+    @pytest.mark.parametrize("method", PARAMETRIC_METHODS)
+    def test_train_and_infer_match_the_per_cluster_loop(self, method):
+        rng = np.random.default_rng(PARAMETRIC_METHODS.index(method))
+        kept_global = 0
+        for i in range(60):
+            scores, y, clusters = (_random_labeling if i % 3 == 0 else _twin_labeling)(rng)
+            k = clusters.max() + 1
+            cm = ClusterModel("kmeans", np.arange(k, dtype=float)[:, None] * 10,
+                              np.bincount(clusters, minlength=k))
+            fallback = fit(method, scores, y)
+            got = train_clustered(scores, y, clusters, cm, method, fallback)
+            want = _ref_train_clustered(scores, y, clusters, cm, method, fallback)
+            assert _json(got) == _json(want)
+            kept_global += sum(cal.diagnostics.get("refit") == "kept_global"
+                               for cal in got.calibrators.values())
+            if i % 3:
+                continue
+            meta = got.cluster_meta
+            assert meta[0]["used_fallback"] and meta[1]["used_constant"]
+            assert meta[2]["used_fallback"] and meta[2]["size"] > 0
+            # each row's probability is its cluster's calibrator's, for every
+            # kind of cluster
+            V = cm.centroids[rng.integers(0, k, size=200)]
+            test_scores = ScoreSet.from_margins(rng.normal(size=200) * 4)
+            p, labels = got.infer(test_scores, V)
+            assert set(labels) == set(range(k))
+            want_p = [got.resolve(c).apply(test_scores.take([j]))[0]
+                      for j, c in enumerate(labels)]
+            assert p.tobytes() == np.array(want_p).tobytes()
+        # a platt fit starts from the fallback's params, which it keeps when
+        # they are its optimum, so a tie, not a lower fallback NLL, is its rule
+        assert kept_global > 0 or method == "platt"
 
 
 def reference_improved_fraction(p_cluster, p_unified, labels, y, n_bins, scheme):

@@ -58,12 +58,15 @@ def test_golden_run_assigns_and_fits_once(tmp_path):
     assert tracer.calls("ensemble.infer") == 4
     # one assign per split (clustering rows, calibration, test), plus one per infer
     assert tracer.calls("representation.assign") == 3 + 4
-    fitted = sum(not (info["used_fallback"] or info["used_constant"])
-                 for _, ccl in tracer.kept("ensemble.train")
-                 for info in ccl.cluster_meta.values())
-    assert fitted > 0
-    # one global fit per method; each ensemble reuses it as its fallback
-    assert tracer.calls("calibrators.fit") == 7 + fitted
+    fitted = {ccl.method: sum(not (info["used_fallback"] or info["used_constant"])
+                              for info in ccl.cluster_meta.values())
+              for _, ccl in tracer.kept("ensemble.train")}
+    assert fitted["temperature"] == 3
+    # one global fit per method, which each ensemble reuses as its fallback, and
+    # one `fit` per fitted cluster of a Newton method; temperature fits its
+    # clusters together, without `fit`
+    newton = fitted["platt"] + fitted["beta"] + fitted["dirichlet2"]
+    assert tracer.calls("calibrators.fit") == 7 + newton == 16
     # one model fit, one scoring pass and one write of the artifacts per report
     assert tracer.calls("gbt.fit") == 1
     assert tracer.calls("gbt.predict") == 1
